@@ -1,7 +1,7 @@
 """Differential schedule fuzzer: fast paths vs. the reference replay.
 
-The PR-2 memory-system fast paths (aggregated cost charging, the
-per-core translation micro-cache, dict-backed LLC sets) claim to be
+The memory-system fast paths (aggregated cost charging, the per-core
+access plan and its inline page serve, dict-backed LLC sets) claim to be
 observably identical to the slow reference implementation.  The golden
 fingerprints pin that claim for *fixed* workloads; this fuzzer attacks
 it with *random* ones: each seeded :class:`Schedule` drives the shared
@@ -13,7 +13,7 @@ shootdown boundaries (``bulk_storm``, stressing the access-plan
 compiler's invalidation) — twice.
 The fast run uses the production configuration; the reference run sets
 ``MachineConfig.reference_paths`` so every access takes the slow
-per-line path with the micro-cache disabled.  Three oracles compare the
+per-line path with the access plan disabled.  Three oracles compare the
 two:
 
 ``DIFF001``

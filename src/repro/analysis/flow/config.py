@@ -27,6 +27,7 @@ class FlowConfig:
     charge_entry_points: tuple = (
         "repro.sgx.cpu:Core.read",
         "repro.sgx.cpu:Core.write",
+        "repro.sgx.cpu:Core._access",
         "repro.sgx.cpu:Core._translate",
         "repro.sgx.cpu:Core._plan_run",
         "repro.sgx.cpu:Core.flush_tlb",
@@ -53,13 +54,12 @@ class FlowConfig:
         "repro.host",
     )
     #: Modules whose host-clock/RNG effects are sanctioned: wallclock is
-    #: the one blessed helper (SIM002 allowlist), and the runner/bench
+    #: the one blessed helper (SIM002 allowlist), and the runner
     #: layers measure host time into the segregated --timings document,
     #: never into fingerprints or digests (DESIGN.md §11 documents this
     #: as a declared soundness boundary, not an inference).
     sanctioned_effect_modules: tuple = (
         "repro.perf.wallclock",
-        "repro.perf.bench_memsys",
         "repro.runner.pool",
         "repro.experiments.registry",
         "repro.experiments.__main__",

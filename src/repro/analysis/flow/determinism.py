@@ -11,8 +11,8 @@ carries the witness call chain from a root to the offending function.
 
 Effects inside ``FlowConfig.sanctioned_effect_modules`` are exempt:
 ``repro.perf.wallclock`` is the blessed host-clock seam, and the
-runner/bench layers measure host time into the segregated timings
-document, never into fingerprints (a declared boundary, DESIGN.md §11).
+runner layer measures host time into the segregated timings document,
+never into fingerprints (a declared boundary, DESIGN.md §11).
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ The simulator cannot install external crypto packages, so the AES-GCM
 baseline channel (paper Fig. 11: "Rijndael AES-GCM encryption operation
 supported by Intel SGX SDK cryptography library") is built on this
 from-scratch implementation.  It is a straightforward table-driven
-encryptor/decryptor — correctness over speed; the *timing* of the GCM
-channel in benchmarks comes from the cost model, not from how fast this
-Python runs.  Verified against the FIPS-197 appendix vectors in
-``tests/crypto/test_aes.py``.
+encryptor (GCM is CTR mode, so no inverse cipher) — correctness over
+speed; the *timing* of the GCM channel in benchmarks comes from the
+cost model, not from how fast this Python runs.  Verified against the
+FIPS-197 appendix vectors in ``tests/crypto/test_aes.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.errors import CryptoError
 
 # -- S-box construction (computed, not pasted, to keep provenance obvious) --
 
-def _build_sbox() -> tuple[list[int], list[int]]:
+def _build_sbox() -> list[int]:
     # Multiplicative inverse in GF(2^8) via exp/log tables over generator 3.
     exp = [0] * 512
     log = [0] * 256
@@ -43,13 +43,10 @@ def _build_sbox() -> tuple[list[int], list[int]]:
                 ^ ((c >> ((i + 7) % 8)) & 1) ^ ((0x63 >> i) & 1)
             res |= bit << i
         sbox[b] = res
-    inv_sbox = [0] * 256
-    for b, s in enumerate(sbox):
-        inv_sbox[s] = b
-    return sbox, inv_sbox
+    return sbox
 
 
-SBOX, INV_SBOX = _build_sbox()
+SBOX = _build_sbox()
 RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36,
         0x6C, 0xD8, 0xAB, 0x4D]
 
@@ -116,14 +113,6 @@ class Aes:
                 state[r + 4 * c] = row[c]
 
     @staticmethod
-    def _inv_shift_rows(state: list[int]) -> None:
-        for r in range(1, 4):
-            row = [state[r + 4 * c] for c in range(4)]
-            row = row[-r:] + row[:-r]
-            for c in range(4):
-                state[r + 4 * c] = row[c]
-
-    @staticmethod
     def _mix_columns(state: list[int]) -> None:
         for c in range(4):
             col = state[4 * c:4 * c + 4]
@@ -131,15 +120,6 @@ class Aes:
             state[4 * c + 1] = col[0] ^ _gmul(col[1], 2) ^ _gmul(col[2], 3) ^ col[3]
             state[4 * c + 2] = col[0] ^ col[1] ^ _gmul(col[2], 2) ^ _gmul(col[3], 3)
             state[4 * c + 3] = _gmul(col[0], 3) ^ col[1] ^ col[2] ^ _gmul(col[3], 2)
-
-    @staticmethod
-    def _inv_mix_columns(state: list[int]) -> None:
-        for c in range(4):
-            col = state[4 * c:4 * c + 4]
-            state[4 * c + 0] = _gmul(col[0], 14) ^ _gmul(col[1], 11) ^ _gmul(col[2], 13) ^ _gmul(col[3], 9)
-            state[4 * c + 1] = _gmul(col[0], 9) ^ _gmul(col[1], 14) ^ _gmul(col[2], 11) ^ _gmul(col[3], 13)
-            state[4 * c + 2] = _gmul(col[0], 13) ^ _gmul(col[1], 9) ^ _gmul(col[2], 14) ^ _gmul(col[3], 11)
-            state[4 * c + 3] = _gmul(col[0], 11) ^ _gmul(col[1], 13) ^ _gmul(col[2], 9) ^ _gmul(col[3], 14)
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
@@ -154,19 +134,4 @@ class Aes:
         self._sub_bytes(state, SBOX)
         self._shift_rows(state)
         self._add_round_key(state, self._round_keys[self.nr])
-        return bytes(state)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 16:
-            raise CryptoError("AES block must be 16 bytes")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[self.nr])
-        for rnd in range(self.nr - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._sub_bytes(state, INV_SBOX)
-            self._add_round_key(state, self._round_keys[rnd])
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._sub_bytes(state, INV_SBOX)
-        self._add_round_key(state, self._round_keys[0])
         return bytes(state)

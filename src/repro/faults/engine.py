@@ -23,7 +23,7 @@ that a fault-free run would not have perturbed:
 * the LLC replacement state (eviction bubbles only — AEX/ERESUME perform
   no memory traffic).
 
-The TLB restore bumps the generation stamp, so the per-core micro-cache is
+The TLB restore bumps the content epoch, so the per-core access plan is
 invalidated; the next access takes the full ``tlb.lookup`` hit path, which
 charges exactly the same ``tlb_hit`` cost and counter as the fast path —
 simulated time is unchanged.  What deliberately *persists* is the
@@ -164,7 +164,7 @@ class FaultEngine:
     @staticmethod
     def _tlb_restore(core: "Core", snapshot: tuple) -> None:
         contents, flush_count = snapshot
-        core.tlb.restore(contents)          # bumps generation
+        core.tlb.restore(contents)          # bumps content_gen
         core.tlb.flush_count = flush_count  # see module docstring
 
     # -- injections -----------------------------------------------------------

@@ -1,8 +1,8 @@
 """Determinism-fingerprint harness for the simulated memory system.
 
-The PR-2 fast paths (dict-backed LLC sets, aggregated memory-side cost
-charging, the per-core translation micro-cache, bulk transfers) are only
-legal if they change *host* wall-clock and nothing else.  This module
+The memory-system fast paths (dict-backed LLC sets, aggregated
+memory-side cost charging, the per-core access plan, bulk transfers)
+are only legal if they change *host* wall-clock and nothing else.  This module
 pins that down: a handful of fixed workloads run on fresh machines, and
 everything an optimization could corrupt — the simulated clock, every
 event counter, the per-event cost breakdown, the MEE integrity-tree
@@ -16,8 +16,8 @@ The workloads deliberately cover the paths the fast-path work touches:
 the in-EPC ring channel (LLC + MEE ciphertext), the AES-GCM software
 channel (crypto byte-for-byte), EPC eviction under live inner threads
 (EWB/ELDB, IPIs, TLB shootdown), a transition storm (EENTER/EEXIT/
-NEENTER/NEEXIT/AEX/ERESUME flush discipline, which the translation
-micro-cache must honour), and a bulk same-mode memcpy through a nested
+NEENTER/NEEXIT/AEX/ERESUME flush discipline, which the access plan
+must honour), and a bulk same-mode memcpy through a nested
 pair (``bulk_copy``) — the exact multi-page contiguous shape the
 access-plan compiler batches, pinned independently of the Fig. 11
 sweep.

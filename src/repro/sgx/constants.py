@@ -65,7 +65,7 @@ class MachineConfig:
     mee_encrypt_bytes: bool = True
     #: Run the straightforward pre-fast-path memory/translation code:
     #: no memside inlining, no single-frame shortcut, a dead per-core
-    #: translation micro-cache.  Simulated behaviour must be
+    #: access plan.  Simulated behaviour must be
     #: bit-identical to the optimized paths — the differential fuzzer
     #: (repro.analysis.difffuzz) diffs the two on every schedule.
     reference_paths: bool = False

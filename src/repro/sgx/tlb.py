@@ -43,20 +43,13 @@ class Tlb:
         # is the LRU promotion, ``next(iter(...))`` the LRU victim.
         self._entries: dict[int, TlbEntry] = {}
         self.flush_count = 0
-        #: Bumped on every operation that can change contents *or* LRU
-        #: recency.  The per-core translation micro-cache
-        #: (:class:`repro.sgx.cpu.Core`) snapshots this value and treats
-        #: any change as invalidation, so a micro-cache hit is only ever
-        #: taken when the cached entry provably is still the TLB's MRU
-        #: entry — making the skipped ``lookup`` unobservable.
-        self.generation = 0
-        #: Bumped only on operations that can change *contents* — insert
+        #: Bumped on every operation that can change *contents* — insert
         #: (which may capacity-evict), flush, invalidate_pfn, restore —
         #: never on lookup (promotion only reorders recency).  The
-        #: per-core access-plan cache (:class:`repro.sgx.cpu.Core`)
-        #: snapshots this value: while it is unchanged, every entry that
-        #: was in the TLB at snapshot time provably still is, so a
-        #: compiled page-run may charge tlb_hit per page without
+        #: per-core access plan (:class:`repro.sgx.cpu.Core`), the only
+        #: translation cache, snapshots this value: while it is
+        #: unchanged, every entry that was in the TLB at snapshot time
+        #: provably still is, so a plan hit may charge tlb_hit without
         #: consulting the TLB.  Monotonic, never rewound (see
         #: :meth:`restore`).
         self.content_gen = 0
@@ -67,7 +60,6 @@ class Tlb:
         if ent is not None:
             del entries[vpn]
             entries[vpn] = ent
-            self.generation += 1
         return ent
 
     def insert(self, entry: TlbEntry) -> None:
@@ -76,13 +68,11 @@ class Tlb:
         entries[entry.vpn] = entry
         if len(entries) > self.capacity:
             del entries[next(iter(entries))]
-        self.generation += 1
         self.content_gen += 1
 
     def flush(self) -> None:
         self._entries.clear()
         self.flush_count += 1
-        self.generation += 1
         self.content_gen += 1
 
     def invalidate_pfn(self, pfn: int) -> int:
@@ -95,7 +85,6 @@ class Tlb:
         victims = [vpn for vpn, e in self._entries.items() if e.pfn == pfn]
         for vpn in victims:
             del self._entries[vpn]
-        self.generation += 1
         self.content_gen += 1
         return len(victims)
 
@@ -111,15 +100,13 @@ class Tlb:
     def restore(self, snapshot: tuple) -> None:
         """Rebuild contents from :meth:`capture`.
 
-        ``generation`` and ``content_gen`` are *bumped*, never rewound:
-        the per-core micro-cache and access-plan cache compare
-        generations for equality, so any rewind could make a stale
-        cached entry look current again.
+        ``content_gen`` is *bumped*, never rewound: the per-core access
+        plan compares it for equality, so any rewind could make a stale
+        compiled page look current again.
         """
         self._entries.clear()
         for vpn, pfn, perms, context_eid in snapshot:
             self._entries[vpn] = TlbEntry(vpn, pfn, perms, context_eid)
-        self.generation += 1
         self.content_gen += 1
 
     def __len__(self) -> int:

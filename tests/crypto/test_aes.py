@@ -1,9 +1,9 @@
-"""AES block cipher tests against FIPS-197 vectors and round-trip laws."""
+"""AES block cipher tests against FIPS-197 vectors and S-box laws."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.aes import Aes, SBOX, INV_SBOX
+from repro.crypto.aes import Aes, SBOX
 from repro.errors import CryptoError
 
 
@@ -49,19 +49,8 @@ class TestSbox:
     def test_sbox_is_a_permutation(self):
         assert sorted(SBOX) == list(range(256))
 
-    def test_inverse_sbox_inverts(self):
-        for b in range(256):
-            assert INV_SBOX[SBOX[b]] == b
-
 
 class TestRoundTrip:
-    @given(st.binary(min_size=16, max_size=16),
-           st.sampled_from([16, 24, 32]))
-    def test_decrypt_inverts_encrypt(self, block, key_len):
-        key = bytes(range(key_len))
-        aes = Aes(key)
-        assert aes.decrypt_block(aes.encrypt_block(block)) == block
-
     @given(st.binary(min_size=16, max_size=16))
     def test_different_keys_differ(self, block):
         a = Aes(bytes(16)).encrypt_block(block)
@@ -77,7 +66,3 @@ class TestErrors:
     def test_bad_block_length_encrypt(self):
         with pytest.raises(CryptoError):
             Aes(bytes(16)).encrypt_block(bytes(15))
-
-    def test_bad_block_length_decrypt(self):
-        with pytest.raises(CryptoError):
-            Aes(bytes(16)).decrypt_block(bytes(17))

@@ -1,22 +1,25 @@
-"""Property tests for the per-core translation micro-cache.
+"""Property tests for translation staleness and TLB recency on the hot path.
 
-The micro-cache (:class:`repro.sgx.cpu.Core`) may serve a translation
-without consulting the TLB only while its snapshot of
-``Tlb.generation`` is current — so the security argument of paper §II-B
-(validate once at fill time, flush on every security transition) extends
-to it *iff* every operation that flushes a TLB also renders the
-micro-cache unusable.  These tests drive random transition/eviction
-sequences and audit, after every step,
+The single-page fast path of :class:`repro.sgx.cpu.Core` serves a
+planned page without calling ``Tlb.lookup``; it performs the LRU
+promotion inline instead.  The security argument of paper §II-B
+(validate once at fill time, flush on every security transition)
+extends to that path *iff*
 
-* the four §VII-A invariants via :mod:`repro.core.invariants`, and
-* the micro-cache's structural invariant: while its generation snapshot
-  matches, slot 0 holds the TLB's MRU entry and slot 1 its second-MRU —
-  the exact condition under which skipping ``Tlb.lookup`` is
-  unobservable.
+* every flush-bearing operation (EENTER, EEXIT, NEENTER, NEEXIT, AEX,
+  ERESUME and EWB shootdowns) empties the translations a core may
+  serve — the TLB loses the page and the access plan goes stale
+  immediately, before any refill — and
+* between flushes the inline promotion leaves the TLB in exactly the
+  recency order ``Tlb.lookup`` would, so a later capacity eviction
+  picks the same victim.
 
-Flush-bearing operations (EENTER, EEXIT, NEENTER, NEEXIT, AEX, and EWB
-shootdowns) are additionally checked to leave the micro-cache stale
-(generation mismatch) immediately, before any refill.
+The directed tests check the first point one flush source at a time;
+the random walks check both by running each seed on a compiled machine
+and on a ``reference_paths`` machine (every access through
+``Tlb.lookup``) and comparing every core's TLB, LRU order included,
+after every step.  Each step also audits the four §VII-A invariants via
+:mod:`repro.core.invariants`.
 """
 
 import random
@@ -27,7 +30,7 @@ from repro.core import NestedValidator, audit_machine, neenter, neexit
 from repro.os import Kernel
 from repro.sdk import EnclaveBuilder, EnclaveHost, developer_key, parse_edl
 from repro.sgx import Machine, isa
-from repro.sgx.constants import PAGE_SIZE, SmallMachineConfig
+from repro.sgx.constants import PAGE_SHIFT, PAGE_SIZE, SmallMachineConfig
 
 EDL = """
 enclave {
@@ -37,6 +40,10 @@ enclave {
 };
 """
 
+#: TLB capacity for the random walks: below the walk's four-page working
+#: set, so touches capacity-evict and LRU order decides the victim.
+TINY_TLB = 2
+
 
 def _bump(ctx, addr):
     value = int.from_bytes(ctx.read(addr, 8), "little") + 1
@@ -44,47 +51,25 @@ def _bump(ctx, addr):
     return value
 
 
-def microcache_violations(core) -> list[str]:
-    """Audit one core's micro-cache against its TLB.
-
-    A stale micro-cache (generation mismatch) is always fine — it will
-    not be consulted.  A *current* one must mirror the TLB's recency
-    order exactly.
-    """
-    tlb = core.tlb
-    if core._mc_gen != tlb.generation:
-        return []
-    errs = []
-    items = list(tlb._entries.items())  # insertion order: LRU .. MRU
-    if core._mc_vpn != -1:
-        if not items:
-            errs.append(f"core{core.core_id}: slot 0 current but TLB empty")
-        elif (items[-1][0] != core._mc_vpn
-              or items[-1][1] is not core._mc_entry):
-            errs.append(f"core{core.core_id}: slot 0 is not the TLB MRU")
-    if core._mc_vpn1 != -1:
-        if (len(items) < 2 or items[-2][0] != core._mc_vpn1
-                or items[-2][1] is not core._mc_entry1):
-            errs.append(
-                f"core{core.core_id}: slot 1 is not the TLB second-MRU")
-    return errs
-
-
 def _audit(machine) -> None:
     assert audit_machine(machine) == []
-    for core in machine.cores:
-        assert microcache_violations(core) == []
 
 
 def _assert_stale(core) -> None:
-    """The core's micro-cache must be unusable until the next refill."""
-    assert core._mc_gen != core.tlb.generation, (
-        f"core{core.core_id}: micro-cache survived a TLB flush")
+    """The core may serve no translation until the next refill."""
+    assert len(core.tlb) == 0, (
+        f"core{core.core_id}: TLB survived a flush-bearing operation")
+    assert core._plan_gen != core.tlb.content_gen, (
+        f"core{core.core_id}: access plan survived a TLB flush")
 
 
-@pytest.fixture
-def world():
-    machine = Machine(SmallMachineConfig(num_cores=2),
+def _assert_mru(core, vaddr) -> None:
+    """The page just accessed is the TLB's MRU entry."""
+    assert core.tlb.capture()[-1][0] == vaddr >> PAGE_SHIFT
+
+
+def _build_world(**config_overrides):
+    machine = Machine(SmallMachineConfig(num_cores=2, **config_overrides),
                       validator_cls=NestedValidator)
     host = EnclaveHost(machine, Kernel(machine))
     key = developer_key("microcache")
@@ -111,6 +96,11 @@ def world():
     return machine, host, outer, inner
 
 
+@pytest.fixture
+def world():
+    return _build_world()
+
+
 class TestDirectedInvalidation:
     """One explicit warm → flush → stale check per flush source."""
 
@@ -121,18 +111,20 @@ class TestDirectedInvalidation:
 
         isa.eenter(machine, core, outer.secs, outer.idle_tcs())
         _assert_stale(core)
-        core.write(heap, b"\xAA" * 8)           # warm the micro-cache
-        assert core._mc_gen == core.tlb.generation
+        core.write(heap, b"\xAA" * 8)           # fill: walk + validate
+        core.write(heap, b"\xBB" * 8)           # served from the plan
+        _assert_mru(core, heap)
+        assert core._plan_gen == core.tlb.content_gen
 
         neenter(machine, core, inner.secs, inner.idle_tcs())
         _assert_stale(core)
         core.read(heap, 8)                      # inner touching outer heap
-        assert core._mc_gen == core.tlb.generation
+        _assert_mru(core, heap)
 
         neexit(machine, core)
         _assert_stale(core)
-        core.read(heap, 8)
-        assert core._mc_gen == core.tlb.generation
+        assert core.read(heap, 8) == b"\xBB" * 8
+        _assert_mru(core, heap)
 
         tcs_vaddr = core.tcs_stack[0]
         isa.aex(machine, core)
@@ -140,7 +132,7 @@ class TestDirectedInvalidation:
         isa.eresume(machine, core, outer.secs, tcs_vaddr)
         _assert_stale(core)
         core.read(heap, 8)
-        assert core._mc_gen == core.tlb.generation
+        _assert_mru(core, heap)
 
         isa.eexit(machine, core)
         _assert_stale(core)
@@ -158,8 +150,9 @@ class TestDirectedInvalidation:
         tcs_vaddr = inner.idle_tcs()
         isa.eenter(machine, core1, inner.secs, tcs_vaddr)
         core1.read(target, 8)
-        assert core0._mc_gen == core0.tlb.generation
-        assert core1._mc_gen == core1.tlb.generation
+        for core in machine.cores:
+            _assert_mru(core, target)
+            assert core._plan_gen == core.tlb.content_gen
 
         host.kernel.driver.evict_page(outer.secs, target)
         for core in machine.cores:
@@ -178,74 +171,94 @@ class TestDirectedInvalidation:
         _audit(machine)
 
 
+def _walk(world, seed) -> list:
+    """Drive one random transition/access/eviction walk.
+
+    Audits every step and returns its trace: per step, the op, the data
+    read and every core's TLB contents in LRU order.
+    """
+    machine, host, outer, inner = world
+    rng = random.Random(0xC0FFEE + seed)
+    heap_page = outer.heap.base & ~(PAGE_SIZE - 1)
+    targets = [heap_page + PAGE_SIZE * i + 64 for i in range(1, 5)]
+    flushers = ("enter", "neenter", "neexit", "eexit", "aex")
+    trace = []
+
+    for _ in range(120):
+        core = rng.choice(machine.cores)
+        op = rng.choice(("enter", "neenter", "neexit", "eexit",
+                         "aex", "touch", "touch", "touch", "evict"))
+        data = None
+        if op == "enter" and not core.in_enclave_mode:
+            handle = rng.choice((outer, inner))
+            isa.eenter(machine, core, handle.secs, handle.idle_tcs())
+        elif op == "neenter" and core.current_eid == outer.secs.eid:
+            neenter(machine, core, inner.secs, inner.idle_tcs())
+        elif op == "neexit" and len(core.enclave_stack) >= 2:
+            neexit(machine, core)
+        elif op == "eexit" and len(core.enclave_stack) == 1:
+            isa.eexit(machine, core)
+        elif op == "aex" and len(core.enclave_stack) == 1:
+            eid = core.enclave_stack[0]
+            tcs_vaddr = core.tcs_stack[0]
+            isa.aex(machine, core)
+            _assert_stale(core)
+            _audit(machine)
+            isa.eresume(machine, core, machine.enclave(eid), tcs_vaddr)
+        elif op == "touch" and core.current_eid == outer.secs.eid:
+            addr = rng.choice(targets) + rng.randrange(32)
+            if rng.random() < 0.5:
+                data = core.read(addr, rng.choice((1, 8, 16)))
+            else:
+                core.write(addr, bytes(rng.choice((1, 8, 16))))
+        elif (op == "touch" and core.enclave_stack
+              and core.current_eid == inner.secs.eid):
+            # Inner touching the associated outer's heap (inv. 4).
+            data = core.read(rng.choice(targets), 8)
+        elif op == "evict" and all(len(c.enclave_stack) <= 1
+                                   for c in machine.cores):
+            target = rng.choice(targets) & ~(PAGE_SIZE - 1)
+            suspended = [(c, c.enclave_stack[0], c.tcs_stack[0])
+                         for c in machine.cores if c.in_enclave_mode]
+            host.kernel.driver.evict_page(outer.secs, target)
+            for c in machine.cores:
+                _assert_stale(c)
+            _audit(machine)
+            assert host.kernel.driver.handle_page_fault(outer.secs, target)
+            for c, eid, tcs_vaddr in suspended:
+                if not c.in_enclave_mode:   # AEX'd by the shootdown
+                    isa.eresume(machine, c, machine.enclave(eid),
+                                tcs_vaddr)
+        else:
+            continue
+        if op in flushers:
+            _assert_stale(core)
+        _audit(machine)
+        trace.append((core.core_id, op, data,
+                      tuple(c.tlb.capture() for c in machine.cores)))
+
+    # Unwind whatever the walk left running.
+    for core in machine.cores:
+        while core.enclave_stack:
+            if len(core.enclave_stack) >= 2:
+                neexit(machine, core)
+            else:
+                isa.eexit(machine, core)
+    _audit(machine)
+    return trace
+
+
 class TestRandomWalk:
-    """Random transition/access/eviction sequences, audited per step."""
+    """Random walks, compiled vs reference, audited and compared per step."""
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_sequence(self, world, seed):
-        machine, host, outer, inner = world
-        rng = random.Random(0xC0FFEE + seed)
-        heap_page = outer.heap.base & ~(PAGE_SIZE - 1)
-        targets = [heap_page + PAGE_SIZE * i + 64 for i in range(1, 5)]
-        flushers = ("enter", "neenter", "neexit", "eexit", "aex")
-
-        for _ in range(120):
-            core = rng.choice(machine.cores)
-            op = rng.choice(("enter", "neenter", "neexit", "eexit",
-                             "aex", "touch", "touch", "touch", "evict"))
-            if op == "enter" and not core.in_enclave_mode:
-                handle = rng.choice((outer, inner))
-                isa.eenter(machine, core, handle.secs, handle.idle_tcs())
-            elif op == "neenter" and core.current_eid == outer.secs.eid:
-                neenter(machine, core, inner.secs, inner.idle_tcs())
-            elif op == "neexit" and len(core.enclave_stack) >= 2:
-                neexit(machine, core)
-            elif op == "eexit" and len(core.enclave_stack) == 1:
-                isa.eexit(machine, core)
-            elif op == "aex" and len(core.enclave_stack) == 1:
-                eid = core.enclave_stack[0]
-                tcs_vaddr = core.tcs_stack[0]
-                isa.aex(machine, core)
-                _assert_stale(core)
-                _audit(machine)
-                isa.eresume(machine, core, machine.enclave(eid),
-                            tcs_vaddr)
-            elif op == "touch" and core.current_eid == outer.secs.eid:
-                addr = rng.choice(targets) + rng.randrange(32)
-                if rng.random() < 0.5:
-                    core.read(addr, rng.choice((1, 8, 16)))
-                else:
-                    core.write(addr, bytes(rng.choice((1, 8, 16))))
-            elif (op == "touch" and core.enclave_stack
-                  and core.current_eid == inner.secs.eid):
-                # Inner touching the associated outer's heap (inv. 4).
-                core.read(rng.choice(targets), 8)
-            elif op == "evict" and all(len(c.enclave_stack) <= 1
-                                       for c in machine.cores):
-                target = rng.choice(targets) & ~(PAGE_SIZE - 1)
-                suspended = [(c, c.enclave_stack[0], c.tcs_stack[0])
-                             for c in machine.cores if c.in_enclave_mode]
-                host.kernel.driver.evict_page(outer.secs, target)
-                for c in machine.cores:
-                    _assert_stale(c)
-                _audit(machine)
-                assert host.kernel.driver.handle_page_fault(outer.secs,
-                                                            target)
-                for c, eid, tcs_vaddr in suspended:
-                    if not c.in_enclave_mode:   # AEX'd by the shootdown
-                        isa.eresume(machine, c, machine.enclave(eid),
-                                    tcs_vaddr)
-            else:
-                continue
-            if op in flushers:
-                _assert_stale(core)
-            _audit(machine)
-
-        # Unwind whatever the walk left running.
-        for core in machine.cores:
-            while core.enclave_stack:
-                if len(core.enclave_stack) >= 2:
-                    neexit(machine, core)
-                else:
-                    isa.eexit(machine, core)
-        _audit(machine)
+    def test_sequence(self, seed):
+        fast = _walk(_build_world(tlb_entries=TINY_TLB), seed)
+        ref = _walk(_build_world(tlb_entries=TINY_TLB,
+                                 reference_paths=True), seed)
+        assert any(op == "touch" for _core, op, _d, _tlb in fast)
+        assert any(len(tlb) == TINY_TLB
+                   for *_rest, tlbs in fast for tlb in tlbs)
+        for step, (f, r) in enumerate(zip(fast, ref)):
+            assert f == r, f"compiled and reference diverge at step {step}"
+        assert len(fast) == len(ref)

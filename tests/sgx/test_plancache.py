@@ -1,4 +1,4 @@
-"""Property tests for the per-core access-plan cache (ISSUE 7).
+"""Property tests for the per-core access plan, the only translation cache.
 
 The plan cache (:class:`repro.sgx.cpu.Core`) may serve a contiguous
 multi-page run without re-walking the Fig. 6 automaton only while its
@@ -10,9 +10,8 @@ and the EWB/ELDB eviction protocol.  (A NASSO *grant* is monotone — it
 only adds rights, so plans validated before it stay valid; the
 teardown path, ``disassociate``, performs a full shootdown.)
 
-These tests mirror tests/sgx/test_microcache.py: random
-transition/eviction/flush walks with bulk accesses audit, after every
-step,
+Random transition/eviction/flush walks with bulk accesses audit, after
+every step,
 
 * the four §VII-A invariants via :mod:`repro.core.invariants`, and
 * the plan cache's structural invariant: while its stamp matches
@@ -321,10 +320,18 @@ BOUNDARY_SPANS = (
     (0, 4 * PAGE_SIZE),
 )
 
+#: TLB capacity for the reference comparison: below the sequence's
+#: five-page working set, so it capacity-evicts, but large enough for
+#: the warm pass's four-page run to be served whole from the plan.
+TINY_TLB = 4
+
 
 class TestRunBoundaryEquivalence:
     def _sequence(self, machine, core, outer):
-        """The fixed boundary-crossing access sequence both paths run."""
+        """The fixed boundary-crossing access sequence both paths run.
+
+        Returns the data read and the final TLB contents, LRU order
+        included."""
         heap = outer.heap.base
         pattern = bytes(i & 0xFF for i in range(5 * PAGE_SIZE))
         isa.eenter(machine, core, outer.secs, outer.idle_tcs())
@@ -333,16 +340,20 @@ class TestRunBoundaryEquivalence:
         for offset, size in BOUNDARY_SPANS:
             out.append(core.read(heap + offset, size))
         core.flush_tlb()              # force a recompile mid-sequence
-        for offset, size in BOUNDARY_SPANS:
-            out.append(core.read(heap + offset, size))
+        for _ in range(2):            # the second pass runs warm
+            for offset, size in BOUNDARY_SPANS:
+                out.append(core.read(heap + offset, size))
+        out.append(core.read(heap + 8, 8))     # promote page 0 from LRU
+        out.append(core.read(heap + 4 * PAGE_SIZE, 8))  # evicts the LRU
+        tlb = core.tlb.capture()
         isa.eexit(machine, core)
-        return out
+        return out, tlb
 
     def test_bulk_reads_equal_per_byte_reads(self, world):
         machine, host, outer, inner = world
         core = machine.cores[0]
         heap = outer.heap.base
-        runs = self._sequence(machine, core, outer)
+        runs, _tlb = self._sequence(machine, core, outer)
         isa.eenter(machine, core, outer.secs, outer.idle_tcs())
         for (offset, size), data in zip(BOUNDARY_SPANS, runs):
             per_byte = b"".join(core.read(heap + offset + i, 1)
@@ -353,12 +364,19 @@ class TestRunBoundaryEquivalence:
 
     def test_boundary_runs_match_reference_bit_for_bit(self):
         """Same sequence, compiled vs ``reference_paths``: data, clock,
-        counters, breakdown, ciphertext, and MEE root all identical."""
-        fast_m, _h, fast_outer, _i = _build_world()
-        ref_m, _h2, ref_outer, _i2 = _build_world(reference_paths=True)
-        fast = self._sequence(fast_m, fast_m.cores[0], fast_outer)
-        ref = self._sequence(ref_m, ref_m.cores[0], ref_outer)
+        counters, breakdown, ciphertext, MEE root, and TLB contents in
+        LRU order all identical.  The TLB is small enough that the
+        sequence capacity-evicts, so a plan hit that skipped (or
+        misordered) its LRU promotion would evict a different page."""
+        fast_m, _h, fast_outer, _i = _build_world(tlb_entries=TINY_TLB)
+        ref_m, _h2, ref_outer, _i2 = _build_world(tlb_entries=TINY_TLB,
+                                                  reference_paths=True)
+        fast, fast_tlb = self._sequence(fast_m, fast_m.cores[0],
+                                        fast_outer)
+        ref, ref_tlb = self._sequence(ref_m, ref_m.cores[0], ref_outer)
         assert fast == ref
+        assert fast_tlb == ref_tlb
+        assert len(fast_tlb) == TINY_TLB
         assert machine_fingerprint(fast_m) == machine_fingerprint(ref_m)
 
     def test_run_into_an_ewbed_page_matches_reference(self):

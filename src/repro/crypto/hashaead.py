@@ -1,14 +1,18 @@
 """A hash-based AEAD with the :class:`~repro.crypto.gcm.AesGcm` interface.
 
 The serving layer (`repro.host`) seals every wire datagram of every
-simulated session.  The from-scratch AES-GCM implementation is faithful
-but costs milliseconds of *host* time per operation in pure Python —
-three orders of magnitude more than the simulated enclave work it
-protects — which makes 100k-session experiments intractable.  This
-module provides a drop-in AEAD built from SHA-256 (encrypt-then-MAC over
-a hash-counter keystream): the same ``seal``/``open``/``TAG_LEN``
-surface and the same security *model* (confidentiality + integrity +
-nonce-bound AAD), at microseconds per call.
+simulated session, under a key derived for that session.  This module
+provides a drop-in AEAD built from SHA-256 (encrypt-then-MAC over a
+hash-counter keystream): the same ``seal``/``open``/``TAG_LEN`` surface
+and the same security *model* (confidentiality + integrity + nonce-bound
+AAD), at microseconds per call.
+
+It stays next to the T-table :class:`~repro.crypto.gcm.AesGcm`, which
+is still pure Python: measured on the reference box, AesGcm is about
+8-16x slower per 64 B-1 KiB seal and about 75x slower per fresh key,
+since each new key builds its GHASH tables.  A session key is always
+fresh, so AesGcm's per-key cache cannot help here, and switching would
+slow 100k-session experiments and the ``serving`` benchmark.
 
 The **simulated** cost is unchanged: callers (``GcmChannel``,
 ``ReliableLink``) charge ``cost.charge_gcm`` per operation regardless of

@@ -74,36 +74,36 @@ def _specs_paper() -> list[ExperimentSpec]:
             "table2",
             quick=lambda: exp.run_table2(200),
             full=lambda: exp.run_table2(2000),
-            budget_s=60, full_budget_s=120, cost_hint=0.1),
+            budget_s=60, full_budget_s=120, cost_hint=0.13),
         ExperimentSpec(
             "table3", exp.run_table3, exp.run_table3,
-            budget_s=60, full_budget_s=60, cost_hint=0.1),
+            budget_s=60, full_budget_s=60, cost_hint=0.02),
         ExperimentSpec(
             "table4", exp.run_table4, exp.run_table4,
-            budget_s=60, full_budget_s=60, cost_hint=0.2),
+            budget_s=60, full_budget_s=60, cost_hint=0.3),
         ExperimentSpec(
             "table5", exp.run_table5, exp.run_table5,
-            budget_s=60, full_budget_s=60, cost_hint=0.1),
+            budget_s=60, full_budget_s=60, cost_hint=0.02),
         ExperimentSpec(
             "table6",
             quick=lambda: exp.run_table6(operations=500, records=200),
             full=lambda: exp.run_table6(operations=10_000,
                                         records=1000),
-            budget_s=600, full_budget_s=14_400, cost_hint=90),
+            budget_s=120, full_budget_s=14_400, cost_hint=6.2),
         ExperimentSpec(
             "table7", exp.run_table7, exp.run_table7,
-            budget_s=120, full_budget_s=120, cost_hint=1.5),
+            budget_s=60, full_budget_s=120, cost_hint=0.6),
         ExperimentSpec(
             "fig7",
             quick=lambda: exp.run_fig7(chunk_sizes=(128, 2048, 16384),
                                        total_bytes=64 << 10),
             full=lambda: exp.run_fig7(total_bytes=1 << 20),
-            budget_s=400, full_budget_s=10_800, cost_hint=55),
+            budget_s=60, full_budget_s=10_800, cost_hint=2.5),
         ExperimentSpec(
             "fig9",
             quick=lambda: exp.run_fig9(scales=FIG9_QUICK_SCALES),
             full=exp.run_fig9,
-            budget_s=600, full_budget_s=3600, cost_hint=110),
+            budget_s=120, full_budget_s=3600, cost_hint=6.1),
         ExperimentSpec(
             "fig10",
             quick=lambda: exp.run_fig10(n=20, outer_sweep=(1, 4, 20),
@@ -112,7 +112,7 @@ def _specs_paper() -> list[ExperimentSpec]:
                                        outer_sweep=(1, 5, 50, 100,
                                                     500),
                                        page_scale=0.02),
-            budget_s=120, full_budget_s=3600, cost_hint=5),
+            budget_s=120, full_budget_s=3600, cost_hint=3.5),
         ExperimentSpec(
             "fig11",
             quick=lambda: exp.run_fig11(chunks=(64, 1024, 8192)),
@@ -122,31 +122,31 @@ def _specs_paper() -> list[ExperimentSpec]:
             "host-serving",
             quick=lambda: host_exp.run_host_serving(1000),
             full=lambda: host_exp.run_host_serving(100_000),
-            budget_s=120, full_budget_s=900, cost_hint=1),
+            budget_s=60, full_budget_s=900, cost_hint=0.7),
         ExperimentSpec(
             "host-overload",
             quick=lambda: host_exp.run_host_overload(1000),
             full=lambda: host_exp.run_host_overload(100_000),
-            budget_s=60, full_budget_s=400, cost_hint=0.3),
+            budget_s=60, full_budget_s=400, cost_hint=0.4),
         ExperimentSpec(
             "host-failover",
             quick=lambda: host_exp.run_host_failover(1000),
             full=lambda: host_exp.run_host_failover(100_000),
-            budget_s=60, full_budget_s=600, cost_hint=0.3),
+            budget_s=60, full_budget_s=600, cost_hint=0.2),
         ExperimentSpec(
             "ablation-d1", exp.run_d1_validation_cost,
             exp.run_d1_validation_cost,
-            budget_s=60, full_budget_s=60, cost_hint=0.1),
+            budget_s=60, full_budget_s=60, cost_hint=0.06),
         ExperimentSpec(
             "ablation-d2", exp.run_d2_shootdown, exp.run_d2_shootdown,
-            budget_s=60, full_budget_s=60, cost_hint=0.1),
+            budget_s=60, full_budget_s=60, cost_hint=0.05),
         ExperimentSpec(
             "ablation-d3", exp.run_d3_flush_sensitivity,
             exp.run_d3_flush_sensitivity,
-            budget_s=400, full_budget_s=400, cost_hint=50),
+            budget_s=60, full_budget_s=400, cost_hint=2.9),
         ExperimentSpec(
             "ablation-d4", exp.run_d4_depth, exp.run_d4_depth,
-            budget_s=60, full_budget_s=60, cost_hint=0.1),
+            budget_s=60, full_budget_s=60, cost_hint=0.04),
     ]
 
 

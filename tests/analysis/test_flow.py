@@ -32,10 +32,10 @@ class TestCallGraph:
         resolver shows up here first.  Update deliberately."""
         assert repo_result.stats == {
             "modules": 144,
-            "functions": 1038,
-            "call_edges": 935,
-            "weak_edges": 2831,
-            "secret_summaries": 457,
+            "functions": 1031,
+            "call_edges": 929,
+            "weak_edges": 2780,
+            "secret_summaries": 455,
             "always_charging": 150,
         }
 

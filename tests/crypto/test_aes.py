@@ -1,10 +1,80 @@
-"""AES block cipher tests against FIPS-197 vectors and S-box laws."""
+"""AES block cipher tests against FIPS-197 vectors, S-box laws, and the
+byte-wise reference cipher the T-table form replaced."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.aes import Aes, SBOX
 from repro.errors import CryptoError
+
+
+# -- reference oracle: the byte-wise FIPS-197 cipher ------------------------
+
+def _xtime(b: int) -> int:
+    b <<= 1
+    return (b ^ 0x1B) & 0xFF if b & 0x100 else b
+
+
+def _gmul(a: int, b: int) -> int:
+    out = 0
+    for _ in range(8):
+        if b & 1:
+            out ^= a
+        a = _xtime(a)
+        b >>= 1
+    return out
+
+
+class ReferenceAes:
+    """SubBytes, ShiftRows, MixColumns (GF(2^8) multiplies) and
+    AddRoundKey over a flat 16-byte column-major state, as FIPS-197
+    writes them."""
+
+    ROUNDS = {16: 10, 24: 12, 32: 14}
+    RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
+
+    def __init__(self, key: bytes) -> None:
+        self.nr = self.ROUNDS[len(key)]
+        nk = len(key) // 4
+        words = [list(key[4 * i:4 * i + 4]) for i in range(nk)]
+        for i in range(nk, 4 * (self.nr + 1)):
+            temp = list(words[i - 1])
+            if i % nk == 0:
+                temp = [SBOX[b] for b in temp[1:] + temp[:1]]
+                temp[0] ^= self.RCON[i // nk - 1]
+            elif nk > 6 and i % nk == 4:
+                temp = [SBOX[b] for b in temp]
+            words.append([words[i - nk][j] ^ temp[j] for j in range(4)])
+        self.round_keys = [sum(words[4 * r:4 * r + 4], [])
+                           for r in range(self.nr + 1)]
+
+    @staticmethod
+    def _shift_rows(state: list) -> None:
+        # Row r (bytes r, r+4, r+8, r+12) rotates left by r.
+        for r in range(1, 4):
+            row = [state[r + 4 * c] for c in range(4)]
+            row = row[r:] + row[:r]
+            for c in range(4):
+                state[r + 4 * c] = row[c]
+
+    @staticmethod
+    def _mix_columns(state: list) -> None:
+        for c in range(4):
+            a = state[4 * c:4 * c + 4]
+            state[4 * c + 0] = _gmul(a[0], 2) ^ _gmul(a[1], 3) ^ a[2] ^ a[3]
+            state[4 * c + 1] = a[0] ^ _gmul(a[1], 2) ^ _gmul(a[2], 3) ^ a[3]
+            state[4 * c + 2] = a[0] ^ a[1] ^ _gmul(a[2], 2) ^ _gmul(a[3], 3)
+            state[4 * c + 3] = _gmul(a[0], 3) ^ a[1] ^ a[2] ^ _gmul(a[3], 2)
+
+    def encrypt_block(self, block: bytes) -> bytes:
+        state = [b ^ k for b, k in zip(block, self.round_keys[0])]
+        for rnd in range(1, self.nr + 1):
+            state = [SBOX[b] for b in state]
+            self._shift_rows(state)
+            if rnd < self.nr:
+                self._mix_columns(state)
+            state = [b ^ k for b, k in zip(state, self.round_keys[rnd])]
+        return bytes(state)
 
 
 class TestFips197Vectors:
@@ -37,6 +107,16 @@ class TestFips197Vectors:
         ct = Aes(key).encrypt_block(pt)
         assert ct.hex() == "8ea2b7ca516745bfeafc49904b496089"
 
+    @pytest.mark.parametrize("key_len, expected", [
+        (16, "69c4e0d86a7b0430d8cdb78070b4c55a"),
+        (24, "dda97ca4864cdfe06eaf70a0ec0d7191"),
+        (32, "8ea2b7ca516745bfeafc49904b496089"),
+    ])
+    def test_reference_cipher_passes_appendix_c(self, key_len, expected):
+        pt = bytes.fromhex("00112233445566778899aabbccddeeff")
+        ct = ReferenceAes(bytes(range(key_len))).encrypt_block(pt)
+        assert ct.hex() == expected
+
 
 class TestSbox:
     def test_sbox_known_entries(self):
@@ -48,6 +128,16 @@ class TestSbox:
 
     def test_sbox_is_a_permutation(self):
         assert sorted(SBOX) == list(range(256))
+
+
+class TestAgainstReference:
+    @given(st.sampled_from([16, 24, 32]).flatmap(
+               lambda n: st.binary(min_size=n, max_size=n)),
+           st.binary(min_size=16, max_size=16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bytewise_reference(self, key, block):
+        assert Aes(key).encrypt_block(block) \
+            == ReferenceAes(key).encrypt_block(block)
 
 
 class TestRoundTrip:

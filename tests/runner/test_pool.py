@@ -21,9 +21,9 @@ from repro.runner import (build_document, build_timings, canonical_json,
 from repro.runner.__main__ import main as runner_main
 
 #: Cheap, deterministic experiments (~1 s or less each).  table7's
-#: cost hint (1.5) exceeds the others (0.1), so LPT scheduling starts
-#: it first even though it is not first in canonical order — which is
-#: what makes the order assertions below meaningful.
+#: cost hint (0.6) exceeds the others (at most 0.06), so LPT scheduling
+#: starts it first even though it is not first in canonical order —
+#: which is what makes the order assertions below meaningful.
 CHEAP = ["table3", "table5", "table7", "ablation-d1", "ablation-d4"]
 
 needs_fork = pytest.mark.skipif(

@@ -66,10 +66,10 @@ class TestTier1Gate:
         assert "push" in triggers
         assert "pull_request" in triggers
 
-    def test_nine_separate_jobs(self):
+    def test_ten_separate_jobs(self):
         assert set(_load("ci.yml")["jobs"]) == \
             {"tests", "ruff", "analysis", "modelcheck", "chaos",
-             "orderliness", "bench-smoke", "flow", "host"}
+             "orderliness", "bench-smoke", "flow", "host", "quick-suite"}
 
     def test_python_matrix_is_39_and_312(self):
         tests = _load("ci.yml")["jobs"]["tests"]
@@ -124,6 +124,15 @@ class TestTier1Gate:
         assert any(
             run.strip() == "python -m repro.runner -j 2 --chaos 2 host"
             for step in host["steps"]
+            for run in [step.get("run", "")])
+
+    def test_quick_suite_job_runs_the_registry_with_docs_check(self):
+        quick = _load("ci.yml")["jobs"]["quick-suite"]
+        assert quick["env"]["PYTHONPATH"] == "src"
+        assert quick["env"]["REPRO_SKIP_HOST_BUDGET"] == "1"
+        assert any(
+            run.strip() == "python -m repro.runner -j 2 --check-docs"
+            for step in quick["steps"]
             for run in [step.get("run", "")])
 
     def test_orderliness_job_replays_workload_logs(self):

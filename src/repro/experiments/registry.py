@@ -112,7 +112,7 @@ def _specs_paper() -> list[ExperimentSpec]:
                                        outer_sweep=(1, 5, 50, 100,
                                                     500),
                                        page_scale=0.02),
-            budget_s=120, full_budget_s=3600, cost_hint=3.5),
+            budget_s=120, full_budget_s=3600, cost_hint=0.6),
         ExperimentSpec(
             "fig11",
             quick=lambda: exp.run_fig11(chunks=(64, 1024, 8192)),

@@ -11,6 +11,9 @@ memory.  The protocol must defeat two OS attacks: *stale translations*
    flush on exit.
 4. ``EWB``      — verifies the epoch is clean, seals the page (encrypt +
    MAC + version stored in a Version Array slot), frees the frame.
+   The page cipher XORs the whole page, as one wide integer, with
+   :func:`~repro.crypto.kdf.hkdf_stream` under the seal key, labelled
+   by the slot's version; ELDB runs the same XOR to decrypt.
 5. ``ELDB``     — verifies MAC + version, restores the page into a new
    frame, consumes the VA slot (anti-replay).
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.kdf import hkdf, mac, mac_verify
+from repro.crypto.kdf import hkdf, hkdf_stream, mac, mac_verify
 from repro.errors import EvictionConflict, SgxFault
 from repro.perf import counters as ctr
 from repro.sgx.constants import PAGE_SIZE, PT_VA
@@ -131,6 +134,14 @@ def _seal_key(machine: Machine) -> bytes:
     return hkdf(machine.root_secret, b"ewb-seal")
 
 
+def _xor_page(page: bytes, key: bytes, version: bytes) -> bytes:
+    """EWB/ELDB page cipher: XOR with the ``hkdf_stream`` keystream
+    labelled by the VA-slot version, as one wide integer."""
+    stream = hkdf_stream(key, version, PAGE_SIZE)
+    return (int.from_bytes(page, "little")
+            ^ int.from_bytes(stream, "little")).to_bytes(PAGE_SIZE, "little")
+
+
 def ewb(machine: Machine, frame: int, va: VersionArray,
         epoch: TrackEpoch) -> EvictedPage:
     """Seal a blocked page out of the EPC."""
@@ -157,12 +168,7 @@ def ewb(machine: Machine, frame: int, va: VersionArray,
     va.slots[slot] = version
     key = _seal_key(machine)
     # Keystream encryption + MAC binding identity, layout and version.
-    stream = b""
-    counter = 0
-    while len(stream) < PAGE_SIZE:
-        stream += hkdf(key, version, counter.to_bytes(4, "little"))
-        counter += 1
-    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+    ciphertext = _xor_page(plaintext, key, version)
     meta = (entry.eid.to_bytes(8, "little")
             + entry.vaddr.to_bytes(8, "little")
             + entry.page_type.encode() + bytes([entry.perms]) + version)
@@ -201,12 +207,7 @@ def eldb(machine: Machine, evicted: EvictedPage,
             + evicted.page_type.encode() + bytes([evicted.perms]) + version)
     if not mac_verify(key, meta + evicted.ciphertext, evicted.mac_tag):
         raise SgxFault("ELDB MAC verification failed (tampered blob)")
-    stream = b""
-    counter = 0
-    while len(stream) < PAGE_SIZE:
-        stream += hkdf(key, version, counter.to_bytes(4, "little"))
-        counter += 1
-    plaintext = bytes(c ^ s for c, s in zip(evicted.ciphertext, stream))
+    plaintext = _xor_page(evicted.ciphertext, key, version)
     frame = machine.epc_alloc.alloc()
     machine.epcm.set(frame, eid=evicted.eid, page_type=evicted.page_type,
                      vaddr=evicted.vaddr, perms=evicted.perms)

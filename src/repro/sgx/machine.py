@@ -286,41 +286,42 @@ class Machine:
         self.phys.write(paddr, data)
 
     # PRM plaintext helpers: DRAM holds ciphertext; the package-internal
-    # view is plaintext.  Read-modify-write at cacheline granularity.
+    # view is plaintext.  Each access moves its line-aligned span through
+    # the MEE in one call and touches DRAM once.
     def _read_prm_plaintext(self, paddr: int, size: int) -> bytes:
-        out = bytearray()
-        line = CACHELINE_SIZE
-        addr = paddr
-        remaining = size
-        while remaining > 0:
-            line_addr = addr - (addr % line)
-            off = addr - line_addr
-            chunk = min(remaining, line - off)
-            cipher = self.phys.read(line_addr, line)
-            plain = self.mee.decrypt_line(line_addr, cipher)
-            out += plain[off:off + chunk]
-            addr += chunk
-            remaining -= chunk
-        return bytes(out)
+        if size <= 0:
+            return b""
+        first = paddr & -CACHELINE_SIZE
+        end = (paddr + size + CACHELINE_SIZE - 1) & -CACHELINE_SIZE
+        plain = self.mee.decrypt_lines(first, self.phys.read(first,
+                                                             end - first))
+        off = paddr - first
+        return plain[off:off + size]
 
     def _write_prm_plaintext(self, paddr: int, data: bytes) -> None:
+        """Read-modify-write at cacheline granularity: only a partial
+        head or tail line is read back, and both are verified before
+        any line is re-encrypted or written."""
+        size = len(data)
+        if not size:
+            return
         line = CACHELINE_SIZE
-        addr = paddr
-        pos = 0
-        while pos < len(data):
-            line_addr = addr - (addr % line)
-            off = addr - line_addr
-            chunk = min(len(data) - pos, line - off)
-            if off or chunk < line:
-                cipher = self.phys.read(line_addr, line)
-                plain = bytearray(self.mee.decrypt_line(line_addr, cipher))
-            else:
-                plain = bytearray(line)
-            plain[off:off + chunk] = data[pos:pos + chunk]
-            self.phys.write(line_addr,
-                            self.mee.encrypt_line(line_addr, bytes(plain)))
-            addr += chunk
-            pos += chunk
+        mee = self.mee
+        phys = self.phys
+        first = paddr & -line
+        head_off = paddr - first
+        end = paddr + size
+        tail_off = end & (line - 1)
+        last = end - tail_off
+        head = tail = b""
+        if head_off:
+            plain = mee.decrypt_lines(first, phys.read(first, line))
+            head = plain[:head_off]
+        if tail_off:
+            if not head_off or last != first:
+                plain = mee.decrypt_lines(last, phys.read(last, line))
+            tail = plain[tail_off:]
+        phys.write(first, mee.encrypt_lines(first, head + data + tail))
 
     # -- EPC helpers for microcode (no TLB, no validation) ---------------------
     def epc_read(self, paddr: int, size: int) -> bytes:

@@ -129,35 +129,41 @@ class EpcAllocator:
     """
 
     def __init__(self, config: MachineConfig) -> None:
-        base = config.epc_base
-        # ``_order`` is the hand-out ordering (pop() from the end gives
-        # ascending addresses); ``_free_set`` is the O(1) membership view.
-        # ``alloc_specific`` removes only from the set, leaving a stale
-        # entry in ``_order`` that ``alloc`` skips lazily — this keeps
-        # both paths O(1) amortised with the exact same hand-out order a
-        # plain list would produce.
-        self._order: list[int] = [base + i * PAGE_SIZE
-                                  for i in range(config.epc_pages)]
-        self._order.reverse()  # pop() hands out ascending addresses
-        self._free_set: set[int] = set(self._order)
+        # ``alloc`` first pops the LIFO ``_stack`` of freed frames, then
+        # hands out frames in ascending order from the watermark
+        # ``_next``.  ``alloc_specific`` only marks a frame used: a
+        # stale stack entry, or a used frame the watermark reaches, is
+        # skipped lazily.  Both paths stay O(1) amortised, and set-up
+        # costs nothing per frame.
+        self._base = config.epc_base
+        self._next = config.epc_base
+        self._end = config.epc_base + config.epc_pages * PAGE_SIZE
+        self._pages = config.epc_pages
+        self._stack: list[int] = []
         self._used: set[int] = set()
 
     def alloc(self) -> int:
-        order = self._order
-        free_set = self._free_set
-        while order:
-            paddr = order.pop()
-            if paddr in free_set:
-                free_set.remove(paddr)
-                self._used.add(paddr)
+        stack = self._stack
+        used = self._used
+        while stack:
+            paddr = stack.pop()
+            if paddr not in used:
+                used.add(paddr)
+                return paddr
+        while self._next < self._end:
+            paddr = self._next
+            self._next = paddr + PAGE_SIZE
+            if paddr not in used:
+                used.add(paddr)
                 return paddr
         raise SgxFault("EPC exhausted")
 
     def alloc_specific(self, paddr: int) -> int:
         """Allocate a particular frame (malicious/deterministic tests)."""
-        if paddr not in self._free_set:
+        if (not self._base <= paddr < self._end
+                or (paddr - self._base) % PAGE_SIZE
+                or paddr in self._used):
             raise SgxFault(f"EPC frame {paddr:#x} not free")
-        self._free_set.remove(paddr)
         self._used.add(paddr)
         return paddr
 
@@ -165,26 +171,28 @@ class EpcAllocator:
         if paddr not in self._used:
             raise SgxFault(f"freeing non-allocated EPC frame {paddr:#x}")
         self._used.remove(paddr)
-        self._free_set.add(paddr)
-        self._order.append(paddr)
+        if not self._stack and paddr == self._next - PAGE_SIZE:
+            # The frame just below the watermark rejoins the ascending
+            # run.  Keeping the state canonical means two allocators
+            # with the same hand-out order capture equal snapshots.
+            self._next = paddr
+        else:
+            self._stack.append(paddr)
 
     # -- snapshot / restore (bounded model checking) -------------------------
     def capture(self) -> tuple:
-        """Hand-out order + membership sets, as immutable values."""
-        return (tuple(self._order), frozenset(self._free_set),
-                frozenset(self._used))
+        """Watermark, free stack and used set, as immutable values."""
+        return (self._next, tuple(self._stack), frozenset(self._used))
 
     def restore(self, snapshot: tuple) -> None:
-        order, free_set, used = snapshot
-        self._order[:] = list(order)
-        self._free_set.clear()
-        self._free_set.update(free_set)
+        self._next, stack, used = snapshot
+        self._stack[:] = stack
         self._used.clear()
         self._used.update(used)
 
     @property
     def free_pages(self) -> int:
-        return len(self._free_set)
+        return self._pages - len(self._used)
 
     @property
     def used_pages(self) -> int:

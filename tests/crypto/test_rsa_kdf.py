@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.kdf import hkdf, mac, mac_verify, sha256
+from repro.crypto.kdf import hkdf, hkdf_stream, mac, mac_verify, sha256
 from repro.crypto.rsa import RsaPublicKey, generate_keypair
 from repro.errors import CryptoError
 
@@ -78,6 +78,23 @@ class TestKdf:
         assert mac_verify(b"key", b"msg", tag)
         assert not mac_verify(b"key", b"other", tag)
         assert not mac_verify(b"other", b"msg", tag)
+
+    def test_hkdf_and_mac_known_answers(self):
+        """Pinned bytes: the one-shot ``hmac.digest`` form derives what
+        the incremental ``hmac.new`` form did."""
+        assert hkdf(b"root", b"a", b"bc").hex() == (
+            "480e2ec48110b9c52152c23b1c78d2a6"
+            "3898d2c6aea5188a8fbfd4ecc91e7031")
+        assert mac(b"key", b"message").hex() == (
+            "6e9ef29b75fffc5b7abae527d58fdadb"
+            "2fe42e7219011976917343065f58ed4a")
+
+    @pytest.mark.parametrize("nbytes", [0, 1, 32, 33, 4096])
+    def test_hkdf_stream_is_concatenated_counter_hkdf(self, nbytes):
+        expected = b"".join(
+            hkdf(b"seal-key", b"version", counter.to_bytes(4, "little"))
+            for counter in range((nbytes + 31) // 32))[:nbytes]
+        assert hkdf_stream(b"seal-key", b"version", nbytes) == expected
 
     def test_sha256_known_answer(self):
         assert sha256(b"abc").hex() == (

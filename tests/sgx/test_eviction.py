@@ -1,6 +1,8 @@
 """EPC eviction protocol tests: EBLOCK/ETRACK/EWB/ELDB, anti-replay,
 and the §IV-E nested thread-tracking extension."""
 
+import hashlib
+
 import pytest
 
 from repro.core.access import NestedValidator
@@ -193,6 +195,25 @@ class TestThreadTracking:
         assert blob.eid == secs.eid
         assert delta.get("ipi") == machine.config.num_cores
         assert delta.get("ewb") == 1
+
+
+def test_sealed_blob_known_answer():
+    """The EWB page cipher pinned byte for byte on a fixed machine.  A
+    keystream that is wrong but the same in EWB and ELDB still
+    round-trips, so only a known answer catches it."""
+    from repro.perf.fingerprint import bulk_pair
+    host, outer, _inner = bulk_pair()
+    outer.ecall("fill", 0, 2 * PAGE_SIZE, 0x5A)
+    page = outer.heap.base & ~(PAGE_SIZE - 1)
+    driver = host.kernel.driver
+    driver.evict_page(outer.secs, page)
+    blob = driver.loaded[outer.secs.eid].evicted[page]
+    assert hashlib.sha256(blob.ciphertext + blob.mac_tag).hexdigest() == (
+        "88a0cc7934a1df89186d7cea751c5a85"
+        "ed60c504463bfe4c072f9bf6bdfa7f1d")
+    driver.reload_page(outer.secs, page)
+    assert outer.ecall("checksum", 0, 2 * PAGE_SIZE) == sum(
+        (0x5A + i) & 0xFF for i in range(2 * PAGE_SIZE))
 
 
 class TestVersionArray:

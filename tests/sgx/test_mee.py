@@ -1,5 +1,8 @@
 """MEE tests: physical confidentiality, integrity, and cost asymmetry."""
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +11,66 @@ from repro.sgx.constants import CACHELINE_SIZE, SmallMachineConfig
 from repro.sgx.machine import Machine
 from repro.sgx.mee import Mee
 from repro.os.malicious import dram_tamper
+
+
+class ReferenceMee:
+    """The per-line MEE the span implementation replaced, kept as the
+    oracle: one ``hmac.new`` per line, the keystream built block by
+    block, and a byte-at-a-time XOR."""
+
+    def __init__(self) -> None:
+        self.key = hashlib.sha256(b"repro-mee-boot-key").digest()
+        self._mac_key = hashlib.sha256(self.key + b"mac").digest()
+        self._line_macs: dict[int, bytes] = {}
+        self._versions: dict[int, int] = {}
+
+    def _keystream(self, line_addr: int, version: int) -> bytes:
+        block = hashlib.sha256(
+            self.key + line_addr.to_bytes(8, "little")
+            + version.to_bytes(8, "little")).digest()
+        out = block
+        while len(out) < CACHELINE_SIZE:
+            block = hashlib.sha256(block).digest()
+            out += block
+        return out[:CACHELINE_SIZE]
+
+    @staticmethod
+    def _xor(a: bytes, b: bytes) -> bytes:
+        return bytes(x ^ y for x, y in zip(a, b))
+
+    def _mac(self, line_addr: int, ciphertext: bytes) -> bytes:
+        return hmac.new(self._mac_key,
+                        line_addr.to_bytes(8, "little") + ciphertext,
+                        hashlib.sha256).digest()
+
+    def encrypt_line(self, line_addr: int, plaintext: bytes) -> bytes:
+        assert len(plaintext) == CACHELINE_SIZE
+        version = self._versions.get(line_addr, 0) + 1
+        self._versions[line_addr] = version
+        ciphertext = self._xor(plaintext,
+                               self._keystream(line_addr, version))
+        self._line_macs[line_addr] = self._mac(line_addr, ciphertext)
+        return ciphertext
+
+    def decrypt_line(self, line_addr: int, ciphertext: bytes) -> bytes:
+        assert len(ciphertext) == CACHELINE_SIZE
+        expected = self._line_macs.get(line_addr)
+        if expected is None:
+            if any(ciphertext):
+                raise IntegrityViolation("tampered before first write")
+            return bytes(CACHELINE_SIZE)
+        if not hmac.compare_digest(expected,
+                                   self._mac(line_addr, ciphertext)):
+            raise IntegrityViolation("tampered")
+        return self._xor(ciphertext, self._keystream(
+            line_addr, self._versions.get(line_addr, 0)))
+
+    def root_mac(self) -> bytes:
+        h = hmac.new(self._mac_key, digestmod=hashlib.sha256)
+        for addr in sorted(self._line_macs):
+            h.update(addr.to_bytes(8, "little"))
+            h.update(self._line_macs[addr])
+        return h.digest()
 
 
 @pytest.fixture
@@ -71,6 +134,44 @@ class TestLineCipher:
     def test_roundtrip_property(self, plain):
         mee = Mee(SmallMachineConfig())
         assert mee.decrypt_line(0, mee.encrypt_line(0, plain)) == plain
+
+
+class TestSpanCipher:
+    """``encrypt_lines``/``decrypt_lines`` against the per-line oracle:
+    the same ciphertext, MACs, versions and root, byte for byte."""
+
+    @given(st.integers(0, 63), st.integers(0, 6), st.integers(1, 4),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_spans_match_per_line_oracle(self, first_line, nlines,
+                                         rounds, rng):
+        mee, oracle = Mee(SmallMachineConfig()), ReferenceMee()
+        base = first_line * CACHELINE_SIZE
+        for _ in range(rounds):
+            plain = rng.randbytes(nlines * CACHELINE_SIZE)
+            cipher = mee.encrypt_lines(base, plain)
+            expected = b"".join(
+                oracle.encrypt_line(base + off,
+                                    plain[off:off + CACHELINE_SIZE])
+                for off in range(0, len(plain), CACHELINE_SIZE))
+            assert cipher == expected
+            assert mee.root_mac() == oracle.root_mac()
+            assert mee.decrypt_lines(base, cipher) == plain
+
+    @pytest.mark.parametrize("size", [1, 63, 65])
+    def test_partial_span_rejected(self, size):
+        mee = Mee(SmallMachineConfig())
+        with pytest.raises(ValueError):
+            mee.encrypt_lines(0, bytes(size))
+        with pytest.raises(ValueError):
+            mee.decrypt_lines(0, bytes(size))
+
+    def test_line_wrappers_reject_multi_line_input(self):
+        mee = Mee(SmallMachineConfig())
+        with pytest.raises(ValueError):
+            mee.encrypt_line(0, bytes(2 * CACHELINE_SIZE))
+        with pytest.raises(ValueError):
+            mee.decrypt_line(0, bytes(2 * CACHELINE_SIZE))
 
 
 class TestMachineIntegration:

@@ -88,6 +88,116 @@ class TestConfigValidation:
                           prm_bytes=1 << 20, epc_bytes=1 << 19)
 
 
+class EagerEpcAllocator:
+    """The allocator the watermark version replaced, kept as the oracle:
+    every frame materialised up front in a hand-out list (popped from
+    the end, so ascending) plus a free set; ``alloc_specific`` leaves a
+    stale list entry that ``alloc`` skips."""
+
+    def __init__(self, config) -> None:
+        self._order = [config.epc_base + i * PAGE_SIZE
+                       for i in range(config.epc_pages)]
+        self._order.reverse()
+        self._free_set = set(self._order)
+        self._used: set[int] = set()
+
+    def alloc(self) -> int:
+        while self._order:
+            paddr = self._order.pop()
+            if paddr in self._free_set:
+                self._free_set.remove(paddr)
+                self._used.add(paddr)
+                return paddr
+        raise SgxFault("EPC exhausted")
+
+    def alloc_specific(self, paddr: int) -> int:
+        if paddr not in self._free_set:
+            raise SgxFault("not free")
+        self._free_set.remove(paddr)
+        self._used.add(paddr)
+        return paddr
+
+    def free(self, paddr: int) -> None:
+        if paddr not in self._used:
+            raise SgxFault("not allocated")
+        self._used.remove(paddr)
+        self._free_set.add(paddr)
+        self._order.append(paddr)
+
+    def capture(self) -> tuple:
+        return (tuple(self._order), frozenset(self._free_set),
+                frozenset(self._used))
+
+    def restore(self, snapshot: tuple) -> None:
+        order, free_set, used = snapshot
+        self._order[:] = order
+        self._free_set = set(free_set)
+        self._used = set(used)
+
+    @property
+    def free_pages(self) -> int:
+        return len(self._free_set)
+
+    @property
+    def used_pages(self) -> int:
+        return len(self._used)
+
+
+_ALLOC_PAGES = 6
+# Frame indices -1 and _ALLOC_PAGES are just outside the EPC; the
+# fractional one is a misaligned address.
+_alloc_ops = st.lists(st.one_of(
+    st.just(("alloc", 0)),
+    st.tuples(st.sampled_from(["free", "alloc_specific"]),
+              st.sampled_from([-1, 0, 1, 2, 3, 4, 5, _ALLOC_PAGES, 2.5])),
+    st.just(("capture", 0)),
+    st.tuples(st.just("restore"), st.integers(0, 7))), max_size=40)
+
+
+class TestEpcAllocatorMatchesEager:
+    @given(_alloc_ops)
+    @settings(max_examples=200, deadline=None)
+    def test_same_hand_out_order_and_snapshots(self, ops):
+        """Random alloc/free/alloc_specific/capture/restore sequences:
+        the same frames, the same faults and the same counts; two
+        snapshots are equal exactly when the eager ones are."""
+        config = SmallMachineConfig(epc_bytes=_ALLOC_PAGES * PAGE_SIZE)
+        lazy, eager = EpcAllocator(config), EagerEpcAllocator(config)
+        snapshots = []
+        for op, arg in ops:
+            if op == "capture":
+                snapshots.append((lazy.capture(), eager.capture()))
+                continue
+            if op == "restore":
+                if snapshots:
+                    lazy_snap, eager_snap = snapshots[arg % len(snapshots)]
+                    lazy.restore(lazy_snap)
+                    eager.restore(eager_snap)
+                continue
+            args = () if op == "alloc" else (
+                config.epc_base + int(arg * PAGE_SIZE),)
+            outcomes = []
+            for allocator in (lazy, eager):
+                try:
+                    outcomes.append(getattr(allocator, op)(*args))
+                except SgxFault:
+                    outcomes.append(SgxFault)
+            assert outcomes[0] == outcomes[1]
+            assert (lazy.free_pages, lazy.used_pages) \
+                == (eager.free_pages, eager.used_pages)
+        for (lazy_a, eager_a) in snapshots:
+            for (lazy_b, eager_b) in snapshots:
+                assert (lazy_a == lazy_b) == (eager_a == eager_b)
+        # Draining both hands out the rest in the same order.
+        drained = []
+        for allocator in (lazy, eager):
+            frames = []
+            while allocator.free_pages:
+                frames.append(allocator.alloc())
+            drained.append(frames)
+        assert drained[0] == drained[1]
+
+
 class TestEpcAllocator:
     def test_alloc_returns_epc_frames(self, config):
         alloc = EpcAllocator(config)

@@ -269,6 +269,16 @@ class TestNightlyPipeline:
                    if "upload-artifact" in step.get("uses", "")]
         assert uploads and uploads[0].get("if") == "always()"
 
+    def test_paper_shape_job_runs_the_benchmarks_directory(self):
+        """Nothing in tier-1 runs ``benchmarks/``; this job does, with
+        pytest-benchmark installed and its timing switched off."""
+        shape = _load("nightly.yml")["jobs"]["paper-shape"]
+        assert shape["env"]["PYTHONPATH"] == "src"
+        runs = [step.get("run", "") for step in shape["steps"]]
+        assert any("pytest-benchmark" in run and "pip install" in run
+                   for run in runs)
+        assert "python -m pytest benchmarks --benchmark-disable -q" in runs
+
     def test_full_scale_is_opt_in(self):
         full = _load("nightly.yml")["jobs"]["full-suite"]
         assert "workflow_dispatch" in full.get("if", "")

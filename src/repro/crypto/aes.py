@@ -15,14 +15,27 @@ round (no MixColumns) uses S-box lookups pre-shifted into each byte
 lane.  Round keys are u32 words.
 
 :func:`encrypt_int` is the int-in/int-out entry point GCM uses on its
-cached key schedules; :class:`Aes` keeps the bytes interface.  The
-*timing* of the GCM channel in benchmarks comes from the cost model,
-not from how fast this Python runs.  Verified against the FIPS-197
-appendix vectors and a byte-wise reference cipher in
-``tests/crypto/test_aes.py``.
+cached key schedules; :class:`Aes` keeps the bytes interface.
+:func:`encrypt_blocks` runs the same rounds on many blocks at once for
+GCM's CTR keystream: the state is an ``(n, 4)`` uint32 array, and a
+round is one fancy index over its bytes that folds in ShiftRows, one
+``np.take`` into the four tables stacked to 1024 entries (the
+pre-shifted S-box lanes in the final round), and an XOR of the four
+lanes and the round key.  Its fixed cost of a few numpy calls per round
+only pays off from about ten blocks, so GCM keeps short messages on
+:func:`encrypt_int`.
+
+The *timing* of the GCM channel in benchmarks comes from the cost
+model, not from how fast this Python runs.  Verified against the
+FIPS-197 appendix vectors, a byte-wise reference cipher and (for the
+batched form) :func:`encrypt_int` in ``tests/crypto/test_aes.py``.
 """
 
 from __future__ import annotations
+
+import sys
+
+import numpy as np
 
 from repro.errors import CryptoError
 
@@ -132,6 +145,43 @@ def encrypt_int(rk: tuple[int, ...], block: int) -> int:
                 | b1[(s0 >> 8) & 0xFF] | b0[s1 & 0xFF]) ^ rk[last + 2]) << 32
             | ((b3[s3 >> 24] | b2[(s0 >> 16) & 0xFF]
                 | b1[(s1 >> 8) & 0xFF] | b0[s2 & 0xFF]) ^ rk[last + 3]))
+
+
+# -- batched form: many blocks per numpy call ------------------------------
+
+#: The four round tables and the four pre-shifted S-box lanes, each
+#: stacked into one 1024-entry u32 array, so one ``np.take`` does every
+#: lookup of a round; lane ``k`` (table ``k``) starts at ``256 * k``.
+_TE_STACK = np.array(_TE, dtype=np.uint32).ravel()
+_S_STACK = np.array((_S24, _S16, _S8, SBOX), dtype=np.uint32).ravel()
+_LANE_BASE = np.repeat(np.arange(0, 1024, 256, dtype=np.uint16), 4)
+# Memory offset of a u32's bytes, most significant first.
+_BYTE_AT = (3, 2, 1, 0) if sys.byteorder == "little" else (0, 1, 2, 3)
+#: ShiftRows as one gather over the (n, 16) byte view of the state:
+#: entry ``4k + j`` is byte ``k`` (0 = most significant) of word
+#: ``(j + k) % 4``, the byte lane ``k`` of output word ``j`` looks up.
+_SHIFT_ROWS = np.array([4 * ((j + k) % 4) + _BYTE_AT[k]
+                        for k in range(4) for j in range(4)], dtype=np.intp)
+
+
+def _round(table: np.ndarray, state: np.ndarray,
+           key: np.ndarray) -> np.ndarray:
+    lanes = np.take(table, state.view(np.uint8)[:, _SHIFT_ROWS]
+                    + _LANE_BASE).reshape(-1, 4, 4)
+    return lanes[:, 0] ^ lanes[:, 1] ^ lanes[:, 2] ^ lanes[:, 3] ^ key
+
+
+def encrypt_blocks(rk: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Encrypt ``n`` blocks at once.  ``blocks`` is an ``(n, 4)`` uint32
+    array of column words (word 0 holds a block's first four bytes,
+    big-endian) and ``rk`` the round keys of :func:`expand_key` as a
+    ``(rounds + 1, 4)`` uint32 array; returns ciphertext the same way.
+    Every block goes through the same lookups as :func:`encrypt_int`,
+    one numpy gather per round for all of them."""
+    state = np.ascontiguousarray(blocks ^ rk[0])
+    for key in rk[1:-1]:
+        state = _round(_TE_STACK, state, key)
+    return _round(_S_STACK, state, rk[-1])
 
 
 class Aes:

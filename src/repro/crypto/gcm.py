@@ -7,20 +7,30 @@ channel must run for every message crossing untrusted memory (§VI-C:
 
 Everything that depends only on the key is built once and kept in one
 bounded module-level LRU, :func:`_key_state`, keyed on ``bytes(key)``:
-the AES round keys, the hash subkey ``H = E_K(0^128)`` and GHASH's 32
-4-bit window tables, ``tables[k][nib] = (nib << 4k)·H`` in GF(2^128).
-``AesGcm(key)`` is a lookup; the key length is checked before anything
-is cached.  The tables are built by GF(2) linearity: only the 128 basis
-products ``H·x^i`` are shifted, and every other entry is an XOR of
-them.  The cached state is immutable tuples, so every holder of a key
-shares it safely.
+the AES round keys (as ints and as a numpy array), the hash subkey
+``H = E_K(0^128)`` and GHASH's 16 8-bit window tables,
+``tables[k][byte] = (byte << 8k)·H`` in GF(2^128).  ``AesGcm(key)`` is
+a lookup; the key length is checked before anything is cached.  The
+tables are built by GF(2) linearity: only the 128 basis products
+``H·x^i`` are shifted, and every other entry is an XOR of them (about
+0.5 ms and 0.2 MB per key).  The cached state is immutable, so every
+holder of a key shares it safely.
 
-GHASH (:func:`_ghash`) is one function over those tables: two lookups
-per byte of the state, no shift-and-reduce loop.  CTR mode keeps J0 and
-the counter as ints, joins the keystream blocks once and applies them
-with one wide-int XOR.  Verified against the NIST test vectors, the
-bit-serial reference GHASH :func:`_ghash_simple` and a block-at-a-time
-reference GCM in ``tests/crypto/test_gcm.py``.
+GHASH (:func:`_ghash`) is one function over those tables: one unrolled
+XOR of 16 lookups per block, no shift-and-reduce loop.  CTR mode keeps
+J0 and the counter as ints and applies the keystream with one wide-int
+XOR.  The keystream has two sources, chosen from the message length
+alone.  Below ``_NUMPY_MIN_BLOCKS`` blocks it is the join of scalar
+:func:`~repro.crypto.aes.encrypt_int` calls.  From there on every
+counter block is encrypted at once by
+:func:`~repro.crypto.aes.encrypt_blocks`, a few numpy calls per round
+whatever the block count.  That costs about 0.2 ms per message, so the
+batched path overtakes the scalar one at about 10 blocks; the threshold
+sits just above 16 blocks so every message of 256 B or less, the short
+requests of the echo, YCSB and Table VI workloads, keeps the scalar
+path.  Verified against the NIST test vectors, the bit-serial reference
+GHASH :func:`_ghash_simple`, a block-at-a-time reference GCM and a
+scalar-vs-numpy keystream sweep in ``tests/crypto/test_gcm.py``.
 """
 
 from __future__ import annotations
@@ -28,13 +38,20 @@ from __future__ import annotations
 import hmac
 from functools import lru_cache
 
-from repro.crypto.aes import encrypt_int, expand_key
+import numpy as np
+
+from repro.crypto.aes import encrypt_blocks, encrypt_int, expand_key
 from repro.errors import CryptoError
 
-#: Keys whose GCM state stays cached (about 30 KB each).  The bound keeps
-#: a workload that derives a key per session from growing the process;
-#: every benchmark workload uses at most two keys.
-KEY_CACHE_SIZE = 32
+#: Keys whose GCM state stays cached (about 0.2 MB each).  The bound
+#: keeps a workload that derives a key per session from growing the
+#: process; every quick experiment uses at most four keys and every
+#: benchmark workload at most two.
+KEY_CACHE_SIZE = 8
+
+#: Messages of at least this many 16-byte blocks take the numpy
+#: keystream; shorter ones (all of 256 B or less) the scalar join.
+_NUMPY_MIN_BLOCKS = 17
 
 _R = 0xE1000000000000000000000000000000
 _CTR_MASK = 0xFFFFFFFF
@@ -55,9 +72,9 @@ def _gf_mult(x: int, y: int) -> int:
 
 
 def _window_tables(h: int) -> tuple:
-    """GHASH window tables for subkey ``h``, paired per state byte:
-    entry ``i`` is ``(tables[2i], tables[2i + 1])``, the low and high
-    nibble of byte ``i`` counted from the least significant end."""
+    """GHASH window tables for subkey ``h``: ``tables[k][byte]`` is
+    ``(byte << 8k)·H``, for byte ``k`` of the state counted from the
+    least significant end."""
     # basis[j] = H·x^j; multiplying by x is a right shift in GCM's
     # reflected bit order, reduced by R when a bit falls off the end.
     basis = []
@@ -65,26 +82,29 @@ def _window_tables(h: int) -> tuple:
         basis.append(h)
         h = (h >> 1) ^ _R if h & 1 else h >> 1
     tables = []
-    for k in range(32):
-        # Int bit 4k + b carries the coefficient of x^(127 - 4k - b).
+    for k in range(16):
+        # Int bit 8k + b carries the coefficient of x^(127 - 8k - b).
         table = [0]
-        for b in range(4):
-            v = basis[127 - 4 * k - b]
+        for b in range(8):
+            v = basis[127 - 8 * k - b]
             table += [t ^ v for t in table]
         tables.append(tuple(table))
-    return tuple(zip(tables[0::2], tables[1::2]))
+    return tuple(tables)
 
 
 def _ghash(tables: tuple, data: bytes, y: int = 0) -> int:
     """GHASH ``data`` onto the state ``y`` (a short final block is
     zero-padded); ``tables`` come from :func:`_window_tables`."""
+    (t0, t1, t2, t3, t4, t5, t6, t7,
+     t8, t9, t10, t11, t12, t13, t14, t15) = tables
     for off in range(0, len(data), 16):
         block = data[off:off + 16]
-        y ^= int.from_bytes(block, "big") << (128 - 8 * len(block))
-        z = 0
-        for (low, high), byte in zip(tables, y.to_bytes(16, "little")):
-            z ^= low[byte & 15] ^ high[byte >> 4]
-        y = z
+        b = (y ^ int.from_bytes(block, "big") << (128 - 8 * len(block))) \
+            .to_bytes(16, "little")
+        y = (t0[b[0]] ^ t1[b[1]] ^ t2[b[2]] ^ t3[b[3]]
+             ^ t4[b[4]] ^ t5[b[5]] ^ t6[b[6]] ^ t7[b[7]]
+             ^ t8[b[8]] ^ t9[b[9]] ^ t10[b[10]] ^ t11[b[11]]
+             ^ t12[b[12]] ^ t13[b[13]] ^ t14[b[14]] ^ t15[b[15]])
     return y
 
 
@@ -101,10 +121,32 @@ def _ghash_simple(h: bytes, data: bytes) -> int:
 
 @lru_cache(maxsize=KEY_CACHE_SIZE)
 def _key_state(key: bytes) -> tuple:
-    """``(round keys, GHASH tables)`` for ``key``.  A bad key length
-    raises :class:`CryptoError`, and a raising call caches nothing."""
+    """``(round keys, GHASH tables, round keys as a numpy array)`` for
+    ``key``.  A bad key length raises :class:`CryptoError`, and a
+    raising call caches nothing."""
     rk = expand_key(key)
-    return rk, _window_tables(encrypt_int(rk, 0))
+    rk_array = np.array(rk, dtype=np.uint32).reshape(-1, 4)
+    rk_array.flags.writeable = False
+    return rk, _window_tables(encrypt_int(rk, 0)), rk_array
+
+
+def _scalar_keystream(rk: tuple, j0: int, blocks: int) -> bytes:
+    """E_K(inc32^i(J0)) for i = 1 .. ``blocks``, one block at a time."""
+    prefix, counter = j0 & ~_CTR_MASK, j0 & _CTR_MASK
+    return b"".join(
+        encrypt_int(rk, prefix | ((counter + i) & _CTR_MASK))
+        .to_bytes(16, "big")
+        for i in range(1, blocks + 1))
+
+
+def _numpy_keystream(rk_array: np.ndarray, j0: int, blocks: int) -> bytes:
+    """The same keystream as :func:`_scalar_keystream`, with every
+    counter block encrypted at once by :func:`encrypt_blocks`."""
+    counters = np.empty((blocks, 4), dtype=np.uint32)
+    counters[:, :3] = [(j0 >> shift) & _CTR_MASK for shift in (96, 64, 32)]
+    counters[:, 3] = (np.arange(1, blocks + 1, dtype=np.uint64)
+                      + (j0 & _CTR_MASK)) & _CTR_MASK
+    return encrypt_blocks(rk_array, counters).astype(">u4").tobytes()
 
 
 class AesGcm:
@@ -114,7 +156,7 @@ class AesGcm:
     TAG_LEN = 16
 
     def __init__(self, key: bytes) -> None:
-        self._rk, self._tables = _key_state(bytes(key))
+        self._rk, self._tables, self._rk_array = _key_state(bytes(key))
 
     def _j0(self, nonce: bytes) -> int:
         if len(nonce) == 12:
@@ -124,12 +166,12 @@ class AesGcm:
 
     def _ctr(self, j0: int, data: bytes) -> bytes:
         """``data`` XOR the keystream E_K(inc32^i(J0)), i = 1, 2, ..."""
-        rk, length = self._rk, len(data)
-        prefix, counter = j0 & ~_CTR_MASK, j0 & _CTR_MASK
-        stream = b"".join(
-            encrypt_int(rk, prefix | ((counter + i) & _CTR_MASK))
-            .to_bytes(16, "big")
-            for i in range(1, (length + 15) // 16 + 1))
+        length = len(data)
+        blocks = (length + 15) // 16
+        if blocks < _NUMPY_MIN_BLOCKS:
+            stream = _scalar_keystream(self._rk, j0, blocks)
+        else:
+            stream = _numpy_keystream(self._rk_array, j0, blocks)
         return (int.from_bytes(data, "big")
                 ^ int.from_bytes(stream[:length], "big")).to_bytes(length,
                                                                    "big")

@@ -7,12 +7,14 @@ hash-counter keystream): the same ``seal``/``open``/``TAG_LEN`` surface
 and the same security *model* (confidentiality + integrity + nonce-bound
 AAD), at microseconds per call.
 
-It stays next to the T-table :class:`~repro.crypto.gcm.AesGcm`, which
-is still pure Python: measured on the reference box, AesGcm is about
-8-16x slower per 64 B-1 KiB seal and about 75x slower per fresh key,
-since each new key builds its GHASH tables.  A session key is always
-fresh, so AesGcm's per-key cache cannot help here, and switching would
-slow 100k-session experiments and the ``serving`` benchmark.
+It stays next to :class:`~repro.crypto.gcm.AesGcm`, whose short
+messages are still pure-Python AES: measured on a 2-CPU box, AesGcm is
+about 10-35x slower per 64 B-1 KiB seal (worst at 256 B, the longest
+message on its scalar keystream) and about 190x slower per fresh key,
+since each new key builds its 8-bit GHASH tables (about 0.3 ms).  A
+session key is always fresh, so AesGcm's per-key cache cannot help
+here, and switching would slow 100k-session experiments and the
+``serving`` benchmark.
 
 The **simulated** cost is unchanged: callers (``GcmChannel``,
 ``ReliableLink``) charge ``cost.charge_gcm`` per operation regardless of
@@ -25,6 +27,7 @@ stack) keeps using :class:`~repro.crypto.gcm.AesGcm`.
 from __future__ import annotations
 
 import hashlib
+import hmac
 
 from repro.errors import CryptoError
 
@@ -40,15 +43,19 @@ class HashAead:
         self._enc_key = hashlib.sha256(b"hash-aead-enc" + key).digest()
         self._mac_key = hashlib.sha256(b"hash-aead-mac" + key).digest()
 
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
-        out = bytearray()
-        block = 0
-        prefix = self._enc_key + nonce
-        while len(out) < length:
-            out += hashlib.sha256(
-                prefix + block.to_bytes(4, "little")).digest()
-            block += 1
-        return bytes(out[:length])
+    def _xor_keystream(self, nonce: bytes, data: bytes) -> bytes:
+        """``data`` XOR SHA-256(enc_key || nonce || i), i = 0, 1, ...
+        (i as 4 little-endian bytes), as one wide-int XOR."""
+        length = len(data)
+        prefix = hashlib.sha256(self._enc_key + nonce)
+        stream = bytearray()
+        for block in range((length + 31) // 32):
+            h = prefix.copy()
+            h.update(block.to_bytes(4, "little"))
+            stream += h.digest()
+        return (int.from_bytes(data, "big")
+                ^ int.from_bytes(stream[:length], "big")).to_bytes(length,
+                                                                   "big")
 
     def _tag(self, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
         return hashlib.sha256(
@@ -58,8 +65,7 @@ class HashAead:
 
     def seal(self, nonce: bytes, plaintext: bytes,
              aad: bytes = b"") -> bytes:
-        stream = self._keystream(nonce, len(plaintext))
-        ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+        ciphertext = self._xor_keystream(nonce, plaintext)
         return ciphertext + self._tag(nonce, aad, ciphertext)
 
     def open(self, nonce: bytes, sealed: bytes,
@@ -67,7 +73,7 @@ class HashAead:
         if len(sealed) < self.TAG_LEN:
             raise CryptoError("sealed blob shorter than the tag")
         ciphertext = sealed[:-self.TAG_LEN]
-        if sealed[-self.TAG_LEN:] != self._tag(nonce, aad, ciphertext):
+        if not hmac.compare_digest(sealed[-self.TAG_LEN:],
+                                   self._tag(nonce, aad, ciphertext)):
             raise CryptoError("hash-aead tag mismatch")
-        stream = self._keystream(nonce, len(ciphertext))
-        return bytes(c ^ s for c, s in zip(ciphertext, stream))
+        return self._xor_keystream(nonce, ciphertext)

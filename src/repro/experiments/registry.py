@@ -98,12 +98,12 @@ def _specs_paper() -> list[ExperimentSpec]:
             quick=lambda: exp.run_fig7(chunk_sizes=(128, 2048, 16384),
                                        total_bytes=64 << 10),
             full=lambda: exp.run_fig7(total_bytes=1 << 20),
-            budget_s=60, full_budget_s=10_800, cost_hint=2.5),
+            budget_s=60, full_budget_s=10_800, cost_hint=1.7),
         ExperimentSpec(
             "fig9",
             quick=lambda: exp.run_fig9(scales=FIG9_QUICK_SCALES),
             full=exp.run_fig9,
-            budget_s=120, full_budget_s=3600, cost_hint=6.1),
+            budget_s=120, full_budget_s=3600, cost_hint=1.2),
         ExperimentSpec(
             "fig10",
             quick=lambda: exp.run_fig10(n=20, outer_sweep=(1, 4, 20),
@@ -143,7 +143,7 @@ def _specs_paper() -> list[ExperimentSpec]:
         ExperimentSpec(
             "ablation-d3", exp.run_d3_flush_sensitivity,
             exp.run_d3_flush_sensitivity,
-            budget_s=60, full_budget_s=400, cost_hint=2.9),
+            budget_s=60, full_budget_s=400, cost_hint=1.5),
         ExperimentSpec(
             "ablation-d4", exp.run_d4_depth, exp.run_d4_depth,
             budget_s=60, full_budget_s=60, cost_hint=0.04),

@@ -32,10 +32,10 @@ class TestCallGraph:
         resolver shows up here first.  Update deliberately."""
         assert repo_result.stats == {
             "modules": 144,
-            "functions": 1035,
-            "call_edges": 929,
-            "weak_edges": 2789,
-            "secret_summaries": 459,
+            "functions": 1039,
+            "call_edges": 932,
+            "weak_edges": 2791,
+            "secret_summaries": 465,
             "always_charging": 150,
         }
 

@@ -1,10 +1,13 @@
-"""AES block cipher tests against FIPS-197 vectors, S-box laws, and the
-byte-wise reference cipher the T-table form replaced."""
+"""AES block cipher tests against FIPS-197 vectors, S-box laws, the
+byte-wise reference cipher the T-table form replaced, and the batched
+numpy form against the scalar one."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.aes import Aes, SBOX
+from repro.crypto.aes import (SBOX, Aes, encrypt_blocks, encrypt_int,
+                              expand_key)
 from repro.errors import CryptoError
 
 
@@ -138,6 +141,29 @@ class TestAgainstReference:
     def test_matches_bytewise_reference(self, key, block):
         assert Aes(key).encrypt_block(block) \
             == ReferenceAes(key).encrypt_block(block)
+
+    @given(st.sampled_from([16, 24, 32]).flatmap(
+               lambda n: st.binary(min_size=n, max_size=n)),
+           st.lists(st.binary(min_size=16, max_size=16), max_size=20))
+    @settings(max_examples=40, deadline=None)
+    def test_batched_matches_scalar(self, key, blocks):
+        rk = expand_key(key)
+        words = np.frombuffer(b"".join(blocks), dtype=">u4") \
+            .reshape(-1, 4).astype(np.uint32)
+        out = encrypt_blocks(np.array(rk, dtype=np.uint32).reshape(-1, 4),
+                             words)
+        assert out.astype(">u4").tobytes() == b"".join(
+            encrypt_int(rk, int.from_bytes(b, "big")).to_bytes(16, "big")
+            for b in blocks)
+
+    def test_batched_appendix_c1(self):
+        rk = expand_key(bytes.fromhex("000102030405060708090a0b0c0d0e0f"))
+        block = np.array([[0x00112233, 0x44556677, 0x8899AABB, 0xCCDDEEFF]],
+                         dtype=np.uint32)
+        out = encrypt_blocks(np.array(rk, dtype=np.uint32).reshape(-1, 4),
+                             block)
+        assert out.astype(">u4").tobytes().hex() \
+            == "69c4e0d86a7b0430d8cdb78070b4c55a"
 
 
 class TestRoundTrip:

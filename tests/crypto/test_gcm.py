@@ -1,14 +1,19 @@
 """AES-GCM tests against NIST SP 800-38D vectors, AEAD laws, a
-block-at-a-time reference GCM, and the per-key state cache."""
+block-at-a-time reference GCM, the scalar-vs-numpy keystream dispatch,
+and the per-key state cache."""
 
+import hashlib
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import gcm as gcm_module
 from repro.crypto.aes import Aes
-from repro.crypto.gcm import (KEY_CACHE_SIZE, AesGcm, _gf_mult, _ghash,
-                              _ghash_simple, _key_state, _window_tables)
+from repro.crypto.gcm import (_NUMPY_MIN_BLOCKS, KEY_CACHE_SIZE, AesGcm,
+                              _gf_mult, _ghash, _ghash_simple, _key_state,
+                              _numpy_keystream, _scalar_keystream,
+                              _window_tables)
 from repro.errors import CryptoError
 
 #: Key, 60-byte plaintext and AAD of NIST GCM spec test cases 4-6.
@@ -174,11 +179,91 @@ class TestAgainstReference:
             "c0667d2c99b035d9c4c37aff46132e50")
         assert gcm.open(iv, sealed, b"wrap") == plaintext
 
-    @given(st.binary(min_size=16, max_size=16), st.binary(max_size=80))
+    @given(st.binary(min_size=16, max_size=16), st.binary(max_size=80),
+           st.binary(max_size=40))
     @settings(max_examples=40, deadline=None)
-    def test_windowed_ghash_matches_bit_serial(self, h, data):
+    def test_windowed_ghash_matches_bit_serial(self, h, data, more):
         tables = _window_tables(int.from_bytes(h, "big"))
         assert _ghash(tables, data) == _ghash_simple(h, data)
+        # Chaining zero-pads a short final block of the first part, as
+        # a tag does between the AAD and the ciphertext.
+        assert _ghash(tables, more, _ghash(tables, data)) \
+            == _ghash_simple(h, _pad16(data) + more)
+
+
+#: The three key sizes the keystream differential runs under.
+KEYS = [bytes(range(7, 7 + n)) for n in (16, 24, 32)]
+#: A J0 whose 32-bit counter sits mid-range.
+J0 = (0xCAFEBABEFACEDBADDECAF888 << 32) | 0x00010000
+
+
+class TestKeystreamDispatch:
+    """``_ctr`` takes the numpy keystream for messages of at least
+    ``_NUMPY_MIN_BLOCKS`` blocks and the scalar one below; both must
+    give the same bytes."""
+
+    @pytest.mark.parametrize("key", KEYS, ids=["aes128", "aes192",
+                                               "aes256"])
+    def test_numpy_keystream_matches_scalar_join(self, key):
+        # Every block count of a message of 0..4099 bytes.
+        rk, _tables, rk_array = _key_state(key)
+        blocks = (4099 + 15) // 16
+        scalar = _scalar_keystream(rk, J0, blocks)
+        for n in range(blocks + 1):
+            assert _numpy_keystream(rk_array, J0, n) == scalar[:16 * n], n
+
+    @pytest.mark.parametrize("key", KEYS, ids=["aes128", "aes192",
+                                               "aes256"])
+    @pytest.mark.parametrize("blocks", [_NUMPY_MIN_BLOCKS - 1,
+                                        _NUMPY_MIN_BLOCKS,
+                                        _NUMPY_MIN_BLOCKS + 1])
+    @pytest.mark.parametrize("extra", [-1, 0])
+    def test_threshold_neighbours_match_reference(self, key, blocks, extra):
+        plaintext = bytes((3 * i + 1) & 0xFF
+                          for i in range(16 * blocks + extra))
+        nonce = b"threshold-iv"
+        sealed = AesGcm(key).seal(nonce, plaintext, b"hdr")
+        assert sealed == _reference_seal(key, nonce, plaintext, b"hdr")
+        assert AesGcm(key).open(nonce, sealed, b"hdr") == plaintext
+
+    def test_counter_wraps_inside_a_batched_message(self):
+        # J0 ends in 0xfffffff0: block 16 of 40 takes counter 0.
+        j0 = (0x0123456789ABCDEF01234567 << 32) | 0xFFFFFFF0
+        iv = _iv_for_j0(SPEC_KEY, j0)
+        plaintext = bytes((5 * i + 1) & 0xFF for i in range(637))
+        assert (len(plaintext) + 15) // 16 >= _NUMPY_MIN_BLOCKS
+        gcm = AesGcm(SPEC_KEY)
+        sealed = gcm.seal(iv, plaintext, b"wrap")
+        assert sealed == _reference_seal(SPEC_KEY, iv, plaintext, b"wrap")
+        # Recorded from the scalar-only implementation this one replaced.
+        assert iv.hex() == "c1cee1e84dc82daa70f1eb27c687a645"
+        assert sealed[-16:].hex() == "8f2adcdf6126e318cf7478f260f985c5"
+        assert hashlib.sha256(sealed).hexdigest() == (
+            "fbb810015261e13ed5fd78190b792ed5"
+            "f4b24db86dd460c5b935fedf64ef8c17")
+        assert gcm.open(iv, sealed, b"wrap") == plaintext
+
+    @staticmethod
+    def _refuse(*args):
+        raise AssertionError("wrong keystream path")
+
+    def test_256_bytes_never_reach_numpy(self, monkeypatch):
+        monkeypatch.setattr(gcm_module, "_numpy_keystream", self._refuse)
+        gcm = AesGcm(SPEC_KEY)
+        plaintext = bytes(range(256))
+        sealed = gcm.seal(b"nonce-123456", plaintext, b"a")
+        assert sealed == _reference_seal(SPEC_KEY, b"nonce-123456",
+                                         plaintext, b"a")
+        assert gcm.open(b"nonce-123456", sealed, b"a") == plaintext
+
+    # 536 B is the smallest sealed matrix of the minisvm workload.
+    @pytest.mark.parametrize("length", [16 * _NUMPY_MIN_BLOCKS - 15, 536])
+    def test_long_messages_never_reach_scalar(self, monkeypatch, length):
+        monkeypatch.setattr(gcm_module, "_scalar_keystream", self._refuse)
+        gcm = AesGcm(SPEC_KEY)
+        plaintext = bytes(range(256)) * 3
+        sealed = gcm.seal(b"nonce-123456", plaintext[:length])
+        assert gcm.open(b"nonce-123456", sealed) == plaintext[:length]
 
 
 class TestAeadLaws:

@@ -1,6 +1,8 @@
 """HashAead: the host wire cipher — AesGcm-compatible interface,
 hash-based keystream + MAC so 100k-session experiments stay fast."""
 
+import hashlib
+
 import pytest
 
 from repro.crypto.gcm import AesGcm
@@ -67,6 +69,28 @@ class TestHashAead:
     def test_bad_key_length_rejected(self):
         with pytest.raises(CryptoError):
             HashAead(b"short")
+
+    @pytest.mark.parametrize("length, digest", [
+        (0, "4667f2b3d20b13ff39e4ffc994d7dd35"
+            "804cc86a4fbfefee49e6ecd42d919c86"),
+        (31, "4f6b7f51b833fca55d5c89e6cac6e1d6"
+             "364acf8f249d916c92cf7f13e74a6356"),
+        (32, "afb223cd711e791e661e8189fa090df8"
+             "3cb543de398207cef5ef2658fe2dcc3c"),
+        (33, "4cdc1ace81fdf1393971f866c175b49a"
+             "b38db636fed23db156beb798ee612f87"),
+        (1000, "972f25c4072e4a6963fbf5016e4e872a"
+               "a147b0f03d9f1bcf930d694704876d12"),
+    ])
+    def test_seal_known_answer(self, length, digest):
+        # SHA-256 of the sealed blob, recorded from the per-byte
+        # implementation the wide-int XOR replaced.
+        plaintext = bytes((7 * i + 3) & 0xFF for i in range(length))
+        aead = HashAead(KEY)
+        sealed = aead.seal(NONCE, plaintext, AAD)
+        assert len(sealed) == length + HashAead.TAG_LEN
+        assert hashlib.sha256(sealed).hexdigest() == digest
+        assert aead.open(NONCE, sealed, AAD) == plaintext
 
     def test_deterministic(self):
         assert (HashAead(KEY).seal(NONCE, b"p", AAD)

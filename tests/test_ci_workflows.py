@@ -131,9 +131,18 @@ class TestTier1Gate:
         assert quick["env"]["PYTHONPATH"] == "src"
         assert quick["env"]["REPRO_SKIP_HOST_BUDGET"] == "1"
         assert any(
-            run.strip() == "python -m repro.runner -j 2 --check-docs"
+            run.strip() == "python -m repro.runner -j 2 --check-docs "
+                           "--timings quick-timings.json"
             for step in quick["steps"]
             for run in [step.get("run", "")])
+
+    def test_quick_suite_job_uploads_its_timings(self):
+        steps = _load("ci.yml")["jobs"]["quick-suite"]["steps"]
+        uploads = [step for step in steps
+                   if step.get("uses") == "actions/upload-artifact@v4"]
+        assert len(uploads) == 1
+        assert uploads[0]["if"] == "always()"
+        assert uploads[0]["with"]["path"].strip() == "quick-timings.json"
 
     def test_orderliness_job_replays_workload_logs(self):
         orderliness = _load("ci.yml")["jobs"]["orderliness"]

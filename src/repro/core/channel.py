@@ -113,90 +113,6 @@ class SharedRing:
         if not self.try_send(core, message):
             raise ChannelError("ring full")
 
-    def send_burst(self, core: Core, message: bytes, total: int) -> int:
-        """Send copies of ``message`` until ``total`` payload bytes have
-        been queued or the ring fills; returns bytes queued.
-
-        Per-message behaviour — the accesses issued, their order, sizes,
-        and addresses — is identical to calling :meth:`try_send` in a
-        loop; the point of the method is hoisting the per-message Python
-        scaffolding (method dispatch, frame building, wrap math) out of
-        the Fig. 11 hot loop.
-        """
-        mlen = len(message)
-        need = _FRAME_HDR + mlen
-        if need > self.capacity:
-            raise ChannelError(
-                f"message of {mlen} bytes exceeds ring capacity")
-        frame = mlen.to_bytes(_FRAME_HDR, "little") + message
-        base = self.base
-        cap = self.capacity
-        data_base = base + _DATA_OFF
-        tail_addr = base + _TAIL_OFF
-        read = core.read
-        write = core.write
-        write_u64 = core.write_u64
-        from_bytes = int.from_bytes
-        sent = 0
-        while sent < total:
-            raw = read(base, 16)
-            head = from_bytes(raw[:8], "little")
-            tail = from_bytes(raw[8:], "little")
-            if tail - head + need > cap:
-                break
-            off = tail % cap
-            first = cap - off
-            if need <= first:
-                write(data_base + off, frame)
-            else:
-                write(data_base + off, frame[:first])
-                write(data_base, frame[first:])
-            write_u64(tail_addr, tail + need)
-            sent += mlen
-        return sent
-
-    def recv_burst(self, core: Core, total: int) -> int:
-        """Pop messages until ``total`` payload bytes have been drained
-        or the ring empties; returns bytes drained.
-
-        Access-sequence-identical to a :meth:`try_recv` loop (see
-        :meth:`send_burst`); payload bytes are read and discarded.
-        """
-        base = self.base
-        cap = self.capacity
-        data_base = base + _DATA_OFF
-        read = core.read
-        write_u64 = core.write_u64
-        from_bytes = int.from_bytes
-        received = 0
-        while received < total:
-            raw = read(base, 16)
-            head = from_bytes(raw[:8], "little")
-            tail = from_bytes(raw[8:], "little")
-            used = tail - head
-            if used == 0:
-                break
-            off = head % cap
-            first = cap - off
-            if first >= _FRAME_HDR:
-                hdr = read(data_base + off, _FRAME_HDR)
-            else:
-                hdr = (read(data_base + off, first)
-                       + read(data_base, _FRAME_HDR - first))
-            length = from_bytes(hdr, "little")
-            if used < _FRAME_HDR + length:
-                raise ChannelError("truncated frame in ring")
-            off = (head + _FRAME_HDR) % cap
-            first = cap - off
-            if length <= first:
-                read(data_base + off, length)
-            else:
-                read(data_base + off, first)
-                read(data_base, length - first)
-            write_u64(base, head + _FRAME_HDR + length)
-            received += length
-        return received
-
     def try_recv(self, core: Core) -> bytes | None:
         """Pop one message; None if the ring is empty.
 

@@ -1,34 +1,39 @@
-"""Pure-Python AES-128/192/256 block cipher (FIPS-197), T-table form.
+"""Pure-Python AES-128/192/256 block cipher (FIPS-197), in two wide forms.
 
 The simulator cannot install external crypto packages, so the AES-GCM
 baseline channel (paper Fig. 11: "Rijndael AES-GCM encryption operation
 supported by Intel SGX SDK cryptography library") is built on this
-from-scratch encryptor (GCM is CTR mode, so no inverse cipher).
+from-scratch encryptor (GCM is CTR mode, so no inverse cipher).  The
+S-box is computed rather than pasted so its provenance stays obvious;
+round keys come from :func:`expand_key` as u32 words.
 
-The state is four 32-bit column words.  A full round is sixteen lookups
-in four 256-entry u32 tables ``_TE[i]`` that fuse SubBytes, ShiftRows
-and MixColumns: ``_TE[0][b]`` is the column ``(2·S[b], S[b], S[b],
-3·S[b])`` and each further table is that word rotated one byte right.
-The tables are derived at import from the S-box, which is itself
-computed rather than pasted so its provenance stays obvious.  The final
-round (no MixColumns) uses S-box lookups pre-shifted into each byte
-lane.  Round keys are u32 words.
+:func:`encrypt_wide` encrypts ``n`` blocks held as one ``128n``-bit
+Python int ("SWAR": SIMD within a register), block 0 most significant.
+SubBytes is one ``bytes.translate`` through the S-box, ShiftRows seven
+mask-and-shift terms, MixColumns a handful of shifts, masks and XORs
+per column word, and AddRoundKey one XOR with the round key times a
+lane replicator: about 40 big-int operations per round whatever ``n``
+is.  On a 2-CPU box one block costs about 25 us and each further block
+about 2.5 us.  It serves GCM's short messages, GCM's hash subkey and
+:class:`Aes`.
 
-:func:`encrypt_int` is the int-in/int-out entry point GCM uses on its
-cached key schedules; :class:`Aes` keeps the bytes interface.
-:func:`encrypt_blocks` runs the same rounds on many blocks at once for
-GCM's CTR keystream: the state is an ``(n, 4)`` uint32 array, and a
-round is one fancy index over its bytes that folds in ShiftRows, one
-``np.take`` into the four tables stacked to 1024 entries (the
-pre-shifted S-box lanes in the final round), and an XOR of the four
-lanes and the round key.  Its fixed cost of a few numpy calls per round
-only pays off from about ten blocks, so GCM keeps short messages on
-:func:`encrypt_int`.
+:func:`encrypt_blocks` runs the rounds on an ``(n, 4)`` uint32 numpy
+array of column words instead.  The four T-tables ``_TE[i]`` fuse
+SubBytes, ShiftRows and MixColumns (``_TE[0][b]`` is the column
+``(2·S[b], S[b], S[b], 3·S[b])`` and each further table is that word
+rotated one byte right; the final round uses S-box lookups pre-shifted
+into each byte lane), so a round is one fancy index over the state's
+bytes that folds in ShiftRows, one ``np.take`` into the tables stacked
+to 1024 entries, and an XOR of the four lanes and the round key.  A
+message costs about 0.3 ms in fixed numpy overhead but only about
+1.4 us per block, so it overtakes the wide form at roughly 130-190
+blocks; :data:`WIDE_MAX_LANES` (160) caps the wide form there, and GCM
+switches between the two at that block count.
 
 The *timing* of the GCM channel in benchmarks comes from the cost
-model, not from how fast this Python runs.  Verified against the
-FIPS-197 appendix vectors, a byte-wise reference cipher and (for the
-batched form) :func:`encrypt_int` in ``tests/crypto/test_aes.py``.
+model, not from how fast this Python runs.  Both forms are verified
+against the FIPS-197 appendix vectors and a byte-wise reference cipher
+in ``tests/crypto/test_aes.py``.
 """
 
 from __future__ import annotations
@@ -117,34 +122,97 @@ def expand_key(key: bytes) -> tuple[int, ...]:
     return tuple(words)
 
 
-def encrypt_int(rk: tuple[int, ...], block: int) -> int:
-    """Encrypt one block, given as a 128-bit big-endian int, under the
-    round-key words ``rk`` from :func:`expand_key`."""
-    te0, te1, te2, te3 = _TE
-    s0 = (block >> 96) ^ rk[0]
-    s1 = ((block >> 64) & 0xFFFFFFFF) ^ rk[1]
-    s2 = ((block >> 32) & 0xFFFFFFFF) ^ rk[2]
-    s3 = (block & 0xFFFFFFFF) ^ rk[3]
-    last = len(rk) - 4
-    for i in range(4, last, 4):
-        s0, s1, s2, s3 = (
-            te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF]
-            ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ rk[i],
-            te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF]
-            ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ rk[i + 1],
-            te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF]
-            ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ rk[i + 2],
-            te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF]
-            ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ rk[i + 3])
-    b3, b2, b1, b0 = _S24, _S16, _S8, SBOX
-    return (((b3[s0 >> 24] | b2[(s1 >> 16) & 0xFF]
-              | b1[(s2 >> 8) & 0xFF] | b0[s3 & 0xFF]) ^ rk[last]) << 96
-            | ((b3[s1 >> 24] | b2[(s2 >> 16) & 0xFF]
-                | b1[(s3 >> 8) & 0xFF] | b0[s0 & 0xFF]) ^ rk[last + 1]) << 64
-            | ((b3[s2 >> 24] | b2[(s3 >> 16) & 0xFF]
-                | b1[(s0 >> 8) & 0xFF] | b0[s1 & 0xFF]) ^ rk[last + 2]) << 32
-            | ((b3[s3 >> 24] | b2[(s0 >> 16) & 0xFF]
-                | b1[(s1 >> 8) & 0xFF] | b0[s2 & 0xFF]) ^ rk[last + 3]))
+def wide_round_keys(rk: tuple[int, ...]) -> tuple[int, ...]:
+    """The round-key words of :func:`expand_key` joined four at a time
+    into one 128-bit int per round, as :func:`encrypt_wide` takes them."""
+    return tuple(rk[i] << 96 | rk[i + 1] << 64 | rk[i + 2] << 32 | rk[i + 3]
+                 for i in range(0, len(rk), 4))
+
+
+# -- wide form: many blocks as one big int ---------------------------------
+
+#: The most blocks one :func:`encrypt_wide` pass takes; its masks are
+#: built once for this many 128-bit lanes.  Beyond about this many
+#: blocks :func:`encrypt_blocks` is faster (see the module docstring),
+#: so GCM switches to it here.
+WIDE_MAX_LANES = 160
+
+
+def _lanes(pattern: int) -> int:
+    """``pattern``, a 128-bit int, repeated in each of the lanes."""
+    return int.from_bytes(pattern.to_bytes(16, "big") * WIDE_MAX_LANES,
+                          "big")
+
+
+def _row_mask(row: int, columns: range) -> int:
+    """The bytes of state row ``row`` in ``columns`` of every lane; byte
+    ``row + 4c`` of a block is its ``row + 4c``-th most significant."""
+    return _lanes(sum(0xFF << 8 * (15 - row - 4 * c) for c in columns))
+
+
+#: ``0x…01`` once per lane: a 128-bit int times this fills every lane.
+LANE_ONES = _lanes(1)
+_PER_WORD = _lanes(0x00000001000000010000000100000001)
+_PER_BYTE = _lanes(0x01010101010101010101010101010101)
+#: MixColumns' masks: the top three and bottom one bytes of every
+#: column word, its top and bottom halves, the low seven bits of every
+#: byte and the low bit of every byte.
+_MIX_MASKS = (0xFFFFFF00 * _PER_WORD, 0xFF * _PER_WORD,
+              0xFFFF0000 * _PER_WORD, 0xFFFF * _PER_WORD,
+              0x7F * _PER_BYTE, _PER_BYTE)
+#: ShiftRows rotates row ``r`` left by ``r`` columns: its bytes in
+#: columns ``>= r`` move left ``32r`` bits and the rest right
+#: ``128 - 32r`` bits.  Row 0 stays.
+_ROW0 = _row_mask(0, range(4))
+_SHIFT_TERMS = tuple((_row_mask(r, range(r, 4)), 32 * r,
+                      _row_mask(r, range(r)), 128 - 32 * r)
+                     for r in range(1, 4))
+_SBOX_BYTES = bytes(SBOX)
+
+
+def encrypt_wide(rk: tuple[int, ...], x: int, n: int) -> int:
+    """Encrypt ``n`` blocks held as one ``128n``-bit big-endian int
+    (block 0 most significant) under the 128-bit round keys of
+    :func:`wide_round_keys`; returns the ciphertext the same way.
+
+    Every step works on all blocks at once: SubBytes is one
+    ``bytes.translate`` through the S-box, ShiftRows seven
+    mask-and-shift terms, MixColumns ``xtime(u) ^ r1 ^ rot16(u)`` with
+    ``r1`` the state rotated one byte within each column and ``u = s ^
+    r1``, and AddRoundKey an XOR with the key times a lane replicator,
+    so a round is about 40 big-int operations whatever ``n`` is."""
+    if not 0 < n <= WIDE_MAX_LANES:
+        raise CryptoError(f"encrypt_wide takes 1..{WIDE_MAX_LANES} blocks")
+    # An AND costs the length of its shorter operand and every mask
+    # repeats per lane, so the masks apply at full width; only the
+    # replicator, which multiplies, is cut to ``n`` lanes.
+    rep = LANE_ONES >> 128 * (WIDE_MAX_LANES - n)
+    row0 = _ROW0
+    (m1l, s1l, m1r, s1r), (m2l, s2l, m2r, s2r), (m3l, s3l, m3r, s3r) = \
+        _SHIFT_TERMS
+    hi3, lo1, hi2, lo2, low7, bit0 = _MIX_MASKS
+    size = 16 * n
+    sbox = _SBOX_BYTES
+    from_bytes = int.from_bytes
+    x ^= rk[0] * rep
+    last = len(rk) - 1
+    for i in range(1, last + 1):
+        s = from_bytes(x.to_bytes(size, "big").translate(sbox), "big")
+        s = ((s & row0)
+             | (s & m1l) << s1l | (s & m1r) >> s1r
+             | (s & m2l) << s2l | (s & m2r) >> s2r
+             | (s & m3l) << s3l | (s & m3r) >> s3r)
+        if i < last:
+            # MixColumns: with r1 the state rotated left one byte in
+            # each column and u = s ^ r1, byte j of a column becomes
+            # xtime(u_j) ^ r1_j ^ u_(j+2) = 2a_j ^ 3a_(j+1) ^ a_(j+2)
+            # ^ a_(j+3).
+            r1 = (s << 8) & hi3 | (s >> 24) & lo1
+            u = s ^ r1
+            s = (((u & low7) << 1) ^ ((u >> 7) & bit0) * 0x1B
+                 ^ r1 ^ (u << 16) & hi2 ^ (u >> 16) & lo2)
+        x = s ^ rk[i] * rep
+    return x
 
 
 # -- batched form: many blocks per numpy call ------------------------------
@@ -176,8 +244,7 @@ def encrypt_blocks(rk: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     array of column words (word 0 holds a block's first four bytes,
     big-endian) and ``rk`` the round keys of :func:`expand_key` as a
     ``(rounds + 1, 4)`` uint32 array; returns ciphertext the same way.
-    Every block goes through the same lookups as :func:`encrypt_int`,
-    one numpy gather per round for all of them."""
+    Each round is one numpy gather through the T-tables for all blocks."""
     state = np.ascontiguousarray(blocks ^ rk[0])
     for key in rk[1:-1]:
         state = _round(_TE_STACK, state, key)
@@ -188,10 +255,10 @@ class Aes:
     """AES block cipher with 128/192/256-bit keys."""
 
     def __init__(self, key: bytes) -> None:
-        self._round_keys = expand_key(key)
+        self._round_keys = wide_round_keys(expand_key(key))
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise CryptoError("AES block must be 16 bytes")
-        return encrypt_int(self._round_keys,
-                           int.from_bytes(block, "big")).to_bytes(16, "big")
+        return encrypt_wide(self._round_keys, int.from_bytes(block, "big"),
+                            1).to_bytes(16, "big")

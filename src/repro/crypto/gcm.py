@@ -20,17 +20,21 @@ GHASH (:func:`_ghash`) is one function over those tables: one unrolled
 XOR of 16 lookups per block, no shift-and-reduce loop.  CTR mode keeps
 J0 and the counter as ints and applies the keystream with one wide-int
 XOR.  The keystream has two sources, chosen from the message length
-alone.  Below ``_NUMPY_MIN_BLOCKS`` blocks it is the join of scalar
-:func:`~repro.crypto.aes.encrypt_int` calls.  From there on every
+alone.  Below ``_NUMPY_MIN_BLOCKS`` blocks, one
+:func:`~repro.crypto.aes.encrypt_wide` pass encrypts J0 (lane 0) and
+every counter block of the message as one big int, so the tag's
+``E_K(J0)`` costs no block encryption of its own.  From there on every
 counter block is encrypted at once by
-:func:`~repro.crypto.aes.encrypt_blocks`, a few numpy calls per round
-whatever the block count.  That costs about 0.2 ms per message, so the
-batched path overtakes the scalar one at about 10 blocks; the threshold
-sits just above 16 blocks so every message of 256 B or less, the short
-requests of the echo, YCSB and Table VI workloads, keeps the scalar
-path.  Verified against the NIST test vectors, the bit-serial reference
-GHASH :func:`_ghash_simple`, a block-at-a-time reference GCM and a
-scalar-vs-numpy keystream sweep in ``tests/crypto/test_gcm.py``.
+:func:`~repro.crypto.aes.encrypt_blocks`, a few numpy calls per round,
+and ``E_K(J0)`` is a one-lane wide pass.  The wide pass costs about
+25 us plus 2.5 us per block and the numpy one about 0.3 ms plus 1.4 us
+per block, so they cross at about 130-190 blocks on a 2-CPU box; the
+threshold of 160 blocks (2.5 KiB) sits between, so every request of
+the echo, YCSB, Table VI and minisvm workloads takes the wide pass and
+only bulk transfers (Fig. 9's 512 KiB messages) take numpy.  Verified
+against the NIST test vectors, the bit-serial reference GHASH
+:func:`_ghash_simple`, a block-at-a-time reference GCM and a
+wide-vs-numpy keystream sweep in ``tests/crypto/test_gcm.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.crypto.aes import encrypt_blocks, encrypt_int, expand_key
+from repro.crypto.aes import (LANE_ONES, WIDE_MAX_LANES, encrypt_blocks,
+                              encrypt_wide, expand_key, wide_round_keys)
 from repro.errors import CryptoError
 
 #: Keys whose GCM state stays cached (about 0.2 MB each).  The bound
@@ -49,12 +54,22 @@ from repro.errors import CryptoError
 #: benchmark workload at most two.
 KEY_CACHE_SIZE = 8
 
-#: Messages of at least this many 16-byte blocks take the numpy
-#: keystream; shorter ones (all of 256 B or less) the scalar join.
-_NUMPY_MIN_BLOCKS = 17
+#: Messages of at least this many 16-byte blocks (2.5 KiB) take the
+#: numpy keystream; shorter ones one wide pass, whose lanes hold J0 and
+#: at most ``_NUMPY_MIN_BLOCKS - 1`` counter blocks.
+_NUMPY_MIN_BLOCKS = WIDE_MAX_LANES
 
 _R = 0xE1000000000000000000000000000000
 _CTR_MASK = 0xFFFFFFFF
+
+# The counter blocks of a wide pass, built once for the most lanes it
+# takes (J0 and ``_NUMPY_MIN_BLOCKS - 1`` blocks): the 32-bit counter
+# field of every lane, and the ramp that adds ``i`` to lane ``i`` (lane
+# 0 on top).  A pass over fewer lanes cuts the ramp and the lane ones
+# down by a right shift.
+_CTR_LANES = _CTR_MASK * LANE_ONES
+_RAMP = sum(i << 128 * (_NUMPY_MIN_BLOCKS - 1 - i)
+            for i in range(_NUMPY_MIN_BLOCKS))
 
 
 def _gf_mult(x: int, y: int) -> int:
@@ -121,27 +136,33 @@ def _ghash_simple(h: bytes, data: bytes) -> int:
 
 @lru_cache(maxsize=KEY_CACHE_SIZE)
 def _key_state(key: bytes) -> tuple:
-    """``(round keys, GHASH tables, round keys as a numpy array)`` for
-    ``key``.  A bad key length raises :class:`CryptoError`, and a
-    raising call caches nothing."""
+    """``(128-bit round keys, GHASH tables, round keys as a numpy
+    array)`` for ``key``.  A bad key length raises :class:`CryptoError`,
+    and a raising call caches nothing."""
     rk = expand_key(key)
     rk_array = np.array(rk, dtype=np.uint32).reshape(-1, 4)
     rk_array.flags.writeable = False
-    return rk, _window_tables(encrypt_int(rk, 0)), rk_array
+    rk128 = wide_round_keys(rk)
+    return rk128, _window_tables(encrypt_wide(rk128, 0, 1)), rk_array
 
 
-def _scalar_keystream(rk: tuple, j0: int, blocks: int) -> bytes:
-    """E_K(inc32^i(J0)) for i = 1 .. ``blocks``, one block at a time."""
-    prefix, counter = j0 & ~_CTR_MASK, j0 & _CTR_MASK
-    return b"".join(
-        encrypt_int(rk, prefix | ((counter + i) & _CTR_MASK))
-        .to_bytes(16, "big")
-        for i in range(1, blocks + 1))
+def _wide_keystream(rk128: tuple, j0: int, blocks: int) -> tuple[int, int]:
+    """``(E_K(J0), keystream)`` from one :func:`encrypt_wide` pass over
+    J0 (lane 0) and inc32^i(J0) for i = 1 .. ``blocks``; the keystream
+    is a ``128 * blocks``-bit int.  The counter field of each lane wraps
+    mod 2^32 without carrying into its prefix."""
+    cut = 128 * (_NUMPY_MIN_BLOCKS - 1 - blocks)
+    ones = LANE_ONES >> cut
+    counters = ((j0 & ~_CTR_MASK) * ones
+                | ((j0 & _CTR_MASK) * ones + (_RAMP >> cut))
+                & _CTR_LANES)
+    out = encrypt_wide(rk128, counters, blocks + 1)
+    return out >> 128 * blocks, out & ((1 << 128 * blocks) - 1)
 
 
 def _numpy_keystream(rk_array: np.ndarray, j0: int, blocks: int) -> bytes:
-    """The same keystream as :func:`_scalar_keystream`, with every
-    counter block encrypted at once by :func:`encrypt_blocks`."""
+    """E_K(inc32^i(J0)) for i = 1 .. ``blocks``, every counter block
+    encrypted at once by :func:`encrypt_blocks`."""
     counters = np.empty((blocks, 4), dtype=np.uint32)
     counters[:, :3] = [(j0 >> shift) & _CTR_MASK for shift in (96, 64, 32)]
     counters[:, 3] = (np.arange(1, blocks + 1, dtype=np.uint64)
@@ -161,41 +182,49 @@ class AesGcm:
     def _j0(self, nonce: bytes) -> int:
         if len(nonce) == 12:
             return (int.from_bytes(nonce, "big") << 32) | 1
+        if not nonce:
+            # SP 800-38D: an empty IV would give every message under the
+            # key the same J0, and so the same keystream.
+            raise CryptoError("GCM nonce must not be empty")
         lengths = (len(nonce) * 8).to_bytes(16, "big")
         return _ghash(self._tables, lengths, _ghash(self._tables, nonce))
 
-    def _ctr(self, j0: int, data: bytes) -> bytes:
-        """``data`` XOR the keystream E_K(inc32^i(J0)), i = 1, 2, ..."""
-        length = len(data)
+    def _keystream(self, j0: int, length: int) -> tuple[int, int]:
+        """``(E_K(J0), keystream)``, the keystream E_K(inc32^i(J0)),
+        i = 1, 2, ... cut to ``length`` bytes, as an int."""
         blocks = (length + 15) // 16
         if blocks < _NUMPY_MIN_BLOCKS:
-            stream = _scalar_keystream(self._rk, j0, blocks)
+            ekj0, stream = _wide_keystream(self._rk, j0, blocks)
         else:
-            stream = _numpy_keystream(self._rk_array, j0, blocks)
-        return (int.from_bytes(data, "big")
-                ^ int.from_bytes(stream[:length], "big")).to_bytes(length,
-                                                                   "big")
+            ekj0 = encrypt_wide(self._rk, j0, 1)
+            stream = int.from_bytes(
+                _numpy_keystream(self._rk_array, j0, blocks), "big")
+        return ekj0, stream >> 8 * (16 * blocks - length)
 
-    def _tag(self, j0: int, aad: bytes, ciphertext: bytes) -> bytes:
+    def _tag(self, ekj0: int, aad: bytes, ciphertext: bytes) -> bytes:
         tables = self._tables
         lengths = ((len(aad) * 8) << 64 | len(ciphertext) * 8) \
             .to_bytes(16, "big")
         s = _ghash(tables, lengths,
                    _ghash(tables, ciphertext, _ghash(tables, aad)))
-        return (s ^ encrypt_int(self._rk, j0)).to_bytes(16, "big")
+        return (s ^ ekj0).to_bytes(16, "big")
 
     def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Encrypt and authenticate; returns ciphertext || tag."""
-        j0 = self._j0(nonce)
-        ciphertext = self._ctr(j0, plaintext)
-        return ciphertext + self._tag(j0, aad, ciphertext)
+        length = len(plaintext)
+        ekj0, stream = self._keystream(self._j0(nonce), length)
+        ciphertext = (int.from_bytes(plaintext, "big") ^ stream) \
+            .to_bytes(length, "big")
+        return ciphertext + self._tag(ekj0, aad, ciphertext)
 
     def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
         """Verify the tag and decrypt; raises :class:`CryptoError` on forgery."""
         if len(sealed) < self.TAG_LEN:
             raise CryptoError("sealed message shorter than the tag")
         ciphertext, tag = sealed[:-self.TAG_LEN], sealed[-self.TAG_LEN:]
-        j0 = self._j0(nonce)
-        if not hmac.compare_digest(self._tag(j0, aad, ciphertext), tag):
+        length = len(ciphertext)
+        ekj0, stream = self._keystream(self._j0(nonce), length)
+        if not hmac.compare_digest(self._tag(ekj0, aad, ciphertext), tag):
             raise CryptoError("GCM tag verification failed")
-        return self._ctr(j0, ciphertext)
+        return (int.from_bytes(ciphertext, "big") ^ stream) \
+            .to_bytes(length, "big")

@@ -7,14 +7,13 @@ hash-counter keystream): the same ``seal``/``open``/``TAG_LEN`` surface
 and the same security *model* (confidentiality + integrity + nonce-bound
 AAD), at microseconds per call.
 
-It stays next to :class:`~repro.crypto.gcm.AesGcm`, whose short
-messages are still pure-Python AES: measured on a 2-CPU box, AesGcm is
-about 10-35x slower per 64 B-1 KiB seal (worst at 256 B, the longest
-message on its scalar keystream) and about 190x slower per fresh key,
-since each new key builds its 8-bit GHASH tables (about 0.3 ms).  A
-session key is always fresh, so AesGcm's per-key cache cannot help
-here, and switching would slow 100k-session experiments and the
-``serving`` benchmark.
+It stays next to :class:`~repro.crypto.gcm.AesGcm`, which is still
+pure-Python AES: measured on a 2-CPU box, AesGcm's wide-int pass leaves
+it about 6-11x slower per 64 B-1 KiB seal and about 40-60x slower per
+fresh key, since each new key builds its 8-bit GHASH tables (about
+0.4 ms).  A session key is always fresh, so AesGcm's per-key cache
+cannot help here, and switching would slow 100k-session experiments
+and the ``serving`` benchmark.
 
 The **simulated** cost is unchanged: callers (``GcmChannel``,
 ``ReliableLink``) charge ``cost.charge_gcm`` per operation regardless of

@@ -89,7 +89,7 @@ def _specs_paper() -> list[ExperimentSpec]:
             quick=lambda: exp.run_table6(operations=500, records=200),
             full=lambda: exp.run_table6(operations=10_000,
                                         records=1000),
-            budget_s=120, full_budget_s=14_400, cost_hint=6.2),
+            budget_s=120, full_budget_s=14_400, cost_hint=3.3),
         ExperimentSpec(
             "table7", exp.run_table7, exp.run_table7,
             budget_s=60, full_budget_s=120, cost_hint=0.6),
@@ -98,7 +98,7 @@ def _specs_paper() -> list[ExperimentSpec]:
             quick=lambda: exp.run_fig7(chunk_sizes=(128, 2048, 16384),
                                        total_bytes=64 << 10),
             full=lambda: exp.run_fig7(total_bytes=1 << 20),
-            budget_s=60, full_budget_s=10_800, cost_hint=1.7),
+            budget_s=60, full_budget_s=10_800, cost_hint=0.9),
         ExperimentSpec(
             "fig9",
             quick=lambda: exp.run_fig9(scales=FIG9_QUICK_SCALES),
@@ -143,7 +143,7 @@ def _specs_paper() -> list[ExperimentSpec]:
         ExperimentSpec(
             "ablation-d3", exp.run_d3_flush_sensitivity,
             exp.run_d3_flush_sensitivity,
-            budget_s=60, full_budget_s=400, cost_hint=1.5),
+            budget_s=60, full_budget_s=400, cost_hint=0.9),
         ExperimentSpec(
             "ablation-d4", exp.run_d4_depth, exp.run_d4_depth,
             budget_s=60, full_budget_s=60, cost_hint=0.04),

@@ -1,13 +1,12 @@
-"""AES block cipher tests against FIPS-197 vectors, S-box laws, the
-byte-wise reference cipher the T-table form replaced, and the batched
-numpy form against the scalar one."""
+"""AES block cipher tests against FIPS-197 vectors, S-box laws, and the
+byte-wise reference cipher, for both the wide-int and the numpy form."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.aes import (SBOX, Aes, encrypt_blocks, encrypt_int,
-                              expand_key)
+from repro.crypto.aes import (SBOX, WIDE_MAX_LANES, Aes, encrypt_blocks,
+                              encrypt_wide, expand_key, wide_round_keys)
 from repro.errors import CryptoError
 
 
@@ -152,9 +151,34 @@ class TestAgainstReference:
             .reshape(-1, 4).astype(np.uint32)
         out = encrypt_blocks(np.array(rk, dtype=np.uint32).reshape(-1, 4),
                              words)
+        aes = Aes(key)
         assert out.astype(">u4").tobytes() == b"".join(
-            encrypt_int(rk, int.from_bytes(b, "big")).to_bytes(16, "big")
-            for b in blocks)
+            aes.encrypt_block(b) for b in blocks)
+
+    @given(st.sampled_from([16, 24, 32]).flatmap(
+               lambda n: st.binary(min_size=n, max_size=n)),
+           st.integers(min_value=1, max_value=WIDE_MAX_LANES)
+           .flatmap(lambda n: st.binary(min_size=16 * n, max_size=16 * n)))
+    @settings(max_examples=30, deadline=None)
+    def test_wide_matches_bytewise_reference(self, key, data):
+        # Every lane count a pass takes, up to GCM's numpy threshold.
+        n = len(data) // 16
+        out = encrypt_wide(wide_round_keys(expand_key(key)),
+                           int.from_bytes(data, "big"), n)
+        reference = ReferenceAes(key)
+        assert out.to_bytes(16 * n, "big") == b"".join(
+            reference.encrypt_block(data[16 * i:16 * i + 16])
+            for i in range(n))
+
+    def test_wide_at_most_lanes(self):
+        key = bytes(range(32))
+        blocks = [bytes([i]) * 16 for i in range(WIDE_MAX_LANES)]
+        out = encrypt_wide(wide_round_keys(expand_key(key)),
+                           int.from_bytes(b"".join(blocks), "big"),
+                           WIDE_MAX_LANES)
+        aes = Aes(key)
+        assert out.to_bytes(16 * WIDE_MAX_LANES, "big") == b"".join(
+            aes.encrypt_block(b) for b in blocks)
 
     def test_batched_appendix_c1(self):
         rk = expand_key(bytes.fromhex("000102030405060708090a0b0c0d0e0f"))
@@ -182,3 +206,8 @@ class TestErrors:
     def test_bad_block_length_encrypt(self):
         with pytest.raises(CryptoError):
             Aes(bytes(16)).encrypt_block(bytes(15))
+
+    @pytest.mark.parametrize("n", [0, WIDE_MAX_LANES + 1])
+    def test_wide_lane_count_out_of_range(self, n):
+        with pytest.raises(CryptoError):
+            encrypt_wide(wide_round_keys(expand_key(bytes(16))), 0, n)

@@ -1,5 +1,5 @@
 """AES-GCM tests against NIST SP 800-38D vectors, AEAD laws, a
-block-at-a-time reference GCM, the scalar-vs-numpy keystream dispatch,
+block-at-a-time reference GCM, the wide-vs-numpy keystream dispatch,
 and the per-key state cache."""
 
 import hashlib
@@ -12,7 +12,7 @@ from repro.crypto import gcm as gcm_module
 from repro.crypto.aes import Aes
 from repro.crypto.gcm import (_NUMPY_MIN_BLOCKS, KEY_CACHE_SIZE, AesGcm,
                               _gf_mult, _ghash, _ghash_simple, _key_state,
-                              _numpy_keystream, _scalar_keystream,
+                              _numpy_keystream, _wide_keystream,
                               _window_tables)
 from repro.errors import CryptoError
 
@@ -193,28 +193,72 @@ class TestAgainstReference:
 
 #: The three key sizes the keystream differential runs under.
 KEYS = [bytes(range(7, 7 + n)) for n in (16, 24, 32)]
-#: A J0 whose 32-bit counter sits mid-range.
+#: A J0 whose 32-bit counter sits mid-range, and one whose counter
+#: wraps after 7 blocks under a prefix with a clear low bit, so a carry
+#: out of the counter field would show.
 J0 = (0xCAFEBABEFACEDBADDECAF888 << 32) | 0x00010000
+WRAP_J0 = (0xCAFEBABEFACEDBADDECAF888 << 32) | 0xFFFFFFF8
+
+
+def _scalar_join(key: bytes, j0: int, blocks: int) -> bytes:
+    """E_K(inc32^i(J0)) for i = 1 .. ``blocks``, one ``Aes`` block at a
+    time."""
+    aes = Aes(key)
+    prefix, counter = j0 >> 32 << 32, j0 & 0xFFFFFFFF
+    return b"".join(
+        aes.encrypt_block((prefix | (counter + i) & 0xFFFFFFFF)
+                          .to_bytes(16, "big"))
+        for i in range(1, blocks + 1))
 
 
 class TestKeystreamDispatch:
-    """``_ctr`` takes the numpy keystream for messages of at least
-    ``_NUMPY_MIN_BLOCKS`` blocks and the scalar one below; both must
+    """``_keystream`` takes the numpy keystream for messages of at least
+    ``_NUMPY_MIN_BLOCKS`` blocks and one wide pass below; both must
     give the same bytes."""
 
     @pytest.mark.parametrize("key", KEYS, ids=["aes128", "aes192",
                                                "aes256"])
     def test_numpy_keystream_matches_scalar_join(self, key):
         # Every block count of a message of 0..4099 bytes.
-        rk, _tables, rk_array = _key_state(key)
+        _rk, _tables, rk_array = _key_state(key)
         blocks = (4099 + 15) // 16
-        scalar = _scalar_keystream(rk, J0, blocks)
-        for n in range(blocks + 1):
-            assert _numpy_keystream(rk_array, J0, n) == scalar[:16 * n], n
+        for j0 in (J0, WRAP_J0):
+            scalar = _scalar_join(key, j0, blocks)
+            for n in range(blocks + 1):
+                assert _numpy_keystream(rk_array, j0, n) \
+                    == scalar[:16 * n], n
 
     @pytest.mark.parametrize("key", KEYS, ids=["aes128", "aes192",
                                                "aes256"])
-    @pytest.mark.parametrize("blocks", [_NUMPY_MIN_BLOCKS - 1,
+    def test_wide_keystream_matches_scalar_join(self, key):
+        # Every block count the wide pass takes, with E_K(J0) in lane 0.
+        rk, _tables, _rk_array = _key_state(key)
+        for j0 in (J0, WRAP_J0):
+            scalar = _scalar_join(key, j0, _NUMPY_MIN_BLOCKS - 1)
+            ekj0 = Aes(key).encrypt_block(j0.to_bytes(16, "big"))
+            for n in range(_NUMPY_MIN_BLOCKS):
+                mask, stream = _wide_keystream(rk, j0, n)
+                assert mask.to_bytes(16, "big") == ekj0, n
+                assert stream.to_bytes(16 * n, "big") \
+                    == scalar[:16 * n], n
+
+    def test_every_wide_block_count_matches_reference(self):
+        # Odd block counts are one byte short of a whole block.
+        gcm = AesGcm(SPEC_KEY)
+        for n in range(_NUMPY_MIN_BLOCKS + 3):
+            plaintext = bytes((11 * i + n) & 0xFF
+                              for i in range(16 * n - n % 2))
+            sealed = gcm.seal(b"every-count!", plaintext, b"hdr")
+            assert sealed == _reference_seal(SPEC_KEY, b"every-count!",
+                                             plaintext, b"hdr"), n
+
+    # 17 blocks is where the keystream switched from the one-block-at-a-
+    # time join to numpy before the wide pass (256 B, the longest echo
+    # and YCSB request); _NUMPY_MIN_BLOCKS is where it switches now.
+    @pytest.mark.parametrize("key", KEYS, ids=["aes128", "aes192",
+                                               "aes256"])
+    @pytest.mark.parametrize("blocks", [16, 17, 18,
+                                        _NUMPY_MIN_BLOCKS - 1,
                                         _NUMPY_MIN_BLOCKS,
                                         _NUMPY_MIN_BLOCKS + 1])
     @pytest.mark.parametrize("extra", [-1, 0])
@@ -231,7 +275,7 @@ class TestKeystreamDispatch:
         j0 = (0x0123456789ABCDEF01234567 << 32) | 0xFFFFFFF0
         iv = _iv_for_j0(SPEC_KEY, j0)
         plaintext = bytes((5 * i + 1) & 0xFF for i in range(637))
-        assert (len(plaintext) + 15) // 16 >= _NUMPY_MIN_BLOCKS
+        assert (len(plaintext) + 15) // 16 < _NUMPY_MIN_BLOCKS
         gcm = AesGcm(SPEC_KEY)
         sealed = gcm.seal(iv, plaintext, b"wrap")
         assert sealed == _reference_seal(SPEC_KEY, iv, plaintext, b"wrap")
@@ -241,6 +285,23 @@ class TestKeystreamDispatch:
         assert hashlib.sha256(sealed).hexdigest() == (
             "fbb810015261e13ed5fd78190b792ed5"
             "f4b24db86dd460c5b935fedf64ef8c17")
+        assert gcm.open(iv, sealed, b"wrap") == plaintext
+
+    def test_counter_wraps_inside_a_numpy_message(self):
+        # J0 ends in 0xffffff80: block 128 of 170 takes counter 0.
+        j0 = (0x0123456789ABCDEF01234567 << 32) | 0xFFFFFF80
+        iv = _iv_for_j0(SPEC_KEY, j0)
+        plaintext = bytes((5 * i + 1) & 0xFF for i in range(2717))
+        assert (len(plaintext) + 15) // 16 >= _NUMPY_MIN_BLOCKS
+        gcm = AesGcm(SPEC_KEY)
+        sealed = gcm.seal(iv, plaintext, b"wrap")
+        assert sealed == _reference_seal(SPEC_KEY, iv, plaintext, b"wrap")
+        # Recorded from the implementation before the wide pass.
+        assert iv.hex() == "e04c5a5f452d26c18a666fb3bdd6c2af"
+        assert sealed[-16:].hex() == "6d04510ff2d3a500462468264342db3c"
+        assert hashlib.sha256(sealed).hexdigest() == (
+            "ac849e9027351e5d922762c748a4b2b6"
+            "634a7ba98a3d4339f40b129598468e45")
         assert gcm.open(iv, sealed, b"wrap") == plaintext
 
     @staticmethod
@@ -256,13 +317,25 @@ class TestKeystreamDispatch:
                                          plaintext, b"a")
         assert gcm.open(b"nonce-123456", sealed, b"a") == plaintext
 
-    # 536 B is the smallest sealed matrix of the minisvm workload.
-    @pytest.mark.parametrize("length", [16 * _NUMPY_MIN_BLOCKS - 15, 536])
-    def test_long_messages_never_reach_scalar(self, monkeypatch, length):
-        monkeypatch.setattr(gcm_module, "_scalar_keystream", self._refuse)
+    # 536 and 552 B are the sealed matrices of the minisvm workload.
+    @pytest.mark.parametrize("length", [536, 552,
+                                        16 * _NUMPY_MIN_BLOCKS - 16])
+    def test_short_messages_never_reach_numpy(self, monkeypatch, length):
+        monkeypatch.setattr(gcm_module, "_numpy_keystream", self._refuse)
         gcm = AesGcm(SPEC_KEY)
-        plaintext = bytes(range(256)) * 3
+        plaintext = bytes(range(256)) * 10
         sealed = gcm.seal(b"nonce-123456", plaintext[:length])
+        assert gcm.open(b"nonce-123456", sealed) == plaintext[:length]
+
+    @pytest.mark.parametrize("length", [16 * _NUMPY_MIN_BLOCKS - 15,
+                                        16 * _NUMPY_MIN_BLOCKS, 4099])
+    def test_long_messages_never_reach_wide(self, monkeypatch, length):
+        monkeypatch.setattr(gcm_module, "_wide_keystream", self._refuse)
+        gcm = AesGcm(SPEC_KEY)
+        plaintext = bytes(range(256)) * 17
+        sealed = gcm.seal(b"nonce-123456", plaintext[:length])
+        assert sealed == _reference_seal(SPEC_KEY, b"nonce-123456",
+                                         plaintext[:length])
         assert gcm.open(b"nonce-123456", sealed) == plaintext[:length]
 
 
@@ -304,6 +377,16 @@ class TestAeadLaws:
     def test_runt_message_rejected(self):
         with pytest.raises(CryptoError):
             AesGcm(bytes(16)).open(bytes(12), b"short")
+
+    def test_empty_nonce_rejected_by_seal(self):
+        # SP 800-38D needs an IV of at least one bit: an empty one gives
+        # every message under the key the same J0 and keystream.
+        with pytest.raises(CryptoError):
+            AesGcm(bytes(16)).seal(b"", b"payload")
+
+    def test_empty_nonce_rejected_by_open(self):
+        with pytest.raises(CryptoError):
+            AesGcm(bytes(16)).open(b"", bytes(32))
 
 
 class TestKeyCache:

@@ -9,8 +9,15 @@ REPORT MAC'd with the target's report key verifies only on that target.
 
 :func:`hkdf` and :func:`mac` are one-shot ``hmac.digest`` calls.
 :func:`hkdf_stream` expands one key into a keystream of counter-labelled
-:func:`hkdf` blocks (the EWB/ELDB page cipher) from a single HMAC state
-over the fixed label, copied per block.
+:func:`hkdf` blocks (the EWB/ELDB page cipher).
+
+Hot loops do not build an ``hmac.HMAC`` object per message.
+:func:`hmac_pads` turns a key into the two SHA-256 states of RFC 2104:
+the inner state has absorbed ``key ^ 0x36…``, the outer ``key ^ 0x5c…``.
+One MAC is then ``outer.copy()`` updated with the digest of
+``inner.copy()`` updated with the message: six C calls, written inline
+by each caller (``hkdf_stream`` here, the MEE line MAC), with no Python
+frame per message.  The bytes are those of ``hmac.digest``.
 """
 
 from __future__ import annotations
@@ -21,6 +28,22 @@ import hmac
 
 #: The length prefix of a 4-byte counter label.
 _COUNTER_LEN = (4).to_bytes(4, "little")
+
+
+#: RFC 2104 pad translations of a zero-padded 64-byte key.
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+_SHA256_BLOCK = 64
+
+
+def hmac_pads(key: bytes) -> tuple[hashlib._Hash, hashlib._Hash]:
+    """The inner and outer SHA-256 states of HMAC-SHA-256 under ``key``
+    (hashed first if longer than a block, then zero-padded to one)."""
+    if len(key) > _SHA256_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_SHA256_BLOCK, b"\0")
+    return (hashlib.sha256(key.translate(_IPAD)),
+            hashlib.sha256(key.translate(_OPAD)))
 
 
 def _info(*context: bytes) -> bytes:
@@ -38,16 +61,19 @@ def hkdf_stream(key: bytes, label: bytes, nbytes: int) -> bytes:
     """``nbytes`` of keystream: ``hkdf(key, label, counter)`` for the
     4-byte little-endian counters 0, 1, ... concatenated and truncated.
 
-    The HMAC state over the fixed ``label`` prefix is built once and
-    copied per 32-byte block, so a 4 KiB page costs 128 HMAC
-    finalisations rather than 128 full derivations.
+    The pad states are built once, the inner one over the fixed
+    ``label`` prefix, and both are copied per 32-byte block, so a 4 KiB
+    page costs 128 HMAC finalisations rather than 128 full derivations.
     """
-    base = hmac.new(key, _info(label), "sha256")
+    inner, outer = hmac_pads(key)
+    inner.update(_info(label))
     blocks = []
     for counter in range((nbytes + 31) // 32):
-        h = base.copy()
-        h.update(_COUNTER_LEN + counter.to_bytes(4, "little"))
-        blocks.append(h.digest())
+        i = inner.copy()
+        i.update(_COUNTER_LEN + counter.to_bytes(4, "little"))
+        o = outer.copy()
+        o.update(i.digest())
+        blocks.append(o.digest())
     return b"".join(blocks)[:nbytes]
 
 

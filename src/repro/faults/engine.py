@@ -242,6 +242,7 @@ class FaultEngine:
             # one (the VA frame came off the end of the order list and
             # free() puts it back at the end).
             va_new = driver._va
+            del driver._vas[va_new.frame]
             machine.epcm.clear(va_new.frame)
             machine.epc_alloc.free(va_new.frame)
             driver._va = va_before

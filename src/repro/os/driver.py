@@ -49,7 +49,11 @@ class SgxDriver:
         self.kernel = kernel
         self.machine = kernel.machine
         self.loaded: dict[int, LoadedEnclave] = {}
+        #: The version array new evictions take slots from.
         self._va: eviction.VersionArray | None = None
+        #: Every version array allocated, by frame: a page sealed under
+        #: a retired (full) one reloads against that one.
+        self._vas: dict[int, eviction.VersionArray] = {}
 
     # -- loading ---------------------------------------------------------------
     def load_enclave(self, proc: "Process", image: "EnclaveImage") -> Secs:
@@ -112,6 +116,7 @@ class SgxDriver:
     def _version_array(self) -> eviction.VersionArray:
         if self._va is None or all(s is not None for s in self._va.slots):
             self._va = eviction.alloc_version_array(self.machine)
+            self._vas[self._va.frame] = self._va
         return self._va
 
     def evict_page(self, secs: Secs, vaddr: int, *,
@@ -148,7 +153,10 @@ class SgxDriver:
         blob = entry.evicted.pop(vaddr, None)
         if blob is None:
             raise SgxFault(f"page {vaddr:#x} was not evicted")
-        frame = eviction.eldb(self.machine, blob, self._va)
+        va = self._vas.get(blob.va_frame)
+        if va is None:
+            raise SgxFault(f"no version array at frame {blob.va_frame:#x}")
+        frame = eviction.eldb(self.machine, blob, va)
         entry.resident[vaddr] = frame
         entry.proc.space.mark_present(vaddr, frame)
         self.machine.log_transition("RELOAD", eid=secs.eid, vaddr=vaddr)

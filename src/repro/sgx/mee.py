@@ -32,9 +32,13 @@ The cipher is defined per line — keystream
 MEE whole line-aligned spans (:meth:`Mee.decrypt_lines`,
 :meth:`Mee.encrypt_lines`).  One loop over the span's lines does the
 per-line MAC check, version bump and keystream; the span is then XORed
-as one wide integer instead of one byte at a time.  The SHA-256 and
-HMAC states over the fixed key prefixes are built once per MEE and
-copied per line.  :meth:`Mee.encrypt_line`/:meth:`Mee.decrypt_line` are
+as one wide integer instead of one byte at a time.  Three SHA-256
+states are built once per MEE and copied per line: the keystream state
+over the key, and the RFC 2104 inner and outer pad states of the MAC key
+(:func:`~repro.crypto.kdf.hmac_pads`).  The span loops run both SHA-256
+keystream blocks and the HMAC (inner copy, update, outer copy, update
+with the inner digest) inline, with no ``hmac.HMAC`` object or Python
+call per line.  :meth:`Mee.encrypt_line`/:meth:`Mee.decrypt_line` are
 one-line spans.
 """
 
@@ -43,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 
+from repro.crypto.kdf import hmac_pads
 from repro.errors import IntegrityViolation
 from repro.sgx.constants import CACHELINE_SIZE, MachineConfig, PAGE_SIZE
 
@@ -55,10 +60,10 @@ class Mee:
         # Per-boot random key; deterministic default keeps tests stable.
         self.key = boot_key or hashlib.sha256(b"repro-mee-boot-key").digest()
         self._mac_key = hashlib.sha256(self.key + b"mac").digest()
-        # Keystream and MAC states over the fixed key prefixes; every
-        # line copies one instead of re-absorbing the key.
+        # Keystream and MAC pad states over the fixed keys; every line
+        # copies them instead of re-absorbing a key.
         self._stream_base = hashlib.sha256(self.key)
-        self._mac_base = hmac.new(self._mac_key, digestmod="sha256")
+        self._mac_inner, self._mac_outer = hmac_pads(self._mac_key)
         # line physical address -> MAC of current ciphertext (on-chip state
         # in the model; real HW stores MACs in PRM metadata + counters).
         self._line_macs: dict[int, bytes] = {}
@@ -66,19 +71,6 @@ class Mee:
         self._versions: dict[int, int] = {}
         self.lines_encrypted = 0
         self.lines_decrypted = 0
-
-    def _keystream(self, line_addr: int, version: int) -> bytes:
-        """One line of keystream: two chained SHA-256 blocks."""
-        h = self._stream_base.copy()
-        h.update(line_addr.to_bytes(8, "little")
-                 + version.to_bytes(8, "little"))
-        block = h.digest()
-        return block + hashlib.sha256(block).digest()
-
-    def _line_mac(self, line_addr: int, ciphertext: bytes) -> bytes:
-        h = self._mac_base.copy()
-        h.update(line_addr.to_bytes(8, "little") + ciphertext)
-        return h.digest()
 
     # -- span operations ------------------------------------------------------
     def encrypt_lines(self, first_line_addr: int, plaintext: bytes) -> bytes:
@@ -88,22 +80,33 @@ class Mee:
         if size % CACHELINE_SIZE:
             raise ValueError("MEE operates on whole cachelines")
         versions = self._versions
-        keystream = self._keystream
+        stream_copy = self._stream_base.copy
+        sha256 = hashlib.sha256
         stream = []
         for addr in range(first_line_addr, first_line_addr + size,
                           CACHELINE_SIZE):
             version = versions.get(addr, 0) + 1
             versions[addr] = version
-            stream.append(keystream(addr, version))
+            h = stream_copy()
+            h.update(addr.to_bytes(8, "little")
+                     + version.to_bytes(8, "little"))
+            block = h.digest()
+            stream.append(block)
+            stream.append(sha256(block).digest())
         ciphertext = (int.from_bytes(plaintext, "little")
                       ^ int.from_bytes(b"".join(stream), "little")
                       ).to_bytes(size, "little")
         macs = self._line_macs
-        line_mac = self._line_mac
+        inner_copy = self._mac_inner.copy
+        outer_copy = self._mac_outer.copy
         for off in range(0, size, CACHELINE_SIZE):
             addr = first_line_addr + off
-            macs[addr] = line_mac(addr,
-                                  ciphertext[off:off + CACHELINE_SIZE])
+            i = inner_copy()
+            i.update(addr.to_bytes(8, "little")
+                     + ciphertext[off:off + CACHELINE_SIZE])
+            o = outer_copy()
+            o.update(i.digest())
+            macs[addr] = o.digest()
         self.lines_encrypted += size // CACHELINE_SIZE
         return ciphertext
 
@@ -117,8 +120,10 @@ class Mee:
             raise ValueError("MEE operates on whole cachelines")
         macs = self._line_macs
         versions = self._versions
-        keystream = self._keystream
-        line_mac = self._line_mac
+        stream_copy = self._stream_base.copy
+        sha256 = hashlib.sha256
+        inner_copy = self._mac_inner.copy
+        outer_copy = self._mac_outer.copy
         stream = []
         for off in range(0, size, CACHELINE_SIZE):
             addr = first_line_addr + off
@@ -134,10 +139,20 @@ class Mee:
                         f"before first MEE write")
                 stream.append(line)
                 continue
-            if not hmac.compare_digest(expected, line_mac(addr, line)):
+            addr_bytes = addr.to_bytes(8, "little")
+            i = inner_copy()
+            i.update(addr_bytes + line)
+            o = outer_copy()
+            o.update(i.digest())
+            if not hmac.compare_digest(expected, o.digest()):
                 raise IntegrityViolation(
                     f"DRAM tampering detected on line {addr:#x}")
-            stream.append(keystream(addr, versions.get(addr, 0)))
+            h = stream_copy()
+            h.update(addr_bytes
+                     + versions.get(addr, 0).to_bytes(8, "little"))
+            block = h.digest()
+            stream.append(block)
+            stream.append(sha256(block).digest())
         self.lines_decrypted += size // CACHELINE_SIZE
         return (int.from_bytes(ciphertext, "little")
                 ^ int.from_bytes(b"".join(stream), "little")
@@ -158,11 +173,13 @@ class Mee:
 
     def root_mac(self) -> bytes:
         """MAC over all line MACs — the on-chip integrity-tree root."""
-        h = self._mac_base.copy()
+        inner = self._mac_inner.copy()
         for addr in sorted(self._line_macs):
-            h.update(addr.to_bytes(8, "little"))
-            h.update(self._line_macs[addr])
-        return h.digest()
+            inner.update(addr.to_bytes(8, "little"))
+            inner.update(self._line_macs[addr])
+        outer = self._mac_outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def forget_page(self, page_addr: int) -> None:
         """Drop per-line state for a reclaimed EPC page (EREMOVE/EWB)."""

@@ -1,9 +1,12 @@
 """RSA signature and KDF tests."""
 
+import hmac
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.kdf import hkdf, hkdf_stream, mac, mac_verify, sha256
+from repro.crypto.kdf import (hkdf, hkdf_stream, hmac_pads, mac, mac_verify,
+                              sha256)
 from repro.crypto.rsa import RsaPublicKey, generate_keypair
 from repro.errors import CryptoError
 
@@ -95,6 +98,27 @@ class TestKdf:
             hkdf(b"seal-key", b"version", counter.to_bytes(4, "little"))
             for counter in range((nbytes + 31) // 32))[:nbytes]
         assert hkdf_stream(b"seal-key", b"version", nbytes) == expected
+
+    @given(st.sampled_from([0, 1, 32, 63, 64, 65, 200]).flatmap(
+               lambda n: st.binary(min_size=n, max_size=n)),
+           st.binary(max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_pad_states_are_rfc2104_hmac(self, key, message):
+        """Keys shorter than, equal to and longer than the 64-byte
+        block (hashed first) give ``hmac``'s bytes."""
+        inner, outer = hmac_pads(key)
+        inner.update(message)
+        outer.update(inner.digest())
+        assert outer.digest() == hmac.new(key, message, "sha256").digest()
+
+    @pytest.mark.parametrize("key,nbytes", [
+        (b"seal-key", 4097), (b"seal-key", 3 * 4096 + 1),
+        (bytes(range(100)), 4096)])
+    def test_hkdf_stream_long_and_long_key(self, key, nbytes):
+        expected = b"".join(
+            hkdf(key, b"version", counter.to_bytes(4, "little"))
+            for counter in range((nbytes + 31) // 32))[:nbytes]
+        assert hkdf_stream(key, b"version", nbytes) == expected
 
     def test_sha256_known_answer(self):
         assert sha256(b"abc").hex() == (

@@ -4,10 +4,12 @@ import pytest
 
 from repro.core.access import NestedValidator
 from repro.errors import PageFault, SgxFault
+from repro.experiments.common import nested_host
 from repro.os import Kernel
 from repro.sdk import EnclaveBuilder, EnclaveHost, developer_key, parse_edl
 from repro.sgx.constants import (PAGE_SIZE, SmallMachineConfig,
                                  ST_INITIALIZED)
+from repro.sgx.eviction import VA_SLOTS_PER_PAGE
 from repro.sgx.machine import Machine
 
 SIMPLE_EDL = """
@@ -38,19 +40,23 @@ def write_u64(ctx, addr, value):
     return 0
 
 
+def _svc_image(heap_pages):
+    builder = EnclaveBuilder("svc", parse_edl(SIMPLE_EDL),
+                             signing_key=developer_key("svc"),
+                             heap_bytes=heap_pages * PAGE_SIZE)
+    builder.add_entry("touch_all", touch_all)
+    builder.add_entry("read_u64", read_u64)
+    builder.add_entry("write_u64", write_u64)
+    return builder.build()
+
+
 @pytest.fixture
 def world():
     machine = Machine(SmallMachineConfig(num_cores=4),
                       validator_cls=NestedValidator)
     kernel = Kernel(machine)
     host = EnclaveHost(machine, kernel)
-    builder = EnclaveBuilder("svc", parse_edl(SIMPLE_EDL),
-                             signing_key=developer_key("svc"),
-                             heap_bytes=8 * PAGE_SIZE)
-    builder.add_entry("touch_all", touch_all)
-    builder.add_entry("read_u64", read_u64)
-    builder.add_entry("write_u64", write_u64)
-    handle = host.load(builder.build())
+    handle = host.load(_svc_image(8))
     return machine, kernel, host, handle
 
 
@@ -167,3 +173,26 @@ class TestDriverEviction:
             assert kernel.driver.handle_page_fault(
                 handle.secs, heap_base + i * PAGE_SIZE)
         assert handle.ecall("touch_all") == 0
+
+    def test_reload_under_a_retired_version_array(self):
+        """More evictions than one VA page has slots: the driver moves
+        to a fresh VA, and pages sealed under the full one still reload
+        against it."""
+        host = nested_host(epc_bytes=8 << 20, mee_bytes=True)
+        handle = host.load(_svc_image(600))
+        driver = host.kernel.driver
+        heap = handle.base_addr + handle.image.heap_offset
+        pages = [heap + i * PAGE_SIZE for i in range(VA_SLOTS_PER_PAGE + 1)]
+        for i, page in enumerate(pages):
+            handle.ecall("write_u64", page, 0xA000 + i)
+        host.machine.flush_all_tlbs()
+        for page in pages:
+            driver.evict_page(handle.secs, page)
+        first = driver.loaded[handle.eid].evicted[pages[0]]
+        last = driver.loaded[handle.eid].evicted[pages[-1]]
+        assert first.va_frame != last.va_frame
+        driver.reload_page(handle.secs, pages[0])
+        driver.reload_page(handle.secs, pages[-1])
+        assert handle.ecall("read_u64", pages[0]) == 0xA000
+        assert handle.ecall("read_u64", pages[-1]) == \
+            0xA000 + VA_SLOTS_PER_PAGE

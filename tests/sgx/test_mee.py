@@ -173,6 +173,22 @@ class TestSpanCipher:
         with pytest.raises(ValueError):
             mee.decrypt_line(0, bytes(2 * CACHELINE_SIZE))
 
+    @pytest.mark.parametrize("line", [0, 2, 3])
+    def test_tampered_span_line_changes_nothing(self, line):
+        """A flipped byte in the first, a middle or the last line of a
+        span raises before any plaintext is returned, and leaves the
+        MEE's counters, versions, MACs and root as they were."""
+        mee = Mee(SmallMachineConfig())
+        base = 0x4000
+        cipher = bytearray(mee.encrypt_lines(base, bytes(range(256))))
+        state = (mee.lines_decrypted, dict(mee._versions),
+                 dict(mee._line_macs), mee.root_mac())
+        cipher[line * CACHELINE_SIZE + 17] ^= 0x01
+        with pytest.raises(IntegrityViolation):
+            mee.decrypt_lines(base, bytes(cipher))
+        assert state == (mee.lines_decrypted, mee._versions,
+                         mee._line_macs, mee.root_mac())
+
 
 class TestMachineIntegration:
     def test_dram_holds_ciphertext_for_epc(self, machine):

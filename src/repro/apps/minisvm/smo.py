@@ -9,6 +9,9 @@ the bias, and repeat until no multiplier moves for a full pass.
 
 Deterministic given the ``seed`` — important because the Fig. 9
 benchmark compares the *same* training run across two enclave layouts.
+Each error E_i is memoised until the next write to alpha or the bias,
+as the same strided-column dot a fresh call runs; a single
+``ay @ gram`` may sum in another order, which the thresholds amplify.
 """
 
 from __future__ import annotations
@@ -54,12 +57,20 @@ def train_binary(x: np.ndarray, y: np.ndarray, *, c: float = 1.0,
     rng = random.Random(seed)
     kfun = make_kernel(kernel, gamma)
     gram = kfun(x, x)
+    g, ys = gram.tolist(), y.tolist()
 
-    alpha = np.zeros(n)
+    alpha = [0.0] * n
+    ay, errors = np.multiply(alpha, y), [None] * n
     bias = 0.0
 
     def error(i: int) -> float:
-        return float((alpha * y) @ gram[:, i] + bias - y[i])
+        if errors[i] is None:
+            errors[i] = float(ay @ gram[:, i] + bias - ys[i])
+        return errors[i]
+
+    def forget() -> None:
+        np.multiply(alpha, y, out=ay)
+        errors[:] = [None] * n
 
     passes = 0
     iterations = 0
@@ -68,8 +79,8 @@ def train_binary(x: np.ndarray, y: np.ndarray, *, c: float = 1.0,
         for i in range(n):
             iterations += 1
             e_i = error(i)
-            if not ((y[i] * e_i < -tol and alpha[i] < c)
-                    or (y[i] * e_i > tol and alpha[i] > 0)):
+            if not ((ys[i] * e_i < -tol and alpha[i] < c)
+                    or (ys[i] * e_i > tol and alpha[i] > 0)):
                 continue
             # Second-choice heuristic: max |E_i - E_j| over a sample.
             candidates = rng.sample(range(n), min(n, 16))
@@ -81,7 +92,7 @@ def train_binary(x: np.ndarray, y: np.ndarray, *, c: float = 1.0,
             e_j = error(j)
 
             alpha_i_old, alpha_j_old = alpha[i], alpha[j]
-            if y[i] != y[j]:
+            if ys[i] != ys[j]:
                 low = max(0.0, alpha[j] - alpha[i])
                 high = min(c, c + alpha[j] - alpha[i])
             else:
@@ -89,34 +100,37 @@ def train_binary(x: np.ndarray, y: np.ndarray, *, c: float = 1.0,
                 high = min(c, alpha[i] + alpha[j])
             if low >= high:
                 continue
-            eta = 2.0 * gram[i, j] - gram[i, i] - gram[j, j]
+            eta = 2.0 * g[i][j] - g[i][i] - g[j][j]
             if eta >= 0:
                 continue
-            alpha[j] -= y[j] * (e_i - e_j) / eta
+            alpha[j] -= ys[j] * (e_i - e_j) / eta
             alpha[j] = min(high, max(low, alpha[j]))
             if abs(alpha[j] - alpha_j_old) < 1e-7:
+                if alpha[j] != alpha_j_old:   # alpha[j] stays clipped
+                    forget()
                 continue
-            alpha[i] += y[i] * y[j] * (alpha_j_old - alpha[j])
+            alpha[i] += ys[i] * ys[j] * (alpha_j_old - alpha[j])
 
             b1 = (bias - e_i
-                  - y[i] * (alpha[i] - alpha_i_old) * gram[i, i]
-                  - y[j] * (alpha[j] - alpha_j_old) * gram[i, j])
+                  - ys[i] * (alpha[i] - alpha_i_old) * g[i][i]
+                  - ys[j] * (alpha[j] - alpha_j_old) * g[i][j])
             b2 = (bias - e_j
-                  - y[i] * (alpha[i] - alpha_i_old) * gram[i, j]
-                  - y[j] * (alpha[j] - alpha_j_old) * gram[j, j])
+                  - ys[i] * (alpha[i] - alpha_i_old) * g[i][j]
+                  - ys[j] * (alpha[j] - alpha_j_old) * g[j][j])
             if 0 < alpha[i] < c:
                 bias = b1
             elif 0 < alpha[j] < c:
                 bias = b2
             else:
                 bias = (b1 + b2) / 2.0
+            forget()
             changed += 1
         passes = passes + 1 if changed == 0 else 0
 
-    support = alpha > 1e-8
+    support = np.array(alpha) > 1e-8
     return BinaryModel(
         support_vectors=x[support],
-        coefficients=(alpha * y)[support],
+        coefficients=ay[support],
         bias=bias,
         kernel_name=kernel,
         gamma=gamma)

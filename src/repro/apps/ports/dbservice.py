@@ -24,6 +24,7 @@ import base64
 
 from repro.apps.minidb import Database, parse
 from repro.apps.minidb import ast_nodes as ast
+from repro.apps.ports import handle_state
 from repro.crypto.gcm import AesGcm
 from repro.errors import CryptoError, SdkError
 from repro.perf.costmodel import NET_ROUND_TRIP_DB_NS
@@ -66,8 +67,8 @@ _DATABASES: dict[int, Database] = {}
 def _db_for(ctx) -> Database:
     db = _DATABASES.get(id(ctx.handle))
     if db is None:
-        db = Database(cost_model=ctx.host.machine.cost)
-        _DATABASES[id(ctx.handle)] = db
+        db = handle_state(_DATABASES, ctx.handle,
+                          Database(cost_model=ctx.host.machine.cost))
     return db
 
 
@@ -295,7 +296,7 @@ class NestedDbService:
         config = _TenantConfig()
         config.key = tenant_key
         config.encrypt_values = self.encrypt_values
-        _TENANTS[id(handle)] = config
+        handle_state(_TENANTS, handle, config)
         session = DbClientSession(handle, tenant_key)
         self.tenants.append(session)
         return session
@@ -330,7 +331,7 @@ class MonolithicDbService:
         config = _TenantConfig()
         config.key = tenant_key
         config.encrypt_values = self.encrypt_values
-        _TENANTS[id(handle)] = config
+        handle_state(_TENANTS, handle, config)
         session = DbClientSession(handle, tenant_key)
         self.tenants.append(session)
         self.handles.append(handle)

@@ -31,9 +31,11 @@ what makes the nested overhead land in the paper's 2–6 % band.
 from __future__ import annotations
 
 import hashlib
+import weakref
 
 from repro.apps.minissl import records
 from repro.apps.minissl.session import SslSession
+from repro.apps.ports import handle_state
 from repro.errors import ChannelError
 from repro.perf.costmodel import NET_ROUND_TRIP_ECHO_NS
 from repro.sdk import EnclaveBuilder, EnclaveHost, parse_edl
@@ -87,7 +89,7 @@ enclave {
 
 # Session registry keyed by handle identity (EIDs repeat across machine
 # instances): the Python-object half of the enclave state — the addresses
-# it holds point into enclave heaps.
+# it holds point into enclave heaps.  Entries go with their handle.
 _SESSIONS: dict[int, SslSession] = {}
 _PATCHED: dict[int, bool] = {}
 
@@ -96,9 +98,10 @@ def _session_for(ctx) -> SslSession:
     key = id(ctx.handle)
     session = _SESSIONS.get(key)
     if session is None:
-        session = SslSession(psk=_PSK, server_nonce=_SERVER_NONCE,
-                             patched=_PATCHED.get(key, False))
-        _SESSIONS[key] = session
+        session = handle_state(
+            _SESSIONS, ctx.handle,
+            SslSession(psk=_PSK, server_nonce=_SERVER_NONCE,
+                       patched=_PATCHED.get(key, False)))
     return session
 
 
@@ -158,9 +161,10 @@ def _mono_ssl_record(ctx, raw: bytes) -> bytes:
 # Inner = keys, record open/seal, application processing.
 
 class _InnerRegistry:
-    """Maps an outer EID to its inner handle (set at deployment time)."""
+    """Maps an outer EID to its inner handle (set at deployment time).
+    Weak values: the entry goes with the inner enclave's handle."""
 
-    by_outer: dict[int, object] = {}
+    by_outer: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _nested_ssl_accept(ctx, hello: bytes) -> bytes:
@@ -277,7 +281,7 @@ class MonolithicEchoServer(_EchoCommon):
         builder.add_entry("store_secret", _store_secret)
         builder.add_entry("release_secret", _release_secret)
         handle = host.load(builder.build())
-        _PATCHED[id(handle)] = patched
+        handle_state(_PATCHED, handle, patched)
         self.front = handle
         self.app = handle
 
@@ -323,5 +327,5 @@ class NestedEchoServer(_EchoCommon):
         self.app = host.load(inner_image)
         host.associate(self.app, self.front)
         _InnerRegistry.by_outer[self.front.eid] = self.app
-        _PATCHED[id(self.front)] = patched
-        _PATCHED[id(self.app)] = patched
+        handle_state(_PATCHED, self.front, patched)
+        handle_state(_PATCHED, self.app, patched)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.minisvm import SvcModel, svm_train
+from repro.apps.ports import handle_state
 from repro.crypto.gcm import AesGcm
 from repro.sdk import EnclaveBuilder, EnclaveHost, parse_edl
 from repro.sdk.builder import developer_key
@@ -109,8 +110,7 @@ _LIBRARIES: dict[int, _LibraryState] = {}
 def _library_for(handle) -> _LibraryState:
     state = _LIBRARIES.get(id(handle))
     if state is None:
-        state = _LibraryState()
-        _LIBRARIES[id(handle)] = state
+        state = handle_state(_LIBRARIES, handle, _LibraryState())
     return state
 
 
@@ -282,7 +282,7 @@ class NestedMlService:
         config = _ClientConfig()
         config.key = client_key
         config.private_columns = self.private_columns
-        _CLIENT_CONFIGS[id(handle)] = config
+        handle_state(_CLIENT_CONFIGS, handle, config)
         session = MlClientSession(self, handle, client_key)
         self.clients.append(session)
         return session
@@ -316,7 +316,7 @@ class MonolithicMlService:
         config = _ClientConfig()
         config.key = client_key
         config.private_columns = self.private_columns
-        _CLIENT_CONFIGS[id(handle)] = config
+        handle_state(_CLIENT_CONFIGS, handle, config)
         session = MlClientSession(self, handle, client_key)
         self.clients.append(session)
         self.handles.append(handle)

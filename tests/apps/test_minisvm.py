@@ -1,5 +1,7 @@
 """minisvm tests: kernels, SMO training, multi-class voting."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,94 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.minisvm import (SvmError, linear_kernel, make_kernel,
                                 rbf_kernel, svm_predict, svm_train,
                                 train_binary)
+from repro.apps.minisvm.smo import BinaryModel
+
+
+def reference_train_binary(x: np.ndarray, y: np.ndarray, *,
+                           c: float = 1.0, kernel: str = "rbf",
+                           gamma: float = 0.1, tol: float = 1e-3,
+                           max_passes: int = 5,
+                           max_iterations: int = 10_000,
+                           seed: int = 0) -> BinaryModel:
+    """The SMO loop the memoised one replaced, kept as the oracle: every
+    ``error(i)`` rebuilds ``alpha * y`` and runs its own dot, and every
+    scalar is read from the numpy arrays."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 1 or len(x) != len(y):
+        raise SvmError("x must be (n, d) and y must be (n,)")
+    if not set(np.unique(y)) <= {-1.0, 1.0}:
+        raise SvmError("labels must be -1/+1")
+    n = len(x)
+    rng = random.Random(seed)
+    kfun = make_kernel(kernel, gamma)
+    gram = kfun(x, x)
+
+    alpha = np.zeros(n)
+    bias = 0.0
+
+    def error(i: int) -> float:
+        return float((alpha * y) @ gram[:, i] + bias - y[i])
+
+    passes = 0
+    iterations = 0
+    while passes < max_passes and iterations < max_iterations:
+        changed = 0
+        for i in range(n):
+            iterations += 1
+            e_i = error(i)
+            if not ((y[i] * e_i < -tol and alpha[i] < c)
+                    or (y[i] * e_i > tol and alpha[i] > 0)):
+                continue
+            # Second-choice heuristic: max |E_i - E_j| over a sample.
+            candidates = rng.sample(range(n), min(n, 16))
+            j = max((k for k in candidates if k != i),
+                    key=lambda k: abs(e_i - error(k)),
+                    default=None)
+            if j is None:
+                continue
+            e_j = error(j)
+
+            alpha_i_old, alpha_j_old = alpha[i], alpha[j]
+            if y[i] != y[j]:
+                low = max(0.0, alpha[j] - alpha[i])
+                high = min(c, c + alpha[j] - alpha[i])
+            else:
+                low = max(0.0, alpha[i] + alpha[j] - c)
+                high = min(c, alpha[i] + alpha[j])
+            if low >= high:
+                continue
+            eta = 2.0 * gram[i, j] - gram[i, i] - gram[j, j]
+            if eta >= 0:
+                continue
+            alpha[j] -= y[j] * (e_i - e_j) / eta
+            alpha[j] = min(high, max(low, alpha[j]))
+            if abs(alpha[j] - alpha_j_old) < 1e-7:
+                continue
+            alpha[i] += y[i] * y[j] * (alpha_j_old - alpha[j])
+
+            b1 = (bias - e_i
+                  - y[i] * (alpha[i] - alpha_i_old) * gram[i, i]
+                  - y[j] * (alpha[j] - alpha_j_old) * gram[i, j])
+            b2 = (bias - e_j
+                  - y[i] * (alpha[i] - alpha_i_old) * gram[i, j]
+                  - y[j] * (alpha[j] - alpha_j_old) * gram[j, j])
+            if 0 < alpha[i] < c:
+                bias = b1
+            elif 0 < alpha[j] < c:
+                bias = b2
+            else:
+                bias = (b1 + b2) / 2.0
+            changed += 1
+        passes = passes + 1 if changed == 0 else 0
+
+    support = alpha > 1e-8
+    return BinaryModel(
+        support_vectors=x[support],
+        coefficients=(alpha * y)[support],
+        bias=bias,
+        kernel_name=kernel,
+        gamma=gamma)
 
 
 class TestKernels:
@@ -94,6 +184,49 @@ class TestBinarySmo:
         model = train_binary(x, y, kernel="linear", seed=seed)
         decision = model.decision(x)
         assert np.all(np.where(decision >= 0, 1, -1) == model.predict(x))
+
+
+def _bench_blobs(n, seed):
+    """The svm bench's training shape: two blobs in 8 features, with the
+    two private columns zeroed as the inner enclave does."""
+    rng = np.random.default_rng(seed)
+    pos = max(n // 2, 1)
+    x = np.vstack([rng.normal(-1.0, 0.3, (pos, 8)),
+                   rng.normal(1.0, 0.3, (n - pos, 8))])
+    x[:, :2] = 0.0
+    y = np.array([1.0] * pos + [-1.0] * (n - pos))
+    return x, y
+
+
+def _model_bytes(model):
+    return (model.support_vectors.shape, model.support_vectors.tobytes(),
+            model.coefficients.tobytes(), np.float64(model.bias).tobytes())
+
+
+class TestSmoMatchesReference:
+    """Byte-for-byte differential test against the reference loop.  The
+    bench digests and the results document do not pin SMO numerics (a
+    looser ``tol`` moves every bias yet passes both), so this does."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("n", [1, 2, 16, 40, 62])
+    def test_bench_shaped_sweep(self, n, seed):
+        x, y = _bench_blobs(n, seed)
+        for kernel in ("linear", "rbf"):
+            for c in (0.1, 1.0, 10.0):
+                kwargs = dict(c=c, kernel=kernel, gamma=1 / 8, seed=seed)
+                assert _model_bytes(train_binary(x, y, **kwargs)) \
+                    == _model_bytes(reference_train_binary(x, y, **kwargs))
+
+    def test_max_iterations_cut(self):
+        x, y = _separable(seed=4)
+        y[::5] *= -1.0     # label noise keeps SMO busy past the cap
+        kwargs = dict(c=10.0, kernel="rbf", gamma=2.0, seed=4)
+        capped = train_binary(x, y, max_iterations=50, **kwargs)
+        assert _model_bytes(capped) == _model_bytes(
+            reference_train_binary(x, y, max_iterations=50, **kwargs))
+        assert _model_bytes(capped) \
+            != _model_bytes(train_binary(x, y, **kwargs))
 
 
 class TestMultiClass:

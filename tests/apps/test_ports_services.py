@@ -1,13 +1,17 @@
 """Integration tests for the ML-service, DB-service, fastcomm and
 library-sharing ports (case studies VI-B / VI-C)."""
 
+import gc
 import hashlib
 
 import numpy as np
 import pytest
 
+from repro.apps.minissl.client import SslClient
+from repro.apps.ports import dbservice, echo, mlservice
 from repro.apps.ports.dbservice import (MonolithicDbService,
                                         NestedDbService)
+from repro.apps.ports.echo import MonolithicEchoServer, NestedEchoServer
 from repro.apps.ports.fastcomm import (GcmChannelDeployment,
                                        NestedChannelDeployment)
 from repro.apps.ports.mlservice import (MonolithicMlService,
@@ -140,6 +144,59 @@ class TestDbService:
         tenant.execute("INSERT INTO t VALUES (5, 'val')")
         assert tenant.execute("SELECT v FROM t WHERE k = 5") \
             == [("val",)]
+
+
+class TestPerHandleState:
+    """The ports keep per-enclave state in module-level dicts keyed by
+    ``id(handle)``.  An entry must go with its handle: otherwise the dicts
+    grow with every deployment, and a recycled id hands a fresh enclave
+    a dead one's state."""
+
+    REGISTRIES = (mlservice._LIBRARIES, mlservice._CLIENT_CONFIGS,
+                  dbservice._DATABASES, dbservice._TENANTS,
+                  echo._SESSIONS, echo._PATCHED)
+    X = np.array([[1.0, 1.0], [1.2, 0.8], [-1.0, -1.0], [-0.8, -1.2]])
+    Y = np.array([1, 1, 2, 2])
+
+    def _deploy_everything(self) -> list:
+        """Use every port on its own host; return the handles' ids."""
+        handles = []
+        for cls in (NestedMlService, MonolithicMlService):
+            service = cls(fresh_host())
+            service.add_client(key_for(b"a")).train(self.X, self.Y)
+            handles.extend(service.host.handles)
+        for cls in (NestedDbService, MonolithicDbService):
+            service = cls(fresh_host())
+            tenant = service.add_tenant(key_for(b"t"))
+            tenant.execute("CREATE TABLE t (k INTEGER PRIMARY KEY)")
+            handles.extend(service.host.handles)
+        for cls in (MonolithicEchoServer, NestedEchoServer):
+            server = cls(fresh_host())
+            client = SslClient(psk=echo._PSK, nonce=bytes(32))
+            server.client_finished(client.finish(
+                server.accept(client.hello())))
+            handles.extend(server.host.handles)
+        keys = [id(handle) for handle in handles]
+        assert all(any(key in registry for registry in self.REGISTRIES)
+                   for key in keys)
+        return keys
+
+    def test_collected_handles_leave_every_registry(self):
+        keys = self._deploy_everything()
+        gc.collect()
+        assert not [key for key in keys for registry in self.REGISTRIES
+                    if key in registry]
+
+    def test_fresh_service_starts_with_model_one(self):
+        """Each service is freed before the next, so its handles' ids
+        are free for reuse: none of its state may reach the next one."""
+        for _ in range(20):
+            service = NestedMlService(fresh_host())
+            client = service.add_client(key_for(b"a"))
+            assert client.train(self.X, self.Y) == 1
+            assert len(service.library_observed()) == 1
+            del service, client
+            gc.collect()
 
 
 class TestFastcomm:

@@ -3,11 +3,25 @@
 minidb is the repo's stand-in for SQLite in case study §VI-B / Table VI:
 a small but real SQL engine (lexer → recursive-descent parser → executor
 with tables and indexes).  This module produces the token stream.
+
+One compiled master regex matches a token (after any whitespace and
+``--`` comments) per step, so the base64 ciphertext literals the inner
+enclave writes into every rewritten statement cost one C-level scan
+instead of a Python loop per character.  The classes follow ``str``:
+a digit is anything ``str.isdigit`` accepts, a word starts with
+``isalpha()`` or ``_`` and continues with ``isalnum()`` or ``_``.  On
+ASCII input ``\\d`` and ``[^\\W\\d]`` are exactly those classes; beyond
+ASCII they are not (``²`` is a digit but not ``\\d``, ``½`` is ``\\w``
+but cannot start a word), so non-ASCII input uses the same pattern with
+exact classes, built from one scan of every code point on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+import sys
+from functools import lru_cache
+from typing import NamedTuple
 
 from repro.errors import ReproError
 
@@ -28,8 +42,7 @@ SYMBOLS = ("<=", ">=", "!=", "<>", "=", "<", ">", "(", ")", ",", "*",
            ";", ".")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str       # KEYWORD | IDENT | INT | FLOAT | STRING | SYMBOL | EOF
     value: str
     position: int
@@ -38,81 +51,85 @@ class Token:
         return f"{self.kind}:{self.value!r}"
 
 
+#: A leading '-' begins a number only where a value can appear: at the
+#: start, or after one of these (kind, value) tokens.
+_VALUE_AFTER = frozenset(
+    [("SYMBOL", s) for s in ("(", ",", "=", "<", ">", "<=", ">=", "!=",
+                             "<>")]
+    + [("KEYWORD", k) for k in ("VALUES", "WHERE", "AND", "OR", "SET",
+                                "LIMIT")])
+
+# Group numbers are what ``tokenize`` dispatches on (``lastindex``).
+_STRING, _FLOAT, _INT, _WORD, _SYMBOL, _OTHER = range(1, 7)
+
+_MASTER = r"""
+    (?:\s+|--[^\n]*)*                   # whitespace and comments
+    (?:
+        ('[^']*(?:''[^']*)*')(?!')      # 1 string; '' is a quote
+      | (-?{digit}+\.{digit}*)          # 2 float: one '.'
+      | (-?{digit}+)                    # 3 int
+      | ({word_start}\w*)               # 4 keyword or identifier
+      | ({symbols})                     # 5 symbol, longest first
+      | (.)                             # 6 anything else: an error
+    )?                                  # none: end of input
+"""
+
+
+def _compile(digit: str, word_start: str) -> re.Pattern:
+    symbols = "|".join(re.escape(s) for s in
+                       sorted(SYMBOLS, key=len, reverse=True))
+    return re.compile(_MASTER.format(digit=digit, word_start=word_start,
+                                     symbols=symbols),
+                      re.VERBOSE | re.DOTALL)
+
+
+_ASCII = _compile(r"\d", r"[^\W\d]")
+
+
+@lru_cache(maxsize=None)
+def _unicode() -> re.Pattern:
+    """The master with exact ``isdigit``/``isalpha`` classes.  ``\\s``
+    and ``\\w`` already equal ``isspace`` and ``isalnum() or '_'`` on
+    every code point; ``\\d`` misses the non-decimal digits and
+    ``[^\\W\\d]`` admits the other non-alphabetic numerics."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    digits = re.sub(r"\d", "", "".join(filter(str.isdigit, every)))
+    numerics = "".join(c for c in re.findall(r"[^\W\d]", every)
+                       if not c.isalpha() and c != "_")
+    return _compile(rf"[\d{digits}]", rf"[^\W\d{numerics}]")
+
+
 def tokenize(sql: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and sql[i:i + 2] == "--":      # comment to EOL
-            while i < n and sql[i] != "\n":
-                i += 1
-            continue
-        if ch == "'":                               # string literal
-            j = i + 1
-            chunks = []
-            while True:
-                if j >= n:
-                    raise SqlError(f"unterminated string at {i}")
-                if sql[j] == "'":
-                    if sql[j:j + 2] == "''":        # escaped quote
-                        chunks.append("'")
-                        j += 2
-                        continue
-                    break
-                chunks.append(sql[j])
-                j += 1
-            tokens.append(Token("STRING", "".join(chunks), i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and sql[i + 1].isdigit()
-                            and _number_context(tokens)):
-            j = i + 1
-            is_float = False
-            while j < n and (sql[j].isdigit() or sql[j] == "."):
-                if sql[j] == ".":
-                    if is_float:
-                        break
-                    is_float = True
-                j += 1
-            text = sql[i:j]
-            tokens.append(Token("FLOAT" if is_float else "INT", text, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (sql[j].isalnum() or sql[j] == "_"):
-                j += 1
-            word = sql[i:j]
-            upper = word.upper()
+    append = tokens.append
+    new = tuple.__new__
+    master = _ASCII if sql.isascii() else _unicode()
+    for match in master.finditer(sql):
+        group = match.lastindex
+        if group is None:
+            break
+        text = match[group]
+        position = match.start(group)
+        if group == _WORD:
+            upper = text.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("KEYWORD", upper, i))
+                append(new(Token, ("KEYWORD", upper, position)))
             else:
-                tokens.append(Token("IDENT", word, i))
-            i = j
-            continue
-        for sym in SYMBOLS:
-            if sql.startswith(sym, i):
-                tokens.append(Token("SYMBOL", sym, i))
-                i += len(sym)
-                break
+                append(new(Token, ("IDENT", text, position)))
+        elif group == _SYMBOL:
+            append(new(Token, ("SYMBOL", text, position)))
+        elif group == _STRING:
+            append(new(Token, ("STRING", text[1:-1].replace("''", "'"),
+                               position)))
+        elif group != _OTHER:
+            if text[0] == "-" and tokens \
+                    and tokens[-1][:2] not in _VALUE_AFTER:
+                raise SqlError(f"unexpected character '-' at {position}")
+            append(new(Token, ("FLOAT" if group == _FLOAT else "INT",
+                               text, position)))
+        elif text == "'":
+            raise SqlError(f"unterminated string at {position}")
         else:
-            raise SqlError(f"unexpected character {ch!r} at {i}")
-    tokens.append(Token("EOF", "", n))
+            raise SqlError(f"unexpected character {text!r} at {position}")
+    append(new(Token, ("EOF", "", len(sql))))
     return tokens
-
-
-def _number_context(tokens: list[Token]) -> bool:
-    """A leading '-' begins a number only where a value can appear."""
-    if not tokens:
-        return True
-    prev = tokens[-1]
-    return (prev.kind == "SYMBOL" and prev.value in ("(", ",", "=", "<",
-                                                     ">", "<=", ">=",
-                                                     "!=", "<>")) \
-        or (prev.kind == "KEYWORD" and prev.value in ("VALUES", "WHERE",
-                                                      "AND", "OR", "SET",
-                                                      "LIMIT"))

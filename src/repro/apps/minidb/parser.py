@@ -165,7 +165,7 @@ class Parser:
                 self.accept("KEYWORD", "ASC")
         limit = None
         if self.accept("KEYWORD", "LIMIT"):
-            limit = int(self.expect("INT").value)
+            limit = self._number(self.expect("INT"))
         return ast.Select(table=table, columns=columns, where=where,
                           order_by=order_by, descending=descending,
                           limit=limit, count=count,
@@ -242,16 +242,24 @@ class Parser:
 
     def _literal(self) -> Any:
         token = self.advance()
-        if token.kind == "INT":
-            return int(token.value)
-        if token.kind == "FLOAT":
-            return float(token.value)
+        if token.kind in ("INT", "FLOAT"):
+            return self._number(token)
         if token.kind == "STRING":
             return token.value
         if token.kind == "KEYWORD" and token.value == "NULL":
             return None
         raise SqlError(f"expected a literal, got {token.value!r} at "
                        f"{token.position}")
+
+    @staticmethod
+    def _number(token: Token) -> int | float:
+        """The lexer's digits are ``str.isdigit``'s, which include
+        non-decimal ones such as ``²`` that ``int``/``float`` refuse."""
+        try:
+            return (float if token.kind == "FLOAT" else int)(token.value)
+        except ValueError:
+            raise SqlError(f"bad number {token.value!r} at "
+                           f"{token.position}") from None
 
 
 def parse(sql: str):

@@ -16,13 +16,20 @@ The value encryption in step (c) is the "inner enclave … encrypts data"
 of the paper: the shared database only ever stores ciphertext for
 client values, so neither the DB library nor other tenants can read
 them; the inner enclave decrypts result rows on the way back.
+
+Result cells cross the outer→inner boundary as ``repr`` text and come
+back through ``ast.literal_eval``, never ``eval``: the inner enclave
+trusts the shared service with ciphertext, not with code, so a cell
+that is not a plain literal is a :class:`SqlError`.
 """
 
 from __future__ import annotations
 
 import base64
+import re
+from ast import literal_eval
 
-from repro.apps.minidb import Database, parse
+from repro.apps.minidb import Database, SqlError, parse
 from repro.apps.minidb import ast_nodes as ast
 from repro.apps.ports import handle_state
 from repro.crypto.gcm import AesGcm
@@ -85,6 +92,25 @@ def _encode_result(result) -> bytes:
     return ("ROWS\n" + "\n".join(lines)).encode()
 
 
+#: ``repr`` of a str with nothing to unescape: a quote, then no quote,
+#: backslash, control character or surrogate, then a quote.  For such a
+#: cell ``literal_eval`` returns the text between the quotes (checked on
+#: every code point), so it skips the Python parser.
+_PLAIN_STR = re.compile(r"'[^'\\\x00-\x1f\x7f\ud800-\udfff]*'")
+
+
+def _literal(text: str):
+    """One result cell: a Python literal, or a typed error."""
+    if _PLAIN_STR.fullmatch(text):
+        return text[1:-1]
+    try:
+        return literal_eval(text)
+    except (ValueError, TypeError, SyntaxError, MemoryError,
+            RecursionError):
+        raise SqlError(f"result cell is not a literal: {text[:40]!r}") \
+            from None
+
+
 def decode_result(raw: bytes):
     """Inverse of the service's wire encoding (client-side helper)."""
     text = raw.decode()
@@ -97,7 +123,7 @@ def decode_result(raw: bytes):
     rows = []
     if body:
         for line in body.split("\n"):
-            row = tuple(None if cell == "NULL" else eval(cell)  # noqa: S307
+            row = tuple(None if cell == "NULL" else _literal(cell)
                         for cell in line.split("\x1f"))
             rows.append(row)
     return rows
@@ -138,7 +164,7 @@ def _open_value(gcm: AesGcm, stored):
         # Another tenant's ciphertext: this tenant's key cannot open
         # it, so the cell stays opaque — the isolation property.
         return stored
-    return eval(raw.decode())  # noqa: S307 - repr of simple literals
+    return _literal(raw.decode())
 
 
 def _rewrite_sql(gcm: AesGcm, sql: str, machine) -> str:

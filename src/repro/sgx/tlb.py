@@ -22,8 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(slots=True)
+@dataclass
 class TlbEntry:
+    # Explicit rather than ``dataclass(slots=True)``, which needs 3.10.
+    __slots__ = ("vpn", "pfn", "perms", "context_eid")
+
     vpn: int
     pfn: int
     perms: int

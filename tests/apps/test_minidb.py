@@ -1,11 +1,100 @@
 """minidb SQL engine tests: lexer, parser, executor, indexes,
 transactions."""
 
+import ast as python_ast
+import re
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.minidb import Database, SqlError, parse, tokenize
 from repro.apps.minidb import ast_nodes as ast
+from repro.apps.minidb import parser as parser_module
+from repro.apps.minidb.lexer import KEYWORDS, SYMBOLS, Token
+
+
+def reference_tokenize(sql: str) -> list[Token]:
+    """The character-loop tokenizer the master regex replaced, kept as
+    the oracle for tokens, error messages and positions."""
+    tokens: list[Token] = []
+    i = 0
+    n = len(sql)
+    while i < n:
+        ch = sql[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "-" and sql[i:i + 2] == "--":      # comment to EOL
+            while i < n and sql[i] != "\n":
+                i += 1
+            continue
+        if ch == "'":                               # string literal
+            j = i + 1
+            chunks = []
+            while True:
+                if j >= n:
+                    raise SqlError(f"unterminated string at {i}")
+                if sql[j] == "'":
+                    if sql[j:j + 2] == "''":        # escaped quote
+                        chunks.append("'")
+                        j += 2
+                        continue
+                    break
+                chunks.append(sql[j])
+                j += 1
+            tokens.append(Token("STRING", "".join(chunks), i))
+            i = j + 1
+            continue
+        if ch.isdigit() or (ch == "-" and i + 1 < n and sql[i + 1].isdigit()
+                            and _reference_number_context(tokens)):
+            j = i + 1
+            is_float = False
+            while j < n and (sql[j].isdigit() or sql[j] == "."):
+                if sql[j] == ".":
+                    if is_float:
+                        break
+                    is_float = True
+                j += 1
+            text = sql[i:j]
+            tokens.append(Token("FLOAT" if is_float else "INT", text, i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (sql[j].isalnum() or sql[j] == "_"):
+                j += 1
+            word = sql[i:j]
+            upper = word.upper()
+            if upper in KEYWORDS:
+                tokens.append(Token("KEYWORD", upper, i))
+            else:
+                tokens.append(Token("IDENT", word, i))
+            i = j
+            continue
+        for sym in SYMBOLS:
+            if sql.startswith(sym, i):
+                tokens.append(Token("SYMBOL", sym, i))
+                i += len(sym)
+                break
+        else:
+            raise SqlError(f"unexpected character {ch!r} at {i}")
+    tokens.append(Token("EOF", "", n))
+    return tokens
+
+
+def _reference_number_context(tokens: list[Token]) -> bool:
+    """A leading '-' begins a number only where a value can appear."""
+    if not tokens:
+        return True
+    prev = tokens[-1]
+    return (prev.kind == "SYMBOL" and prev.value in ("(", ",", "=", "<",
+                                                     ">", "<=", ">=",
+                                                     "!=", "<>")) \
+        or (prev.kind == "KEYWORD" and prev.value in ("VALUES", "WHERE",
+                                                      "AND", "OR", "SET",
+                                                      "LIMIT"))
 
 
 @pytest.fixture
@@ -53,6 +142,158 @@ class TestLexer:
     def test_unexpected_character(self):
         with pytest.raises(SqlError):
             tokenize("SELECT @ FROM t")
+
+
+class TestLexerMatchesReference:
+    """``tokenize`` against ``reference_tokenize``: the same (kind, value,
+    position) list, or the same ``SqlError`` message."""
+
+    PIECES = ("SELECT", "select", "FROM", "WHERE", "VALUES", "LIMIT",
+              "AND", "x", "_y9", "é", "ß", "0", "7", "12", ".", "-",
+              "--", "'", "''", "'a'", " ", "\n", "\t", "\x1c", "(", ")",
+              ",", "=", "<", ">", "<=", ">=", "!=", "<>", "!", "*", ";",
+              "@", "²", "½", "١", "enc:QUJD+/==")
+
+    @staticmethod
+    def _outcome(tokenizer, sql: str):
+        try:
+            return [(t.kind, t.value, t.position) for t in tokenizer(sql)]
+        except SqlError as exc:
+            return str(exc)
+
+    def _check(self, sql: str) -> None:
+        assert self._outcome(tokenize, sql) \
+            == self._outcome(reference_tokenize, sql), repr(sql)
+
+    @pytest.mark.parametrize("sql", [
+        "'abc''", "''''", "1.2.3", "1..2", "--x\n1", "-5", "(-5", "x -5",
+        "x = -5", "LIMIT -5", "²", "1²", "½", "x½", "é", "\x1c", "", "'",
+        "--", "a'b''c'd", "SELECT 'oops"])
+    def test_pinned(self, sql):
+        self._check(sql)
+
+    def test_pinned_outcomes(self):
+        with pytest.raises(SqlError, match="^unterminated string at 0$"):
+            tokenize("'abc''")
+        assert tokenize("''''")[0] == Token("STRING", "'", 0)
+        assert [t.value for t in tokenize("1.2.3")] == ["1.2", ".", "3", ""]
+        assert [t.value for t in tokenize("1..2")] == ["1.", ".", "2", ""]
+        assert tokenize("--x\n1")[0] == Token("INT", "1", 4)
+        assert tokenize("(-5")[1] == Token("INT", "-5", 1)
+        with pytest.raises(SqlError, match="^unexpected character '-' at 2$"):
+            tokenize("x -5")
+        assert tokenize("²")[0] == Token("INT", "²", 0)
+        with pytest.raises(SqlError, match="^unexpected character '½' at 0$"):
+            tokenize("½")
+        assert tokenize("é")[0] == Token("IDENT", "é", 0)
+        assert tokenize("\x1c") == [Token("EOF", "", 1)]
+
+    @given(st.text())
+    @settings(max_examples=400, deadline=None)
+    def test_any_text(self, sql):
+        self._check(sql)
+
+    @given(st.lists(st.sampled_from(PIECES), max_size=24).map("".join))
+    @settings(max_examples=600, deadline=None)
+    def test_sql_shaped(self, sql):
+        self._check(sql)
+
+    def test_every_code_point_where_ascii_classes_differ(self):
+        """Beyond ASCII, ``\\d`` misses digits and ``[^\\W\\d]`` admits
+        non-alphabetic numerics; try each such code point in every
+        position a class decides."""
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        digits = set(filter(str.isdigit, every)) \
+            - set(re.findall(r"\d", every))
+        numerics = {c for c in re.findall(r"[^\W\d]", every)
+                    if not c.isalpha() and c != "_"}
+        assert digits and digits <= numerics
+        for c in sorted(numerics):
+            for sql in (c, "a" + c, "1" + c, "1." + c, "(-" + c, c + "a"):
+                self._check(sql)
+
+    def test_regex_classes_are_the_str_predicates(self):
+        """The master regex relies on ``\\s`` and ``\\w`` being exactly
+        ``isspace`` and ``isalnum() or '_'`` on every code point."""
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert set(re.findall(r"\s", every)) \
+            == set(filter(str.isspace, every))
+        assert set(re.findall(r"\w", every)) \
+            == set(filter(str.isalnum, every)) | {"_"}
+
+    def test_test_file_corpora(self):
+        """Every string constant in the minidb test files."""
+        for path in sorted(Path(__file__).parent.glob("test_minidb*.py")):
+            tree = python_ast.parse(path.read_text(encoding="utf-8"))
+            for node in python_ast.walk(tree):
+                if isinstance(node, python_ast.Constant) \
+                        and isinstance(node.value, str):
+                    self._check(node.value)
+
+    @staticmethod
+    def _statements(monkeypatch, run) -> set:
+        """Every statement ``parse`` saw during ``run()``: originals in
+        the inner enclave, base64-rewritten ones in the database."""
+        seen = set()
+        real = parser_module.tokenize
+
+        def recording(sql):
+            seen.add(sql)
+            return real(sql)
+
+        monkeypatch.setattr(parser_module, "tokenize", recording)
+        run()
+        monkeypatch.undo()
+        return seen
+
+    def test_table6_quick_run(self, monkeypatch):
+        from repro.experiments.registry import specs
+        statements = self._statements(monkeypatch, specs()["table6"].quick)
+        assert any("enc:" in sql for sql in statements)
+        for sql in statements:
+            self._check(sql)
+
+    def test_ycsb_bench_run(self, monkeypatch):
+        workloads = pytest.importorskip("bench.workloads")
+
+        def run():
+            workload = workloads.Ycsb(seed=1)
+            for i in range(40):
+                inp = workload.next_input(i)
+                assert workload.check(inp, workload.op(inp))
+
+        statements = self._statements(monkeypatch, run)
+        assert any("enc:" in sql for sql in statements)
+        for sql in statements:
+            self._check(sql)
+
+
+class TestTokens:
+    def test_token_is_an_immutable_tuple(self):
+        token = tokenize("x")[0]
+        assert token == ("IDENT", "x", 0)
+        assert repr(token) == "IDENT:'x'"
+        with pytest.raises(AttributeError):
+            token.value = "y"
+
+
+class TestNonDecimalDigits:
+    """``str.isdigit`` takes digits such as ``²`` that ``int``/``float``
+    refuse: the lexer keeps them (as the reference does), and the parser
+    raises a typed error at the token instead of a bare ValueError."""
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT * FROM t LIMIT ²",
+        "INSERT INTO t VALUES (1²)",
+        "INSERT INTO t VALUES (1.2²)",
+    ])
+    def test_sql_error_at_the_token(self, sql):
+        with pytest.raises(SqlError, match=r"^bad number '.*²' at 22$"):
+            parse(sql)
+
+    def test_database_reports_it_as_sql_error(self, db):
+        with pytest.raises(SqlError):
+            db.execute("INSERT INTO users VALUES (4², 'dave', 1.0)")
 
 
 class TestParser:

@@ -3,10 +3,13 @@ library-sharing ports (case studies VI-B / VI-C)."""
 
 import gc
 import hashlib
+from ast import literal_eval
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.apps.minidb import SqlError
 from repro.apps.minissl.client import SslClient
 from repro.apps.ports import dbservice, echo, mlservice
 from repro.apps.ports.dbservice import (MonolithicDbService,
@@ -95,6 +98,16 @@ class TestMlService:
             client.train(x, y)
 
 
+#: Flipped only if a result cell from the DB library runs as code.
+_ROGUE_CALLS: list = []
+
+
+def _rogue_db_execute(ctx, sql):
+    """A compromised DB library: its reply carries a call, not data."""
+    cell = f"__import__('sys').modules[{__name__!r}]._ROGUE_CALLS.append(1)"
+    return f"ROWS\n{cell}".encode()
+
+
 class TestDbService:
     def test_tenant_crud(self):
         service = NestedDbService(fresh_host())
@@ -137,6 +150,17 @@ class TestDbService:
         # own key fails to open it, so the cell comes back undecrypted).
         assert rows != [("a-secret",)]
 
+    def test_rogue_library_cannot_run_code_in_tenant(self, monkeypatch):
+        """The outer enclave returns result cells to the inner one; they
+        are decoded as literals, so a call expression is an error and
+        never runs."""
+        monkeypatch.setattr(dbservice, "_db_execute", _rogue_db_execute)
+        service = NestedDbService(fresh_host())
+        tenant = service.add_tenant(key_for(b"t"))
+        with pytest.raises(SqlError, match="not a literal"):
+            tenant.execute("SELECT v FROM t WHERE k = 1")
+        assert _ROGUE_CALLS == []
+
     def test_monolithic_equivalent_results(self):
         mono = MonolithicDbService(fresh_host())
         tenant = mono.add_tenant(key_for(b"m"))
@@ -144,6 +168,46 @@ class TestDbService:
         tenant.execute("INSERT INTO t VALUES (5, 'val')")
         assert tenant.execute("SELECT v FROM t WHERE k = 5") \
             == [("val",)]
+
+
+@pytest.mark.filterwarnings("ignore:invalid escape sequence")
+class TestResultCells:
+    """``dbservice._literal`` decodes a result cell exactly as
+    ``ast.literal_eval`` does, its plain-string fast path included, and
+    turns every refusal into ``SqlError``."""
+
+    @staticmethod
+    def _same_as_literal_eval(cell: str) -> None:
+        try:
+            expected = ("value", literal_eval(cell))
+        except (ValueError, TypeError, SyntaxError, MemoryError,
+                RecursionError):
+            expected = ("error", None)
+        try:
+            got = ("value", dbservice._literal(cell))
+        except SqlError:
+            got = ("error", None)
+        assert got == expected, repr(cell)
+        if got[0] == "value":
+            assert type(got[1]) is type(expected[1])
+
+    @given(st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_any_text(self, text):
+        for cell in (repr(text), f"'{text}'", text):
+            self._same_as_literal_eval(cell)
+
+    def test_every_ascii_character_in_quotes(self):
+        for code in range(128):
+            for cell in (f"'{chr(code)}'", f"'a{chr(code)}b'"):
+                self._same_as_literal_eval(cell)
+
+    @pytest.mark.parametrize("cell", [
+        "'enc:QUJD+/=='", "'it''s'", "'\\x41'", "''", "'\ud800'", "7",
+        "-7", "2.5", "1e999", "'a' 'b'", "b'x'", "None", "[1, 2]",
+        "print('x')", "__import__('os')", "x"])
+    def test_pinned(self, cell):
+        self._same_as_literal_eval(cell)
 
 
 class TestPerHandleState:

@@ -1,5 +1,7 @@
 """Switchless-call tests: functionality and cost structure."""
 
+from __future__ import annotations
+
 import pytest
 
 from repro.core import NestedValidator

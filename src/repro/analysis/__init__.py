@@ -13,16 +13,23 @@ Occlum for SFI: validate at build time, don't trust convention):
   secret-named parameters declared on untrusted boundaries, and dead
   interface surface never bound by any port runtime.
 * :mod:`repro.analysis.simlint` — an ``ast`` pass over all of
-  ``src/repro`` (rules ``SIM001``–``SIM005``): direct DRAM/PRM access
-  outside the validation automaton, wall-clock reads, unseeded RNGs,
-  bare/broad ``except``, and hard-coded latency constants outside
-  :mod:`repro.perf.costmodel`.
-* :mod:`repro.analysis.taint` — a cross-boundary taint check over
-  every module that forms or forwards the ocall boundary (the ports,
-  miniSSL, :mod:`repro.sdk.runtime`, :mod:`repro.sdk.secure_channel`):
-  key material (GCM and session keys, ``EGETKEY`` results) must never
-  flow into an ocall argument (``TAINT001``) or into an EDL-declared
-  untrusted out-parameter (``TAINT002``).
+  ``src/repro`` (rules ``SIM001``–``SIM006`` and ``SIM008``): direct
+  DRAM/PRM access outside the validation automaton, wall-clock reads,
+  unseeded RNGs, bare/broad ``except``, hard-coded latency constants
+  outside :mod:`repro.perf.costmodel`, host time on fault paths, and
+  per-access validator calls outside the translation leaf.
+* :mod:`repro.analysis.flow` — the whole-repo dataflow engine
+  (``--only flow``, rules ``FLOW001``–``FLOW004``) over one call graph
+  of the tree: key material must never reach an ocall argument or a
+  transition-log payload, memory-touch entry points must charge the
+  cost model, host clocks must not reach fingerprint code, and only the
+  ISA modules may assign Tcs/Secs lifecycle fields.
+* :mod:`repro.analysis.orderliness` — replays recorded transition logs
+  through the Fig. 6 entry/exit automaton (``--only orderliness``,
+  rules ``ORD001``–``ORD005``).
+* :mod:`repro.analysis.difffuzz` — a differential schedule fuzzer
+  (``python -m repro.analysis.difffuzz``, rules ``DIFF001``/``DIFF002``)
+  comparing the memory-system fast paths with the reference replay.
 * :mod:`repro.analysis.modelcheck` — a bounded model checker
   (``--check modelcheck``, rules ``MC001``–``MC004``): BFS over every
   reachable configuration of a small bounded machine driving the *real*
@@ -35,9 +42,10 @@ Occlum for SFI: validate at build time, don't trust convention):
 All passes run from one CLI — ``python -m repro.analysis`` — with
 ``--format text|json``, ``--sarif FILE`` for code-scanning upload, an
 optional ``--baseline`` file for grandfathered findings, and exit
-code 1 on any new finding.  The tier-1 gate
-``tests/analysis/test_repo_clean.py`` keeps the repo at zero findings
-with an empty baseline.
+code 1 on any new finding.  ``edl`` and ``sim`` run by default; the
+tier-1 gates ``tests/analysis/test_repo_clean.py`` and
+``tests/analysis/test_flow.py`` keep the repo at zero findings with an
+empty baseline.
 """
 
 from repro.analysis.findings import Finding, Report

@@ -3,7 +3,7 @@
 Examples::
 
     python -m repro.analysis                      # default passes, text
-    python -m repro.analysis sim taint            # a subset
+    python -m repro.analysis edl sim flow         # the CI gate's set
     python -m repro.analysis --only simlint       # exactly one pass
     python -m repro.analysis --only orderliness   # transition-log replay
     python -m repro.analysis --check modelcheck   # bounded model checker
@@ -39,7 +39,6 @@ ONLY_ALIASES = {
     "edl": "edl",
     "sim": "sim",
     "simlint": "sim",
-    "taint": "taint",
     "modelcheck": "modelcheck",
     "orderliness": "orderliness",
     "flow": "flow",
@@ -50,11 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="EDL interface lint, simulation-integrity lint, "
-                    "cross-boundary taint check, and bounded model "
-                    "checking of the access automaton.")
+                    "the interprocedural dataflow engine (secret flow, "
+                    "charge coverage, determinism, lifecycle), "
+                    "transition-log replay, and bounded model checking "
+                    "of the access automaton.")
     parser.add_argument("passes", nargs="*", metavar="pass",
-                        help=f"subset of passes to run ({', '.join(PASSES)}; "
-                             "default: all)")
+                        help="passes to run "
+                             f"({', '.join(PASSES + EXTRA_CHECKS)}; "
+                             f"default: {' '.join(PASSES)})")
     parser.add_argument("--only", default=None, metavar="NAME",
                         choices=sorted(ONLY_ALIASES),
                         help="run exactly one pass or check "

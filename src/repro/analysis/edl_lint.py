@@ -122,8 +122,7 @@ def scan_edl_constants(tree: ast.Module, path: str):
     Returns ``(specs, parse_errors)`` where each spec entry is
     ``(const_name, EdlSpec, line_offset)`` — the offset maps EDL-internal
     line 1 to the line after the literal's opening quotes (the house
-    style starts the string with a newline).  Shared with the taint pass,
-    which derives its ocall sink tables from the same constants.
+    style starts the string with a newline).
     """
     specs: list[tuple[str, EdlSpec, int]] = []
     parse_errors: list[Finding] = []

@@ -29,7 +29,7 @@ class Finding:
 
     path: str          # repo-relative, POSIX separators
     line: int          # 1-based; 0 when the finding is file-level
-    rule: str          # e.g. "SIM002", "EDL004", "TAINT001"
+    rule: str          # e.g. "SIM002", "EDL004", "FLOW001"
     message: str
     symbol: str = ""   # function/interface name, for stable fingerprints
 

@@ -3,14 +3,14 @@
 Builds a call graph over every module in ``src/repro`` and runs four
 checks through the shared findings/baseline/SARIF pipeline:
 
-* **FLOW001** — key material reaching ocall / transition-log sinks
-  through any helper chain (supersedes the taint pass's allowlist);
+* **FLOW001** — key material reaching ocall / transition-log sinks,
+  directly or through any helper chain;
 * **FLOW002** — every successful path through a memory-touch entry
   point passes a CostModel charge seam;
 * **FLOW003** — host-clock / unseeded-RNG effects reachable from the
   fingerprint-feeding modules;
-* **FLOW004** — Tcs/Secs lifecycle mutation smuggled through helpers
-  outside the ISA allowlist.
+* **FLOW004** — Tcs/Secs lifecycle fields assigned outside the ISA
+  allowlist, with the driver call chain when helpers smuggle the write.
 
 The engine self-validates via a named mutation corpus
 (:mod:`repro.analysis.flow.mutations`): ``--mutate all`` under

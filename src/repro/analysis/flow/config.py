@@ -3,16 +3,14 @@
 Everything here is a *contract*, not a heuristic: entry points are the
 functions whose every successful path must charge simulated time,
 sanctioned modules are the ones whose host-time reads are segregated
-from results by construction, and the allowlists mirror the simlint
-configuration they generalize (``SimlintConfig.sim007_allowed`` for
-FLOW004, ``sim002_allowed`` for FLOW003).
+from results by construction (a superset of simlint's
+``sim002_allowed``), and the lifecycle allowlist names the only modules
+that may drive the enclave state machine directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.analysis.simlint import DEFAULT_CONFIG as _SIMLINT_CONFIG
 
 
 @dataclass(frozen=True)
@@ -66,10 +64,14 @@ class FlowConfig:
     )
 
     # -- FLOW004: lifecycle-mutation escape --------------------------------
-    #: Modules that may assign Tcs/Secs lifecycle fields — identical to
-    #: the SIM007 allowlist; FLOW004 extends the *detection* through
-    #: helpers, not the privilege.
-    lifecycle_allowed: frozenset = _SIMLINT_CONFIG.sim007_allowed
+    #: Modules that may assign Tcs/Secs lifecycle fields.
+    lifecycle_allowed: frozenset = frozenset({
+        "repro.sgx.isa",         # baseline leaves own the state machine
+        "repro.core.nested_isa",  # nested leaves likewise
+        # The model checker snapshots/restores lifecycle state by design
+        # (it explores the automaton, it does not simulate through it).
+        "repro.analysis.modelcheck.state",
+    })
     #: Modules whose functions count as lifecycle drivers for the
     #: witness-path search (ISA leaves and the OS driver above them).
     lifecycle_entry_modules: tuple = (

@@ -1,13 +1,16 @@
-"""FLOW004 — lifecycle-mutation escape through helpers.
+"""FLOW004 — Tcs/Secs lifecycle mutation outside the ISA allowlist.
 
-SIM007 flags direct assignments to Tcs/Secs lifecycle fields
-(``state``, ``saved_context``, ``aex_count``) outside the ISA modules —
-but only at the assignment site's own module.  FLOW004 closes the
-helper loophole: *any* function in the tree that performs such an
-assignment is an offender unless its module is in the SIM007 allowlist,
-and when the offender is reachable from the lifecycle drivers (the ISA
-leaves or the OS driver), the finding carries the witness call chain
-showing how driver code reaches the mutation.
+Only the ISA microcode may assign the enclave lifecycle fields
+(``state``, ``saved_context``, ``aex_count``): a mutation anywhere else
+changes the enclave state machine behind the transition log's and the
+orderliness automaton's back.  Every plain, augmented or annotated
+assignment to one of them — in any function of the tree, or in module-
+or class-body code — is an offender unless its module is in
+``FlowConfig.lifecycle_allowed``.  When the offending function is
+reachable from the lifecycle drivers (the ISA leaves or the OS driver),
+the finding carries the witness call chain showing how driver code
+reaches the mutation, so a write smuggled into a helper is still
+attributed to its caller.
 """
 
 from __future__ import annotations
@@ -16,15 +19,17 @@ import ast
 from collections import deque
 
 from repro.analysis.findings import Finding
-from repro.analysis.flow.graph import CallGraph, FunctionInfo
-from repro.analysis.simlint import _LIFECYCLE_FIELDS
+from repro.analysis.flow.graph import CallGraph
 
 RULE = "FLOW004"
 
+#: Tcs/Secs lifecycle fields only the ISA leaves may assign.
+_LIFECYCLE_FIELDS = frozenset({"state", "saved_context", "aex_count"})
 
-def _mutations(info: FunctionInfo) -> list:
-    """(line, field) for every lifecycle-field attribute assignment this
-    function performs (nested defs are their own graph nodes)."""
+
+def _mutations(root: ast.AST) -> list:
+    """(line, field) for every lifecycle-field attribute assignment in
+    ``root``'s own code (nested defs are their own graph nodes)."""
     hits: list = []
 
     def scan(node) -> None:
@@ -32,16 +37,19 @@ def _mutations(info: FunctionInfo) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.Lambda)):
                 continue
-            if isinstance(child, (ast.Assign, ast.AugAssign)):
-                targets = child.targets if isinstance(child, ast.Assign) \
-                    else [child.target]
-                for target in targets:
-                    if isinstance(target, ast.Attribute) \
-                            and target.attr in _LIFECYCLE_FIELDS:
-                        hits.append((child.lineno, target.attr))
+            targets: list = []
+            if isinstance(child, ast.Assign):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)) \
+                    and child.value is not None:   # not a bare annotation
+                targets = [child.target]
+            for target in targets:
+                if isinstance(target, ast.Attribute) \
+                        and target.attr in _LIFECYCLE_FIELDS:
+                    hits.append((child.lineno, target.attr))
             scan(child)
 
-    scan(info.node)
+    scan(root)
     return hits
 
 
@@ -60,13 +68,20 @@ def check_lifecycle_escape(graph: CallGraph, config) -> list:
                 queue.append(succ)
 
     findings: list = []
+
+    def report(module, line, field_name, symbol, detail) -> None:
+        if not module.suppressed(line, RULE):
+            findings.append(Finding(
+                path=module.path, line=line, rule=RULE,
+                message=(f"enclave lifecycle field .{field_name} mutated "
+                         f"outside the ISA allowlist: {detail}"),
+                symbol=symbol))
+
     for fid in sorted(graph.functions):
         info = graph.functions[fid]
         if info.module.name in config.lifecycle_allowed:
             continue
-        for line, field_name in _mutations(info):
-            if info.module.suppressed(line, RULE):
-                continue
+        for line, field_name in _mutations(info.node):
             if fid in parent:
                 chain: list = []
                 cursor = fid
@@ -78,11 +93,13 @@ def check_lifecycle_escape(graph: CallGraph, config) -> list:
                           f".{field_name} assignment at line {line}")
             else:
                 detail = (f"{info.qualname} → .{field_name} assignment "
-                          "(not reachable from the ISA/driver roots, "
-                          "still outside the SIM007 allowlist)")
-            findings.append(Finding(
-                path=info.module.path, line=line, rule=RULE,
-                message=(f"enclave lifecycle field .{field_name} mutated "
-                         f"outside the ISA allowlist: {detail}"),
-                symbol=info.qualname))
+                          "(not reachable from the ISA/driver roots)")
+            report(info.module, line, field_name, info.qualname, detail)
+    for module in graph.modules.values():
+        if module.name in config.lifecycle_allowed:
+            continue
+        for line, field_name in _mutations(module.tree):
+            report(module, line, field_name, "<module>",
+                   f"<module> → .{field_name} assignment in module- or "
+                   "class-body code")
     return sorted(set(findings))

@@ -1,36 +1,98 @@
 """FLOW001 — whole-repo secret flow into ocall / transition-log sinks.
 
-The taint pass (:mod:`repro.analysis.taint`) proves the property for a
-hand-maintained allowlist of boundary modules; FLOW001 supersedes that
-allowlist by computing the same per-function summaries over *every*
-function in the tree, resolving helper calls through the call graph's
-strong edges so a key laundered through helpers in any module is still
-caught — and the finding message carries the full call path.
+The nested layouts exist to keep key material inside the inner enclave.
+FLOW001 checks that it never reaches the two places where data leaves
+enclave trust, by learning per-function taint summaries over *every*
+function in the tree and resolving helper calls through the call
+graph's strong edges, so a key laundered through helpers in any module
+is still caught and the finding message carries the full call path.
 
-Sources, sanitizers and sink shapes are identical to the taint pass
-(EGETKEY results, secret-named parameters/attributes; seal/encrypt
-declassify; ``*.ocall(…)`` arguments and transition-log payloads sink).
+Sources
+    ``ctx.get_key(…)`` / ``egetkey(…)`` / ``nereport_key(…)`` results,
+    and names or attributes named like key material (``key``,
+    ``*_key``, ``psk``, ``secret*``, ``priv*``), function parameters
+    included, so taint enters helper functions.
+
+Sanitizers
+    Authenticated encryption declassifies: the result of a ``seal`` /
+    ``seal_record`` / ``seal_out`` / ``encrypt`` call is ciphertext.
+    Comparisons also declassify (a boolean verdict is not the key).
+
+Sinks
+    Arguments of any ``*.ocall(name, …)`` call, after the interface
+    name: the untrusted host runs the handler.  (``n_ocall`` lands in
+    the *outer enclave*, a trusted sibling, and is not a sink; secret
+    parameters on an outer boundary are EDL003's business.)  Payload
+    arguments of ``*.log_transition(kind, …)`` and
+    ``*.transitions.record(kind, …)``: transition-log payloads are
+    folded into digests that leave the trust boundary in results
+    documents and CI artifacts.
+
 Cross-function flow facts: which parameters reach the return value,
 whether the return is tainted regardless of arguments, and which
 parameters reach a sink — the last carrying the *call chain*, so a
 caller several hops above the sink reports ``via helper → shipper →
-sink`` (deeper than the taint pass, whose summaries stop one hop above
-a sink).
+sink``.  Call arguments bind to the callee's parameters by position
+(after the implicit ``self``/``cls`` of a bound-method, classmethod or
+constructor call) and by keyword name.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 
 from repro.analysis.findings import Finding
 from repro.analysis.flow.graph import CallGraph, FunctionInfo
-from repro.analysis.taint import (_SANITIZER_CALLS, _SOURCE_CALLS,
-                                  _is_secret_name)
 
 RULE = "FLOW001"
 
-Labels = frozenset
+_SECRET_NAME_RE = re.compile(
+    r"(^|_)(key|keys|psk|secret\w*|priv\w*)($|_)", re.IGNORECASE)
+
+_SOURCE_CALLS = frozenset({"get_key", "egetkey", "nereport_key"})
+_SANITIZER_CALLS = frozenset({"seal", "seal_record", "encrypt",
+                              "seal_out"})
+
+Labels = frozenset  # of str — where the taint came from
+
+
+def _is_secret_name(name: str) -> bool:
+    return bool(_SECRET_NAME_RE.search(name))
+
+
+def _implicit_receiver(callee: FunctionInfo, call: ast.Call) -> bool:
+    """Does ``call`` bind ``callee``'s first parameter implicitly?
+
+    True for a constructor call (``Cls(…)`` resolved to ``__init__``),
+    a bound ``self.method(…)`` call and any classmethod call; false for
+    module functions, staticmethods and unbound ``Cls.method(obj, …)``.
+    """
+    node = callee.node
+    if callee.qualname != f"{callee.class_name}.{node.name}":
+        return False            # not a method of a class body
+    decorators = {d.id for d in node.decorator_list
+                  if isinstance(d, ast.Name)}
+    if "staticmethod" in decorators:
+        return False
+    if "classmethod" in decorators:
+        return True
+    func = call.func
+    if node.name == "__init__":     # Cls(…), not Cls.__init__(obj, …)
+        return not (isinstance(func, ast.Attribute)
+                    and func.attr == "__init__")
+    return isinstance(func, ast.Attribute) \
+        and isinstance(func.value, ast.Name) and func.value.id == "self"
+
+
+def _bind_args(callee: FunctionInfo, call: ast.Call):
+    """(parameter index, argument expression) for each bound argument."""
+    offset = 1 if _implicit_receiver(callee, call) else 0
+    bound = [(offset + pos, arg) for pos, arg in enumerate(call.args)]
+    bound += [(callee.params.index(kw.arg), kw.value)
+              for kw in call.keywords if kw.arg in callee.params]
+    return bound
 
 
 @dataclass(frozen=True)
@@ -124,7 +186,7 @@ class _FunctionTaint(ast.NodeVisitor):
         if summary is not None:
             callee = self.graph.functions[target]
             labels = set(summary.return_labels)
-            for index, arg in enumerate(node.args):
+            for index, arg in _bind_args(callee, node):
                 if index in summary.param_to_return:
                     labels |= self.taint_of(arg)
                 fact = summary.param_to_sink.get(index)

@@ -4,8 +4,8 @@ Wraps one parsed module per file: dotted module name (for allowlists),
 repo-relative path (for diagnostics), the AST, and the per-line
 inline-comment directives.  One scanner serves every pass:
 
-* ``# simlint: disable=RULE[,RULE…]`` silences simlint/taint-family
-  findings on that line (``all`` silences every non-FLOW rule);
+* ``# simlint: disable=RULE[,RULE…]`` silences non-flow findings on
+  that line (``all`` silences every non-FLOW rule);
 * ``# flow: disable=RULE[,RULE…]`` silences flow-engine findings on
   that line (``all`` here scopes to FLOW rules only — the two tags
   never silence each other's families);

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import edl_lint, simlint, taint
+from repro.analysis import edl_lint, simlint
 from repro.analysis.findings import AnalysisError, Report
 
 #: CLI pass names → runner (the default set; heavier opt-in checks such
 #: as ``modelcheck`` are selected explicitly via ``--check``).
-PASSES = ("edl", "sim", "taint")
+PASSES = ("edl", "sim")
 
 #: Opt-in checks accepted alongside PASSES.
 EXTRA_CHECKS = ("modelcheck", "orderliness", "flow")
@@ -40,8 +40,6 @@ def run_repo_analysis(root: Path | None = None,
             report.extend(edl_lint.lint_ports(ports, src))
         elif name == "sim":
             report.extend(simlint.lint_tree(package, src))
-        elif name == "taint":
-            report.extend(taint.analyze_tree(package, src))
         elif name == "modelcheck":
             report.extend(_run_modelcheck_pass(modelcheck_scope))
         elif name == "orderliness":

@@ -29,13 +29,8 @@ RULE_SUMMARIES = {
     "SIM005": "hard-coded latency constant outside perf.costmodel",
     "SIM006": "host time/shared RNG consulted in fault-injection or "
               "recovery code",
-    "SIM007": "Tcs/Secs lifecycle field assigned outside the ISA modules",
     "SIM008": "per-access validator call outside the allowlisted "
               "translation leaves",
-    "TAINT001": "key material flows into an ocall argument",
-    "TAINT002": "key material flows into an EDL-declared untrusted "
-                "out-parameter",
-    "TAINT003": "key material flows into a transition-log payload",
     "MC001": "reachable state violates a §VII-A TLB invariant",
     "MC002": "lattice-forbidden access was inserted (untrusted->EPC, "
              "peer, outer->inner, or VA alias)",
@@ -54,14 +49,14 @@ RULE_SUMMARIES = {
     "DIFF001": "fast/reference runs diverged in a value or the machine "
                "fingerprint",
     "DIFF002": "fast/reference transition-log digests diverged",
-    "FLOW001": "key material reaches an ocall/transition-log sink "
-               "through a helper call chain",
+    "FLOW001": "key material reaches an ocall/transition-log sink, "
+               "directly or through a helper call chain",
     "FLOW002": "memory-touch entry point has a path that never charges "
                "the cost model",
     "FLOW003": "host-clock/unseeded-RNG effect reachable from "
                "fingerprint-feeding code",
-    "FLOW004": "enclave lifecycle field mutated through helpers outside "
-               "the ISA allowlist",
+    "FLOW004": "Tcs/Secs lifecycle field assigned outside the ISA "
+               "allowlist",
 }
 
 

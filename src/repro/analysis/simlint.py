@@ -1,4 +1,4 @@
-"""Simulation-integrity lint: the SIM001–SIM008 ``ast`` rules.
+"""Simulation-integrity lint: the SIM001–SIM006 and SIM008 ``ast`` rules.
 
 The simulator's results are only meaningful if (a) every simulated
 memory access goes through the validation automaton and (b) nothing in a
@@ -42,13 +42,6 @@ both properties checkable per commit:
     constructor are flagged — a fault plan must replay byte-identically
     from its seed, so hot paths may not consult host time or shared RNG
     state.
-``SIM007``
-    No direct mutation of Tcs/Secs lifecycle fields (``.state``,
-    ``.saved_context``, ``.aex_count``) outside the ISA microcode
-    (:mod:`repro.sgx.isa`, :mod:`repro.core.nested_isa`) and the model
-    checker's state snapshots — every lifecycle change must flow
-    through a leaf so the transition log and the orderliness automaton
-    see it (:data:`DEFAULT_CONFIG` ``.sim007_allowed``).
 ``SIM008``
     No direct per-access validator calls (``*.validator.validate(…)``)
     outside the allowlisted translation leaves
@@ -58,6 +51,9 @@ both properties checkable per commit:
     bulk fast path that re-runs the validator per access silently
     reverts the optimisation, and one that calls it from a *new* leaf
     sidesteps the plan cache's invalidation discipline.
+
+Tcs/Secs lifecycle-field mutation is FLOW004's business
+(:mod:`repro.analysis.flow.lifecycle`), which follows it through helpers.
 
 Any finding can be silenced on its line with ``# simlint:
 disable=SIM00X`` (comma-separate several IDs; ``disable=all`` kills
@@ -75,7 +71,7 @@ from repro.analysis.findings import Finding, Report
 from repro.analysis.pysource import Module, iter_modules
 
 RULES = ("SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006",
-         "SIM007", "SIM008")
+         "SIM008")
 
 #: ``*.phys`` methods that move or destroy bytes (geometry queries such
 #: as ``in_prm``/``in_epc``/``frame_exists`` are not accesses).
@@ -99,11 +95,6 @@ _RNG_CTORS = frozenset({"Random", "SystemRandom", "Generator",
 
 _LATENCY_NAME_RE = re.compile(
     r".*(_ns|_us|_ms|_cycles|_latency)$", re.IGNORECASE)
-
-#: Tcs/Secs lifecycle fields only the ISA leaves may assign (SIM007):
-#: a mutation anywhere else changes the enclave state machine behind
-#: the transition log's back.
-_LIFECYCLE_FIELDS = frozenset({"state", "saved_context", "aex_count"})
 
 
 @dataclass(frozen=True)
@@ -139,13 +130,6 @@ class SimlintConfig:
         "repro.sdk.secure_channel",
         "repro.os.ipc",
     )
-    sim007_allowed: frozenset[str] = frozenset({
-        "repro.sgx.isa",         # baseline leaves own the state machine
-        "repro.core.nested_isa",  # nested leaves likewise
-        # The model checker snapshots/restores lifecycle state by design
-        # (it explores the automaton, it does not simulate through it).
-        "repro.analysis.modelcheck.state",
-    })
     #: ``module:function`` pairs that may call ``*.validator.validate``
     #: directly (SIM008).  Exactly one leaf validates per-access; bulk
     #: fast paths must reuse its TLB fills via the access plan.
@@ -355,32 +339,12 @@ class _SimlintVisitor(ast.NodeVisitor):
     def visit_Assign(self, node: ast.Assign) -> None:
         if self._depth == 0:
             self._check_latency_assign(node.targets, node.value)
-        self._check_lifecycle_assign(node.targets)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if self._depth == 0:
             self._check_latency_assign([node.target], node.value)
-        self._check_lifecycle_assign([node.target])
         self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_lifecycle_assign([node.target])
-        self.generic_visit(node)
-
-    # -- SIM007 -------------------------------------------------------------
-    def _check_lifecycle_assign(self, targets: list[ast.expr]) -> None:
-        if self.module.name in self.config.sim007_allowed:
-            return
-        for target in targets:
-            if isinstance(target, ast.Attribute) \
-                    and target.attr in _LIFECYCLE_FIELDS:
-                self._flag(target, "SIM007",
-                           f"direct mutation of lifecycle field "
-                           f"'.{target.attr}' outside the ISA leaves "
-                           "bypasses the transition log; call the "
-                           "EENTER/EEXIT/AEX/ERESUME leaf instead",
-                           symbol=target.attr)
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._depth += 1

@@ -127,7 +127,7 @@ class Machine:
         determinism observable, so it must have identical contents
         whether or not anyone is watching.  It charges no simulated
         cost.  Key material must never appear in ``extra`` — the log is
-        an untrusted-observable artifact (taint rule TAINT003).
+        an untrusted-observable artifact (flow rule FLOW001).
         """
         self.transitions.record(kind, core_id, eid, tcs, depth, extra)
 

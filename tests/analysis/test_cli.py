@@ -14,7 +14,8 @@ from repro.analysis.runner import repo_root, run_repo_analysis
 
 @pytest.fixture()
 def dirty_repo(tmp_path):
-    """A minimal src/repro tree with one violation of each pass."""
+    """A minimal src/repro tree with one violation of each default pass
+    and two key leaks for the flow engine."""
     pkg = tmp_path / "src" / "repro"
     ports = pkg / "apps" / "ports"
     ports.mkdir(parents=True)
@@ -32,8 +33,8 @@ def dirty_repo(tmp_path):
 
 
     def export(ctx, session_key):
-        ctx.ocall("stash", session_key)       # declared -> TAINT002
-        ctx.ocall("debug_dump", session_key)  # undeclared -> TAINT001
+        ctx.ocall("stash", session_key)       # declared -> FLOW001
+        ctx.ocall("debug_dump", session_key)  # undeclared -> FLOW001
     '''))
     return tmp_path
 
@@ -48,11 +49,18 @@ class TestExitCodes:
         assert main(["--root", str(dirty_repo)]) == 1
         out = capsys.readouterr().out
         assert "SIM002" in out and "EDL003" in out
-        assert "TAINT001" in out and "TAINT002" in out
 
     def test_unknown_pass_is_usage_error(self, capsys):
         assert main(["bogus"]) == 2
         assert "unknown pass" in capsys.readouterr().err
+
+    def test_retired_taint_pass_is_usage_error(self, capsys):
+        """Secret flow is FLOW001's job; the old pass name is gone."""
+        assert main(["taint"]) == 2
+        assert "unknown pass" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--only", "taint"])
+        assert excinfo.value.code == 2
 
     def test_missing_baseline_file_is_error(self, capsys):
         assert main(["--baseline", "/nonexistent/base.json"]) == 2
@@ -74,7 +82,19 @@ class TestPassSelection:
         assert payload["ok"] is False
         assert payload["new"]
         rules = {f["rule"] for f in payload["findings"]}
-        assert {"SIM002", "TAINT001", "TAINT002"} <= rules
+        assert {"SIM002", "EDL003"} <= rules
+
+    def test_gate_pass_set_reports_secret_flow(self, dirty_repo, capsys):
+        """The CI gate's ``edl sim flow`` set reports both key leaks,
+        declared interface or not."""
+        assert main(["--root", str(dirty_repo), "--format", "json",
+                     "edl", "sim", "flow"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passes"] == ["edl_lint", "simlint", "flow"]
+        leaks = [(f["path"], f["line"]) for f in payload["findings"]
+                 if f["rule"] == "FLOW001"]
+        assert leaks == [("repro/apps/ports/leaky.py", 10),
+                         ("repro/apps/ports/leaky.py", 11)]
 
 
 class TestOnly:
@@ -178,7 +198,7 @@ class TestBaseline:
 class TestReportOrdering:
     FINDINGS = [
         Finding("z.py", 9, "SIM002", "m1"),
-        Finding("a.py", 5, "TAINT001", "m2"),
+        Finding("a.py", 5, "SIM008", "m2"),
         Finding("a.py", 2, "FLOW001", "m3"),
         Finding("a.py", 1, "SIM002", "m0"),
         Finding("a.py", 2, "FLOW001", "m3"),  # duplicate collapses
@@ -193,7 +213,7 @@ class TestReportOrdering:
             ("FLOW001", "a.py", 2),
             ("SIM002", "a.py", 1),
             ("SIM002", "z.py", 9),
-            ("TAINT001", "a.py", 5),
+            ("SIM008", "a.py", 5),
         ]
 
     def test_render_json_is_byte_deterministic(self):

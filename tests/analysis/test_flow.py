@@ -1,14 +1,17 @@
-"""Flow engine: call-graph pins, repo cleanliness, suppression
-directives, the mutation kill-list, and CLI integration."""
+"""Flow engine: call-graph pins, repo cleanliness, the secret-flow and
+lifecycle fixture tables, suppression directives, the mutation
+kill-list, and CLI integration."""
 
 import textwrap
 
 import pytest
 
 from repro.analysis.cli import main
-from repro.analysis.flow import MUTATIONS, run_flow, run_flow_mutations
+from repro.analysis.flow import (DEFAULT_CONFIG, MUTATIONS, FlowConfig,
+                                 run_flow, run_flow_mutations)
 from repro.analysis.flow.charges import check_charge_coverage
 from repro.analysis.flow.graph import build_graph
+from repro.analysis.flow.lifecycle import check_lifecycle_escape
 from repro.analysis.flow.secret import check_secret_flow
 from repro.analysis.pysource import load_module
 from repro.analysis.runner import repo_root
@@ -20,10 +23,20 @@ def repo_result():
     return run_flow(repo_root())
 
 
-def _graph_of(tmp_path, source, name="mod"):
-    file = tmp_path / f"{name}.py"
-    file.write_text(textwrap.dedent(source))
-    return build_graph([load_module(file, tmp_path)])
+def _graph_of(tmp_path, source, name="mod", extra=None):
+    """Call graph over ``name`` (a slash path under ``tmp_path``) plus
+    any ``extra`` ``{name: source}`` modules."""
+    modules = []
+    for mod_name, text in [(name, source)] + sorted((extra or {}).items()):
+        file = tmp_path / f"{mod_name}.py"
+        file.parent.mkdir(parents=True, exist_ok=True)
+        file.write_text(textwrap.dedent(text))
+        modules.append(load_module(file, tmp_path))
+    return build_graph(modules)
+
+
+def _verdict(findings):
+    return [(f.rule, f.line, f.symbol) for f in findings]
 
 
 class TestCallGraph:
@@ -31,11 +44,11 @@ class TestCallGraph:
         """Drift tripwire: adding/removing functions or changing the
         resolver shows up here first.  Update deliberately."""
         assert repo_result.stats == {
-            "modules": 144,
-            "functions": 1044,
-            "call_edges": 954,
-            "weak_edges": 2794,
-            "secret_summaries": 469,
+            "modules": 143,
+            "functions": 1023,
+            "call_edges": 917,
+            "weak_edges": 2744,
+            "secret_summaries": 471,
             "always_charging": 150,
         }
 
@@ -74,6 +87,249 @@ class TestRepoClean:
         from repro.analysis.flow.config import DEFAULT_CONFIG
         for fid in DEFAULT_CONFIG.charge_entry_points:
             assert fid in repo_result.graph.functions, fid
+
+
+#: FLOW001 regression corpus: case id → (source, expected findings as
+#: ``(rule, line, symbol)``; ``[]`` means clean).  Sources: EGETKEY
+#: results and secret-named parameters/attributes.  Sinks: ocall and
+#: transition-log payloads.  Declassifiers: seal/encrypt results and
+#: comparisons.
+SECRET_FLOW_CASES = {
+    "egetkey_result_to_ocall": ("""
+        def handler(ctx):
+            seal_key = ctx.get_key("seal")
+            ctx.ocall("store_blob", seal_key)
+        """, [("FLOW001", 4, "handler")]),
+    "secret_named_parameter_to_ocall": ("""
+        def export(ctx, session_key):
+            ctx.ocall("log_line", session_key.hex())
+        """, [("FLOW001", 3, "export")]),
+    "secret_attribute_to_ocall": ("""
+        def export(ctx, config):
+            ctx.ocall("push", config.key)
+        """, [("FLOW001", 3, "export")]),
+    "derived_value_still_tainted": ("""
+        def export(ctx):
+            key = ctx.get_key("seal")
+            blob = b"hdr:" + key
+            ctx.ocall("send", blob)
+        """, [("FLOW001", 5, "export")]),
+    "sealed_payload_is_declassified": ("""
+        def export(ctx, gcm):
+            key = ctx.get_key("seal")
+            ciphertext = gcm.seal(b"nonce", key)
+            ctx.ocall("send", ciphertext)
+        """, []),
+    "n_ocall_is_not_a_sink": ("""
+        def inner(ctx, session_key):
+            ctx.n_ocall("ssl_write", session_key)
+        """, []),
+    "comparison_declassifies": ("""
+        def check(ctx, key, expected):
+            ctx.ocall("report", key == expected)
+        """, []),
+    "interface_name_argument_ignored": ("""
+        def ping(ctx, payload):
+            ctx.ocall("harmless", payload)
+        """, []),
+    "leak_through_helper": ("""
+        def _ship(ctx, blob):
+            ctx.ocall("send", blob)
+
+        def export(ctx):
+            key = ctx.get_key("seal")
+            _ship(ctx, key)
+        """, [("FLOW001", 7, "export")]),
+    "tainted_return_through_helper": ("""
+        def _fetch(ctx):
+            return ctx.get_key("seal")
+
+        def export(ctx):
+            material = _fetch(ctx)
+            ctx.ocall("send", material)
+        """, [("FLOW001", 7, "export")]),
+    "sanitizing_helper_clears_taint": ("""
+        def _sealed(gcm, value):
+            return gcm.seal(b"n", value)
+
+        def export(ctx, gcm):
+            key = ctx.get_key("seal")
+            ctx.ocall("send", _sealed(gcm, key))
+        """, []),
+    "key_in_log_transition_kwarg": ("""
+        def leak(ctx, machine):
+            seal_key = ctx.get_key("seal")
+            machine.log_transition("EENTER", 0, eid=1, key=seal_key)
+        """, [("FLOW001", 4, "leak")]),
+    "secret_parameter_in_record_payload": ("""
+        def stash(machine, session_key):
+            machine.transitions.record("X", 0, 1, 0, 0, session_key)
+        """, [("FLOW001", 3, "stash")]),
+    "event_kind_argument_is_not_payload": ("""
+        def name_only(machine, session_key):
+            machine.log_transition(session_key)
+        """, []),
+    "plain_metadata_payload_passes": ("""
+        def record(machine, tcs_vaddr):
+            machine.log_transition("EENTER", 0, eid=1, tcs=tcs_vaddr,
+                                   depth=1)
+        """, []),
+    "sealed_log_payload_is_declassified": ("""
+        def record(ctx, gcm, machine):
+            key = ctx.get_key("seal")
+            machine.log_transition("KEYED", blob=gcm.seal(b"n", key))
+        """, []),
+    "inline_suppression": ("""
+        def export(ctx, session_key):
+            ctx.ocall("dbg", session_key)  # flow: disable=FLOW001
+        """, []),
+}
+
+#: Call-argument binding: positional arguments skip the implicit
+#: receiver of bound-method and constructor calls (never that of
+#: staticmethod or unbound ``Cls.method(obj, …)`` calls), and keyword
+#: arguments bind by parameter name.
+BINDING_CASES = {
+    "bound_method_call": ("""
+        class Exporter:
+            def _ship(self, ctx, blob):
+                ctx.ocall("dump", blob)
+
+            def probe(self, ctx, session_key):
+                self._ship(ctx, session_key)
+        """, [("FLOW001", 7, "Exporter.probe")]),
+    "keyword_argument": ("""
+        def ship(ctx, blob):
+            ctx.ocall("dump", blob)
+
+        def probe(ctx, session_key):
+            ship(ctx, blob=session_key)
+        """, [("FLOW001", 6, "probe")]),
+    "bound_method_return": ("""
+        class Exporter:
+            def _wrap(self, blob):
+                return b"hdr:" + blob
+
+            def probe(self, ctx, session_key):
+                ctx.ocall("dump", self._wrap(session_key))
+        """, [("FLOW001", 7, "Exporter.probe")]),
+    "keyword_return": ("""
+        def _wrap(blob):
+            return b"hdr:" + blob
+
+        def probe(ctx, session_key):
+            ctx.ocall("dump", _wrap(blob=session_key))
+        """, [("FLOW001", 6, "probe")]),
+    "constructor_call": ("""
+        class Shipper:
+            def __init__(self, ctx, blob):
+                ctx.ocall("dump", blob)
+
+        def probe(ctx, session_key):
+            Shipper(ctx, session_key)
+        """, [("FLOW001", 7, "probe")]),
+    "staticmethod_call": ("""
+        class Exporter:
+            @staticmethod
+            def _ship(ctx, blob):
+                ctx.ocall("dump", blob)
+
+            def probe(self, ctx, session_key):
+                self._ship(ctx, session_key)
+        """, [("FLOW001", 8, "Exporter.probe")]),
+}
+
+#: Module defining a class whose methods are called unbound from "mod".
+_SHIPPER = """
+    class Shipper:
+        def ship(self, ctx, blob):
+            ctx.ocall("dump", blob)
+"""
+
+
+class TestSecretFlow:
+    @pytest.mark.parametrize("case", sorted(SECRET_FLOW_CASES))
+    def test_verdict(self, tmp_path, case):
+        source, expected = SECRET_FLOW_CASES[case]
+        findings, _ = check_secret_flow(_graph_of(tmp_path, source))
+        assert _verdict(findings) == expected
+
+    @pytest.mark.parametrize("case", sorted(BINDING_CASES))
+    def test_argument_binding(self, tmp_path, case):
+        source, expected = BINDING_CASES[case]
+        findings, _ = check_secret_flow(_graph_of(tmp_path, source))
+        assert _verdict(findings) == expected
+
+    def test_unbound_method_call_binds_the_receiver_explicitly(
+            self, tmp_path):
+        graph = _graph_of(tmp_path, """
+            import other
+
+            def probe(shipper, ctx, session_key):
+                other.Shipper.ship(shipper, ctx, session_key)
+        """, extra={"other": _SHIPPER})
+        findings, _ = check_secret_flow(graph)
+        assert _verdict(findings) == [("FLOW001", 5, "probe")]
+
+
+def _lifecycle(tmp_path, source, name="pkg/victim", config=DEFAULT_CONFIG):
+    return _verdict(check_lifecycle_escape(
+        _graph_of(tmp_path, source, name=name), config))
+
+
+class TestLifecycleFields:
+    def test_lifecycle_assignments_flagged(self, tmp_path):
+        assert _lifecycle(tmp_path, """
+        from repro.sgx.constants import TCS_ACTIVE
+
+        def shortcut(machine, tcs):
+            tcs.state = TCS_ACTIVE
+            tcs.saved_context = None
+            tcs.aex_count += 1
+        """) == [("FLOW004", line, "shortcut") for line in (5, 6, 7)]
+
+    def test_annotated_assignment_flagged(self, tmp_path):
+        assert _lifecycle(tmp_path, """
+        def reset(tcs):
+            tcs.state: int = 0
+        """) == [("FLOW004", 3, "reset")]
+
+    def test_module_and_class_body_assignments_flagged(self, tmp_path):
+        assert _lifecycle(tmp_path, """
+        TCS.state = 0
+
+        class Patch:
+            TCS.aex_count = 0
+        """) == [("FLOW004", 2, "<module>"), ("FLOW004", 5, "<module>")]
+
+    def test_reads_and_unrelated_attributes_pass(self, tmp_path):
+        assert _lifecycle(tmp_path, """
+        def observe(tcs, job):
+            state = tcs.state
+            job.status = "done"
+            count = 0
+            count += 1
+            return state, count
+        """) == []
+
+    def test_isa_leaves_allowlisted_by_default(self, tmp_path):
+        assert _lifecycle(tmp_path, """
+        def eenter(machine, tcs):
+            tcs.state = 1
+        """, name="repro/sgx/isa") == []
+
+    def test_custom_allowlist(self, tmp_path):
+        config = FlowConfig(lifecycle_allowed=frozenset({"pkg.victim"}))
+        assert _lifecycle(tmp_path, """
+        def restore(tcs, snapshot):
+            tcs.saved_context = snapshot
+        """, config=config) == []
+
+    def test_suppression_applies(self, tmp_path):
+        assert _lifecycle(tmp_path, """
+        def patch(tcs):
+            tcs.aex_count = 0  # flow: disable=FLOW004
+        """) == []
 
 
 _LEAK = """

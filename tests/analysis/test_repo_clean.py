@@ -28,7 +28,7 @@ def test_checked_in_baseline_is_empty():
 
 def test_repo_is_clean_with_empty_baseline():
     report = run_repo_analysis()
-    assert sorted(report.passes) == sorted(["edl_lint", "simlint", "taint"])
+    assert sorted(report.passes) == ["edl_lint", "simlint"]
     assert report.findings == [], (
         "static analysis regressions:\n" + report.render_text())
 

@@ -1,7 +1,7 @@
 """SARIF rendering: a pinned snapshot of a merged multi-pass report.
 
 One synthetic report carrying a finding from every rule family the
-pipeline can emit (EDL/SIM/TAINT/MC/ORD/DIFF/FLOW), rendered with a
+pipeline can emit (EDL/SIM/MC/ORD/DIFF/FLOW), rendered with a
 baseline that grandfathers one finding — the full document shape is
 pinned so any drift in schema, rule metadata, ordering, or demotion
 semantics is a deliberate test update, not an accident.
@@ -16,8 +16,6 @@ FAMILY_FINDINGS = [
     Finding("repro/apps/ports/x.py", 3, "EDL003", "secret on boundary",
             symbol="stash"),
     Finding("repro/sgx/cpu.py", 7, "SIM002", "wall clock", symbol="now"),
-    Finding("repro/sdk/attest.py", 9, "TAINT001", "key to ocall",
-            symbol="export"),
     Finding("", 0, "MC002", "forbidden access inserted", symbol="probe"),
     Finding("", 0, "ORD002", "exit skips frames", symbol="replay"),
     Finding("", 0, "DIFF001", "fingerprint divergence", symbol="storm"),
@@ -31,7 +29,7 @@ FAMILY_FINDINGS = [
 
 def _merged_report():
     """Simulate multiple passes contributing in arbitrary order."""
-    report = Report(passes=["edl_lint", "simlint", "taint", "modelcheck",
+    report = Report(passes=["edl_lint", "simlint", "modelcheck",
                             "orderliness", "difffuzz", "flow"])
     report.findings.extend(reversed(FAMILY_FINDINGS))
     report.dedupe()
@@ -53,7 +51,7 @@ class TestSarifSnapshot:
         rules = doc["runs"][0]["tool"]["driver"]["rules"]
         by_id = {r["id"]: r["shortDescription"]["text"] for r in rules}
         assert sorted(by_id) == ["DIFF001", "EDL003", "FLOW001", "FLOW002",
-                                 "MC002", "ORD002", "SIM002", "TAINT001"]
+                                 "MC002", "ORD002", "SIM002"]
         # Every emitted rule has real catalog prose, not the id-fallback.
         for rule_id, text in by_id.items():
             assert text == RULE_SUMMARIES[rule_id]
@@ -61,8 +59,7 @@ class TestSarifSnapshot:
 
     def test_catalog_lists_all_known_families(self):
         families = {rule[:-3] for rule in RULE_SUMMARIES}
-        assert families == {"EDL", "SIM", "TAINT", "MC", "ORD", "DIFF",
-                            "FLOW"}
+        assert families == {"EDL", "SIM", "MC", "ORD", "DIFF", "FLOW"}
         assert {"FLOW001", "FLOW002", "FLOW003", "FLOW004"} \
             <= set(RULE_SUMMARIES)
 
@@ -70,7 +67,7 @@ class TestSarifSnapshot:
         doc = json.loads(render_sarif(_merged_report()))
         rule_ids = [r["ruleId"] for r in doc["runs"][0]["results"]]
         assert rule_ids == ["DIFF001", "EDL003", "FLOW001", "FLOW002",
-                            "MC002", "ORD002", "SIM002", "TAINT001"]
+                            "MC002", "ORD002", "SIM002"]
 
     def test_baseline_demotes_to_note(self):
         report = _merged_report()

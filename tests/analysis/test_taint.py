@@ -1,186 +1,41 @@
-"""Cross-boundary taint check: key material reaching an ocall is
-reported; sealed (encrypted) data and trusted-boundary calls are not."""
+"""Real-tree sweeps of the FLOW001 secret-flow check: the enclave ports
+send no key material to an ocall, and no transition-log call in the
+tree (the ISA leaves, the driver) carries key material in its payload.
 
-import textwrap
+The per-case source/sink/sanitizer verdicts live in the FLOW001
+fixture table in ``test_flow.py``."""
 
-from repro.analysis.pysource import load_module
-from repro.analysis.taint import analyze_module, analyze_ports
+import pytest
 
-
-def _analyze(tmp_path, source):
-    file = tmp_path / "ports" / "svc.py"
-    file.parent.mkdir(exist_ok=True)
-    file.write_text(textwrap.dedent(source))
-    return analyze_module(load_module(file, tmp_path))
-
-
-class TestDirectLeaks:
-    def test_egetkey_result_to_ocall(self, tmp_path):
-        findings = _analyze(tmp_path, """
-        def handler(ctx):
-            seal_key = ctx.get_key("seal")
-            ctx.ocall("store_blob", seal_key)
-        """)
-        assert [f.rule for f in findings] == ["TAINT001"]
-        assert findings[0].symbol == "handler"
-        assert "egetkey" in findings[0].message
-        assert findings[0].line == 4
-
-    def test_secret_named_parameter_to_ocall(self, tmp_path):
-        findings = _analyze(tmp_path, """
-        def export(ctx, session_key):
-            ctx.ocall("log_line", session_key.hex())
-        """)
-        assert [f.rule for f in findings] == ["TAINT001"]
-
-    def test_secret_attribute_to_ocall(self, tmp_path):
-        findings = _analyze(tmp_path, """
-        def export(ctx, config):
-            ctx.ocall("push", config.key)
-        """)
-        assert [f.rule for f in findings] == ["TAINT001"]
-
-    def test_derived_value_still_tainted(self, tmp_path):
-        findings = _analyze(tmp_path, """
-        def export(ctx):
-            key = ctx.get_key("seal")
-            blob = b"hdr:" + key
-            ctx.ocall("send", blob)
-        """)
-        assert [f.rule for f in findings] == ["TAINT001"]
+from repro.analysis.flow.graph import build_graph
+from repro.analysis.flow.secret import RULE, check_secret_flow
+from repro.analysis.pysource import iter_modules
+from repro.analysis.runner import repo_root
 
 
-class TestNonLeaks:
-    def test_sealed_payload_is_declassified(self, tmp_path):
-        findings = _analyze(tmp_path, """
-        def export(ctx, gcm):
-            key = ctx.get_key("seal")
-            ciphertext = gcm.seal(b"nonce", key)
-            ctx.ocall("send", ciphertext)
-        """)
-        assert findings == []
-
-    def test_n_ocall_is_not_a_sink(self, tmp_path):
-        findings = _analyze(tmp_path, """
-        def inner(ctx, session_key):
-            ctx.n_ocall("ssl_write", session_key)
-        """)
-        assert findings == []
-
-    def test_comparison_declassifies(self, tmp_path):
-        findings = _analyze(tmp_path, """
-        def check(ctx, key, expected):
-            ctx.ocall("report", key == expected)
-        """)
-        assert findings == []
-
-    def test_interface_name_argument_ignored(self, tmp_path):
-        findings = _analyze(tmp_path, """
-        def ping(ctx, payload):
-            ctx.ocall("harmless", payload)
-        """)
-        assert findings == []
-
-
-class TestInterprocedural:
-    def test_leak_through_helper(self, tmp_path):
-        findings = _analyze(tmp_path, """
-        def _ship(ctx, blob):
-            ctx.ocall("send", blob)
-
-        def export(ctx):
-            key = ctx.get_key("seal")
-            _ship(ctx, key)
-        """)
-        assert findings and all(f.rule == "TAINT001" for f in findings)
-        assert any(f.symbol == "export" for f in findings)
-
-    def test_tainted_return_through_helper(self, tmp_path):
-        findings = _analyze(tmp_path, """
-        def _fetch(ctx):
-            return ctx.get_key("seal")
-
-        def export(ctx):
-            material = _fetch(ctx)
-            ctx.ocall("send", material)
-        """)
-        assert [f.rule for f in findings] == ["TAINT001"]
-        assert findings[0].symbol == "export"
-
-    def test_sanitizing_helper_clears_taint(self, tmp_path):
-        findings = _analyze(tmp_path, """
-        def _sealed(gcm, value):
-            return gcm.seal(b"n", value)
-
-        def export(ctx, gcm):
-            key = ctx.get_key("seal")
-            ctx.ocall("send", _sealed(gcm, key))
-        """)
-        assert findings == []
+@pytest.fixture(scope="module")
+def sweep():
+    """FLOW001 over every module of the real tree → (graph, findings)."""
+    root = repo_root()
+    graph = build_graph(iter_modules(root / "src" / "repro", root / "src"))
+    findings, _ = check_secret_flow(graph)
+    assert {f.rule for f in findings} <= {RULE}
+    return graph, findings
 
 
 class TestTransitionLogSink:
-    def test_key_in_log_transition_kwarg(self, tmp_path):
-        findings = _analyze(tmp_path, """
-        def leak(ctx, machine):
-            seal_key = ctx.get_key("seal")
-            machine.log_transition("EENTER", 0, eid=1, key=seal_key)
-        """)
-        assert [f.rule for f in findings] == ["TAINT003"]
-        assert "transition-log" in findings[0].message
-
-    def test_secret_parameter_in_record_payload(self, tmp_path):
-        findings = _analyze(tmp_path, """
-        def stash(machine, session_key):
-            machine.transitions.record("X", 0, 1, 0, 0, session_key)
-        """)
-        assert [f.rule for f in findings] == ["TAINT003"]
-
-    def test_event_kind_argument_is_not_payload(self, tmp_path):
-        """The first positional argument (the event kind) is not part
-        of the digested payload."""
-        findings = _analyze(tmp_path, """
-        def name_only(machine, session_key):
-            machine.log_transition(session_key)
-        """)
-        assert findings == []
-
-    def test_plain_metadata_payload_passes(self, tmp_path):
-        findings = _analyze(tmp_path, """
-        def record(machine, tcs_vaddr):
-            machine.log_transition("EENTER", 0, eid=1, tcs=tcs_vaddr,
-                                   depth=1)
-        """)
-        assert findings == []
-
-    def test_sealed_payload_is_declassified(self, tmp_path):
-        findings = _analyze(tmp_path, """
-        def record(ctx, gcm, machine):
-            key = ctx.get_key("seal")
-            machine.log_transition("KEYED", blob=gcm.seal(b"n", key))
-        """)
-        assert findings == []
-
-    def test_real_isa_leaves_are_clean(self):
-        from repro.analysis.runner import repo_root
-        from repro.analysis.taint import analyze_tree
-        root = repo_root()
-        report = analyze_tree(root / "src" / "repro", root / "src")
-        assert [f for f in report.findings
-                if f.rule == "TAINT003"] == []
+    def test_real_isa_leaves_are_clean(self, sweep):
+        graph, findings = sweep
+        assert "repro.sgx.isa" in graph.modules
+        assert [f for f in findings
+                if "transition-log payload" in f.message] == []
 
 
 class TestSuppressionAndSweep:
-    def test_inline_suppression(self, tmp_path):
-        findings = _analyze(tmp_path, """
-        def export(ctx, session_key):
-            ctx.ocall("dbg", session_key)  # simlint: disable=TAINT001
-        """)
-        assert findings == []
-
-    def test_real_ports_are_clean(self):
-        from repro.analysis.runner import repo_root
-        root = repo_root()
-        report = analyze_ports(root / "src" / "repro" / "apps" / "ports",
-                               root / "src")
-        assert report.findings == []
+    def test_real_ports_are_clean(self, sweep):
+        graph, findings = sweep
+        ports = [name for name in graph.modules
+                 if name.startswith("repro.apps.ports.")]
+        assert ports, "the sweep must cover the enclave ports"
+        assert [f for f in findings
+                if f.path.startswith("repro/apps/ports/")] == []

@@ -50,7 +50,9 @@ class FunctionInfo:
     qualname: str                # "Core.read", "f.<locals>.g", …
     class_name: str | None       # enclosing class, for self.-resolution
     scope: str                   # lexical prefix for nested-def lookup
-    params: tuple = ()
+    params: tuple = ()           # positional-only, regular, keyword-only
+    posonly: int = 0             # leading params bound by position only
+    positional: int = 0          # leading params a position can bind
 
 
 @dataclass
@@ -162,10 +164,13 @@ def _collect_functions(graph: CallGraph, module: Module) -> None:
     classes: dict = {}
 
     def add(node, qualname, class_name, scope):
+        args = node.args
+        positional = args.posonlyargs + args.args
         info = FunctionInfo(
             fid=f"{module.name}:{qualname}", module=module, node=node,
             qualname=qualname, class_name=class_name, scope=scope,
-            params=tuple(a.arg for a in node.args.args))
+            params=tuple(a.arg for a in positional + args.kwonlyargs),
+            posonly=len(args.posonlyargs), positional=len(positional))
         graph.functions[info.fid] = info
         return info
 

@@ -89,9 +89,11 @@ def _implicit_receiver(callee: FunctionInfo, call: ast.Call) -> bool:
 def _bind_args(callee: FunctionInfo, call: ast.Call):
     """(parameter index, argument expression) for each bound argument."""
     offset = 1 if _implicit_receiver(callee, call) else 0
-    bound = [(offset + pos, arg) for pos, arg in enumerate(call.args)]
-    bound += [(callee.params.index(kw.arg), kw.value)
-              for kw in call.keywords if kw.arg in callee.params]
+    bound = [(offset + pos, arg) for pos, arg in enumerate(call.args)
+             if offset + pos < callee.positional]
+    named = callee.params[callee.posonly:]
+    bound += [(callee.posonly + named.index(kw.arg), kw.value)
+              for kw in call.keywords if kw.arg in named]
     return bound
 
 

@@ -12,16 +12,55 @@ benchmark compares the *same* training run across two enclave layouts.
 Each error E_i is memoised until the next write to alpha or the bias,
 as the same strided-column dot a fresh call runs; a single
 ``ay @ gram`` may sum in another order, which the thresholds amplify.
+The second-choice candidates are ``rng.sample(range(n), 16)`` drawn
+by ``_sample_range`` from the same generator words, so the stream and
+every pick stay those of ``Random.sample``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.apps.minisvm.kernel import SvmError, make_kernel
+
+
+def _sample_range(rng: random.Random, n: int, k: int) -> list:
+    """``rng.sample(range(n), k)``: the same list from the same words.
+
+    CPython's ``Random.sample`` step for step, with ``_randbelow(m)``
+    inlined as ``getrandbits(m.bit_length())`` redrawn while ``>= m``:
+    a shrinking pool when ``n`` is at most ``setsize``, else redraws
+    over ``range(n)`` until a fresh index comes up.  The generator is
+    left in the state ``sample`` would leave it; a test pins this.
+    """
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    getrandbits = rng.getrandbits
+    result = []
+    if n <= setsize:
+        pool = list(range(n))
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[m - 1]
+        return result
+    bits = n.bit_length()
+    selected = set()
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in selected:
+            j = getrandbits(bits)
+        selected.add(j)
+        result.append(j)
+    return result
 
 
 @dataclass
@@ -82,14 +121,20 @@ def train_binary(x: np.ndarray, y: np.ndarray, *, c: float = 1.0,
             if not ((ys[i] * e_i < -tol and alpha[i] < c)
                     or (ys[i] * e_i > tol and alpha[i] > 0)):
                 continue
-            # Second-choice heuristic: max |E_i - E_j| over a sample.
-            candidates = rng.sample(range(n), min(n, 16))
-            j = max((k for k in candidates if k != i),
-                    key=lambda k: abs(e_i - error(k)),
-                    default=None)
+            # Second-choice heuristic: max |E_i - E_j| over a sample,
+            # the first of equal gaps winning (as ``max`` picks).
+            j = e_j = gap = None
+            for k in _sample_range(rng, n, min(n, 16)):
+                if k == i:
+                    continue
+                e_k = errors[k]
+                if e_k is None:
+                    e_k = error(k)
+                d = abs(e_i - e_k)
+                if j is None or d > gap:
+                    j, e_j, gap = k, e_k, d
             if j is None:
                 continue
-            e_j = error(j)
 
             alpha_i_old, alpha_j_old = alpha[i], alpha[j]
             if ys[i] != ys[j]:

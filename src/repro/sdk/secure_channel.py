@@ -274,7 +274,7 @@ class ReliableLink(_ReliableEndpoint):
         — a deadline can fire *between* attempts but never hangs."""
         rid = self._next_rid
         self._next_rid += 1
-        waits = self.backoff.schedule(rid, RELIABLE_MAX_ATTEMPTS - 1)
+        waits = None    # built at the first retry; most calls never retry
         for attempt in range(RELIABLE_MAX_ATTEMPTS):
             if deadline_ns is not None \
                     and self.machine.clock.now_ns >= deadline_ns:
@@ -296,6 +296,9 @@ class ReliableLink(_ReliableEndpoint):
                 # Stale response (an earlier rid the OS re-delivered or
                 # a duplicate re-answer): ignore and keep draining.
             if attempt < RELIABLE_MAX_ATTEMPTS - 1:
+                if waits is None:
+                    waits = self.backoff.schedule(
+                        rid, RELIABLE_MAX_ATTEMPTS - 1)
                 self.machine.cost.charge("channel_backoff",
                                          waits[attempt])
         raise ChannelTimeout(

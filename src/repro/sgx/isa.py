@@ -30,10 +30,6 @@ from repro.sgx.measure import MeasurementLog
 from repro.sgx.secs import Secs, Tcs
 from repro.sgx.sigstruct import Sigstruct
 
-# Per-SECS measurement logs, keyed by EID.  Kept outside the SECS dataclass
-# so SECS mirrors only architectural fields.
-_MEASUREMENTS: dict[int, MeasurementLog] = {}
-
 
 # ---------------------------------------------------------------------------
 # Lifecycle
@@ -55,9 +51,7 @@ def ecreate(machine: Machine, base_addr: int, size: int,
     machine.enclaves[secs_paddr] = secs
     # Measurement uses ELRANGE-relative offsets (as real SGX does), so an
     # image's expected MRENCLAVE is independent of where the OS maps it.
-    log = MeasurementLog()
-    log.ecreate(0, size)
-    _MEASUREMENTS[secs.eid] = log
+    secs.measurement_log.ecreate(0, size)
     machine.cost.charge_event("ecreate")
     machine.log_transition("ECREATE", eid=secs.eid)
     return secs
@@ -87,7 +81,7 @@ def eadd(machine: Machine, secs: Secs, vaddr: int, *,
                      vaddr=vaddr, perms=perms)
     if content:
         machine.epc_write(frame, content.ljust(PAGE_SIZE, b"\x00"))
-    _MEASUREMENTS[secs.eid].eadd(vaddr - secs.base_addr, page_type, perms)
+    secs.measurement_log.eadd(vaddr - secs.base_addr, page_type, perms)
     if page_type == PT_TCS:
         if tcs_entry is None:
             raise GeneralProtectionFault("TCS page needs an entry point")
@@ -103,7 +97,7 @@ def eextend(machine: Machine, secs: Secs, vaddr: int,
     """Measure a previously added page's contents into MRENCLAVE."""
     if secs.state != ST_UNINITIALIZED:
         raise EnclaveStateError("EEXTEND after EINIT")
-    _MEASUREMENTS[secs.eid].eextend(vaddr - secs.base_addr, content)
+    secs.measurement_log.eextend(vaddr - secs.base_addr, content)
     machine.cost.charge_event("eextend_page")
 
 
@@ -118,7 +112,7 @@ def einit(machine: Machine, secs: Secs, sigstruct: Sigstruct) -> None:
         raise EnclaveStateError("enclave already initialised")
     if not sigstruct.verify_signature():
         raise SigstructInvalid("author signature does not verify")
-    actual = _MEASUREMENTS[secs.eid].digest()
+    actual = secs.measurement_log.digest()
     if actual != sigstruct.expected_mrenclave:
         raise SigstructInvalid(
             "measured enclave does not match the signed expectation")
@@ -150,7 +144,6 @@ def eremove(machine: Machine, secs: Secs) -> None:
         outer = machine.enclaves.get(secs.outer_eid)
         if outer and secs.eid in outer.inner_eids:
             outer.inner_eids.remove(secs.eid)
-    _MEASUREMENTS.pop(secs.eid, None)
     machine.log_transition("EREMOVE", eid=secs.eid)
 
 
@@ -319,4 +312,4 @@ def verify_report(machine: Machine, core: Core, report: Report) -> bool:
 
 def measurement_log(secs: Secs) -> MeasurementLog:
     """Expose the running measurement (builder/tests)."""
-    return _MEASUREMENTS[secs.eid]
+    return secs.measurement_log

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.sgx.constants import ST_UNINITIALIZED, TCS_IDLE
+from repro.sgx.measure import MeasurementLog
 
 
 @dataclass
@@ -46,8 +47,8 @@ class Secs:
     isv_prod_id: int = 0
     isv_svn: int = 0
 
-    # Running measurement state used by ECREATE/EADD/EEXTEND before EINIT.
-    measurement_log: list[bytes] = field(default_factory=list)
+    # Running measurement built by ECREATE/EADD/EEXTEND, digested by EINIT.
+    measurement_log: MeasurementLog = field(default_factory=MeasurementLog)
 
     # --- Nested-enclave extension (paper Fig. 3) ---
     outer_eid: int = 0

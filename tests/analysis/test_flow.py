@@ -45,10 +45,10 @@ class TestCallGraph:
         resolver shows up here first.  Update deliberately."""
         assert repo_result.stats == {
             "modules": 143,
-            "functions": 1023,
+            "functions": 1024,
             "call_edges": 917,
             "weak_edges": 2744,
-            "secret_summaries": 471,
+            "secret_summaries": 474,
             "always_charging": 150,
         }
 
@@ -237,6 +237,38 @@ BINDING_CASES = {
             def probe(self, ctx, session_key):
                 self._ship(ctx, session_key)
         """, [("FLOW001", 8, "Exporter.probe")]),
+    "keyword_only_secret_parameter": ("""
+        def export(ctx, *, session_key):
+            ctx.ocall("log_line", session_key.hex())
+        """, [("FLOW001", 3, "export")]),
+    "keyword_only_argument": ("""
+        def ship(ctx, *, blob):
+            ctx.ocall("dump", blob)
+
+        def probe(ctx, session_key):
+            ship(ctx, blob=session_key)
+        """, [("FLOW001", 6, "probe")]),
+    "positional_only_argument": ("""
+        def ship(ctx, blob, /):
+            ctx.ocall("dump", blob)
+
+        def probe(ctx, session_key):
+            ship(ctx, session_key)
+        """, [("FLOW001", 6, "probe")]),
+    "keyword_never_binds_positional_only": ("""
+        def ship(ctx, blob, /, **extra):
+            ctx.ocall("dump", blob)
+
+        def probe(ctx, session_key):
+            ship(ctx, b"", blob=session_key)
+        """, []),
+    "surplus_positional_never_binds_keyword_only": ("""
+        def ship(ctx, *rest, blob=b""):
+            ctx.ocall("dump", blob)
+
+        def probe(ctx, session_key):
+            ship(ctx, session_key)
+        """, []),
 }
 
 #: Module defining a class whose methods are called unbound from "mod".

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.minisvm import (SvmError, linear_kernel, make_kernel,
                                 rbf_kernel, svm_predict, svm_train,
                                 train_binary)
-from repro.apps.minisvm.smo import BinaryModel
+from repro.apps.minisvm.smo import BinaryModel, _sample_range
 
 
 def reference_train_binary(x: np.ndarray, y: np.ndarray, *,
@@ -218,6 +218,23 @@ class TestSmoMatchesReference:
                 assert _model_bytes(train_binary(x, y, **kwargs)) \
                     == _model_bytes(reference_train_binary(x, y, **kwargs))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_set_branch_sample(self, seed):
+        """n > 85: the 16-candidate sample takes ``sample``'s set branch,
+        which the sweep above never reaches."""
+        x, y = _bench_blobs(100, seed)
+        for kernel in ("linear", "rbf"):
+            kwargs = dict(c=1.0, kernel=kernel, gamma=1 / 8, seed=seed)
+            assert _model_bytes(train_binary(x, y, **kwargs)) \
+                == _model_bytes(reference_train_binary(x, y, **kwargs))
+
+    def test_training_draws_no_random_sample(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("train_binary called Random.sample")
+
+        monkeypatch.setattr(random.Random, "sample", refuse)
+        train_binary(*_bench_blobs(40, 0), seed=0)
+
     def test_max_iterations_cut(self):
         x, y = _separable(seed=4)
         y[::5] *= -1.0     # label noise keeps SMO busy past the cap
@@ -227,6 +244,23 @@ class TestSmoMatchesReference:
             reference_train_binary(x, y, max_iterations=50, **kwargs))
         assert _model_bytes(capped) \
             != _model_bytes(train_binary(x, y, **kwargs))
+
+
+class TestSampleRange:
+    """``_sample_range`` against ``Random.sample(range(n), k)`` on both
+    of CPython's branches: a pool while n <= setsize (21, or 85 for
+    6 <= k <= 21), set redraws above it.  A CPython change to ``sample``
+    fails here, not as a drifted SMO model."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 21, 22, 84, 85, 86, 87,
+                                   100, 1000])
+    def test_same_list_and_generator_state(self, n):
+        for k in sorted({0, 1, 5, 6, 16, n} & set(range(n + 1))):
+            for seed in range(4):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                assert _sample_range(ours, n, k) \
+                    == theirs.sample(range(n), k), (n, k, seed)
+                assert ours.random() == theirs.random(), (n, k, seed)
 
 
 class TestMultiClass:

@@ -58,21 +58,22 @@ class TestHonestTransport:
         assert calls == [b"m0", b"m1", b"m2"]
 
 
+def drop_first_requests(kernel, count):
+    remaining = {"n": count}
+
+    def policy(n, port, message):
+        if port.endswith(":req") and remaining["n"] > 0:
+            remaining["n"] -= 1
+            return "drop"
+        return "deliver"
+
+    return install_lossy_router(kernel, policy)
+
+
 class TestLossyTransport:
-    def _drop_first_requests(self, kernel, count):
-        remaining = {"n": count}
-
-        def policy(n, port, message):
-            if port.endswith(":req") and remaining["n"] > 0:
-                remaining["n"] -= 1
-                return "drop"
-            return "deliver"
-
-        return install_lossy_router(kernel, policy)
-
     def test_resend_absorbs_interior_drops(self):
         machine, kernel = fresh()
-        self._drop_first_requests(kernel, 2)
+        drop_first_requests(kernel, 2)
         link, responder, calls = make_pair(machine, kernel)
         before = machine.cost.breakdown.get("channel_backoff", 0.0)
         assert link.call(b"ping", pump=responder.pump) == b"echo:ping"
@@ -180,6 +181,50 @@ class TestBackoffSchedule:
         spent = machine.cost.breakdown["channel_backoff"]
         assert spent == pytest.approx(sum(policy.schedule(
             1, RELIABLE_MAX_ATTEMPTS - 1)))
+
+
+class TestLazySchedule:
+    """The backoff schedule is built at the first retry, so a call that
+    never retries never seeds a ``random.Random``."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        rids = []
+        schedule = BackoffPolicy.schedule
+
+        def counted(policy, rid, attempts):
+            rids.append(rid)
+            return schedule(policy, rid, attempts)
+
+        monkeypatch.setattr(BackoffPolicy, "schedule", counted)
+        return rids
+
+    def test_lossless_call_builds_no_schedule(self, built):
+        machine, kernel = fresh()
+        link, responder, _calls = make_pair(machine, kernel)
+        for _ in range(3):
+            link.call(b"ping", pump=responder.pump)
+        assert built == []
+
+    def test_lossy_call_charges_each_scheduled_wait(self, built,
+                                                    monkeypatch):
+        machine, kernel = fresh()
+        drop_first_requests(kernel, 3)
+        link, responder, _calls = make_pair(machine, kernel)
+        charged = []
+        charge = machine.cost.charge
+
+        def spy(event, ns):
+            if event == "channel_backoff":
+                charged.append(ns)
+            charge(event, ns)
+
+        monkeypatch.setattr(machine.cost, "charge", spy)
+        assert link.call(b"ping", pump=responder.pump) == b"echo:ping"
+        assert link.call(b"pong", pump=responder.pump) == b"echo:pong"
+        assert built == [1]     # only the call that retried
+        assert charged == BackoffPolicy().schedule(
+            1, RELIABLE_MAX_ATTEMPTS - 1)[:3]
 
 
 class TestDeadline:

@@ -178,6 +178,47 @@ class TestMeasurementProperties:
         assert isa.measurement_log(a).digest() \
             == isa.measurement_log(b).digest()
 
+    def test_fresh_machines_keep_separate_logs(self, author_key):
+        """EIDs are SECS frame addresses, so two fresh machines hand out
+        the same ones; each build still measures only its own pages."""
+        def build(machine, secs, i):
+            vaddr = 0x100000 + i * PAGE_SIZE
+            isa.eadd(machine, secs, vaddr, content=b"code")
+            isa.eextend(machine, secs, vaddr, b"code")
+
+        alone = Machine(SmallMachineConfig())
+        secs = isa.ecreate(alone, 0x100000, 2 * PAGE_SIZE)
+        for i in range(2):
+            build(alone, secs, i)
+        sig = sign_sigstruct(author_key, "test",
+                             isa.measurement_log(secs).digest())
+        one, two = (Machine(SmallMachineConfig()) for _ in range(2))
+        a = isa.ecreate(one, 0x100000, 2 * PAGE_SIZE)
+        b = isa.ecreate(two, 0x100000, 2 * PAGE_SIZE)
+        assert a.eid == b.eid
+        for i in range(2):
+            build(one, a, i)
+            build(two, b, i)
+        isa.einit(one, a, sig)
+        isa.einit(two, b, sig)
+        assert a.mrenclave == b.mrenclave == sig.expected_mrenclave
+
+    def test_eremove_leaves_another_machines_build(self, author_key):
+        one, two = (Machine(SmallMachineConfig()) for _ in range(2))
+        a = isa.ecreate(one, 0x100000, 2 * PAGE_SIZE)
+        b = isa.ecreate(two, 0x100000, 2 * PAGE_SIZE)
+        isa.eadd(one, a, 0x100000)
+        isa.eadd(two, b, 0x100000)
+        isa.eremove(one, a)
+        isa.eadd(two, b, 0x100000 + PAGE_SIZE)
+        reference = isa.ecreate(one, 0x100000, 2 * PAGE_SIZE)
+        for vaddr in (0x100000, 0x100000 + PAGE_SIZE):
+            isa.eadd(one, reference, vaddr)
+        digest = isa.measurement_log(b).digest()
+        assert digest == isa.measurement_log(reference).digest()
+        isa.einit(two, b, sign_sigstruct(author_key, "test", digest))
+        assert b.state == ST_INITIALIZED
+
 
 class TestEremove:
     def test_frees_all_pages(self, machine, author_key):

@@ -292,9 +292,17 @@ class TestNightlyPipeline:
                    for run in runs)
         assert "python -m pytest benchmarks --benchmark-disable -q" in runs
 
-    def test_full_scale_is_opt_in(self):
+    def test_scheduled_run_includes_full_scale_with_timings(self):
+        """The benchmark-scale suite is minutes, not hours: every
+        scheduled run includes it and publishes its timings."""
         full = _load("nightly.yml")["jobs"]["full-suite"]
-        assert "workflow_dispatch" in full.get("if", "")
-        assert any("--full" in run
-                   for step in full["steps"]
-                   for run in [step.get("run", "")])
+        assert "if" not in full
+        runs = [step.get("run", "") for step in full["steps"]]
+        assert any("python -m repro.runner" in run and "--full" in run
+                   and "--timings" in run for run in runs)
+        uploads = [step for step in full["steps"]
+                   if "upload-artifact" in step.get("uses", "")]
+        assert uploads and uploads[0].get("if") == "always()"
+        timings = [token for run in runs for token in run.split()
+                   if token.endswith(".json") and "timings" in token]
+        assert timings and timings[0] in uploads[0]["with"]["path"]

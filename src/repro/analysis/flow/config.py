@@ -60,7 +60,6 @@ class FlowConfig:
         "repro.perf.wallclock",
         "repro.runner.pool",
         "repro.experiments.registry",
-        "repro.experiments.__main__",
     )
 
     # -- FLOW004: lifecycle-mutation escape --------------------------------

@@ -96,8 +96,6 @@ def nasso(machine: Machine, inner: Secs, outer: Secs, *,
         inner.outer_eid = outer.eid
     outer.inner_eids.append(inner.eid)
     machine.cost.charge_event("nasso")
-    machine.trace("NASSO", None, inner=hex(inner.eid),
-                  outer=hex(outer.eid))
     machine.log_transition("NASSO", eid=inner.eid, outer=outer.eid)
 
 

@@ -59,8 +59,6 @@ def neenter(machine: Machine, core: Core, inner: Secs,
     tcs.state = TCS_ACTIVE
     core.enclave_stack.append(inner.eid)
     core.tcs_stack.append(tcs_vaddr)
-    machine.trace("NEENTER", core.core_id, inner=hex(inner.eid),
-                  outer=hex(current_eid))
     machine.log_transition("NEENTER", core.core_id, eid=inner.eid,
                            tcs=tcs_vaddr, depth=len(core.enclave_stack),
                            outer=current_eid)
@@ -86,7 +84,6 @@ def neexit(machine: Machine, core: Core) -> None:
     # TLB and setting 0s for all registers."
     core.flush_tlb()
     core.scrub_registers()
-    machine.trace("NEEXIT", core.core_id, inner=hex(inner_eid))
     machine.log_transition("NEEXIT", core.core_id, eid=inner_eid,
                            tcs=tcs_vaddr, depth=len(core.enclave_stack))
 

@@ -32,9 +32,9 @@ per block, so they cross at about 130-190 blocks on a 2-CPU box; the
 threshold of 160 blocks (2.5 KiB) sits between, so every request of
 the echo, YCSB, Table VI and minisvm workloads takes the wide pass and
 only bulk transfers (Fig. 9's 512 KiB messages) take numpy.  Verified
-against the NIST test vectors, the bit-serial reference GHASH
-:func:`_ghash_simple`, a block-at-a-time reference GCM and a
-wide-vs-numpy keystream sweep in ``tests/crypto/test_gcm.py``.
+against the NIST test vectors, a bit-serial reference GHASH, a
+block-at-a-time reference GCM and a wide-vs-numpy keystream sweep in
+``tests/crypto/test_gcm.py``.
 """
 
 from __future__ import annotations
@@ -72,20 +72,6 @@ _RAMP = sum(i << 128 * (_NUMPY_MIN_BLOCKS - 1 - i)
             for i in range(_NUMPY_MIN_BLOCKS))
 
 
-def _gf_mult(x: int, y: int) -> int:
-    """Multiply two elements of GF(2^128) (GCM bit order)."""
-    z = 0
-    v = x
-    for i in range(127, -1, -1):
-        if (y >> i) & 1:
-            z ^= v
-        if v & 1:
-            v = (v >> 1) ^ _R
-        else:
-            v >>= 1
-    return z
-
-
 def _window_tables(h: int) -> tuple:
     """GHASH window tables for subkey ``h``: ``tables[k][byte]`` is
     ``(byte << 8k)·H``, for byte ``k`` of the state counted from the
@@ -120,17 +106,6 @@ def _ghash(tables: tuple, data: bytes, y: int = 0) -> int:
              ^ t4[b[4]] ^ t5[b[5]] ^ t6[b[6]] ^ t7[b[7]]
              ^ t8[b[8]] ^ t9[b[9]] ^ t10[b[10]] ^ t11[b[11]]
              ^ t12[b[12]] ^ t13[b[13]] ^ t14[b[14]] ^ t15[b[15]])
-    return y
-
-
-def _ghash_simple(h: bytes, data: bytes) -> int:
-    """Reference one-shot GHASH (bit-at-a-time); kept as the slow
-    cross-check the windowed :func:`_ghash` is tested against."""
-    hval = int.from_bytes(h, "big")
-    y = 0
-    for off in range(0, len(data), 16):
-        block = data[off:off + 16].ljust(16, b"\x00")
-        y = _gf_mult(y ^ int.from_bytes(block, "big"), hval)
     return y
 
 

@@ -171,6 +171,12 @@ class BackendUnavailable(HostError):
     failures: :class:`IntegrityViolation` is fail-stop."""
 
 
+class ClaimFailed(ReproError):
+    """An experiment finished, but its result does not show a shape the
+    paper reports (a :class:`repro.experiments.claims.Claim`).  Claims
+    are deterministic, so the runner never retries one."""
+
+
 class FaultInjectionError(ReproError):
     """The fault-injection engine itself detected an inconsistency: an
     injection left the machine in a state where

@@ -4,7 +4,9 @@ evaluation (§V-§VII), plus the DESIGN.md ablations.
 Each ``run_*`` function executes the workload on fresh simulated
 machines and returns an :class:`~repro.experiments.report.ExperimentResult`
 whose ``render()`` prints a table shaped like the paper's.  The
-``benchmarks/`` tree wraps these functions with pytest-benchmark.
+registry (:mod:`repro.experiments.registry`) names them, sizes them and
+attaches the paper-shape claims (:mod:`repro.experiments.claims`) that
+``python -m repro.runner`` checks on every result.
 """
 
 from repro.experiments.ablations import (run_d1_validation_cost,

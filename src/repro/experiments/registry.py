@@ -1,16 +1,18 @@
 """Central registry of the experiment harnesses.
 
 One place knows every table/figure/ablation the reproduction can run,
-at which scales, and what each run is expected to cost on the host:
+at which scales, what each run is expected to cost on the host, and
+which paper shapes its result must show:
 
-* ``registry(full)`` — name → zero-arg callable, the mapping
-  ``python -m repro.experiments`` always had;
 * ``specs()`` — name → :class:`ExperimentSpec` with per-experiment
-  host-time budgets (the parallel runner's hang/flake guard) and a
-  relative cost hint (longest-processing-time-first scheduling);
+  host-time budgets (the parallel runner's hang/flake guard), a
+  relative cost hint (longest-processing-time-first scheduling) and the
+  paper-shape :mod:`~repro.experiments.claims`;
 * ``run_experiment(name, full)`` — the worker-side entry point: it is a
   plain module-level function, so :mod:`repro.runner` subprocesses need
-  only the *name* of an experiment, never a pickled closure.
+  only the *name* of an experiment, never a pickled closure;
+* ``check_claims(spec, result, full)`` — the parent-side judgement of
+  a finished run against its claims.
 
 Scales: the *quick* variant of every experiment is sized so the whole
 suite finishes in minutes and is what EXPERIMENTS.md documents; *full*
@@ -30,6 +32,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro import experiments as exp
+from repro.errors import ClaimFailed
+from repro.experiments import claims
 from repro.experiments.report import ExperimentResult
 from repro.host import experiments as host_exp
 from repro.perf import wallclock
@@ -55,9 +59,12 @@ class ExperimentSpec:
     ``budget_s``/``full_budget_s`` are *host* wall-clock budgets for the
     quick/full variants — generous multiples of the measured cost on the
     reference box, meant to catch hangs and pathological regressions,
-    not to be tight performance gates.  ``cost_hint`` is the relative
-    expected quick-variant host cost; the runner schedules
-    longest-first so one slow experiment never serializes the tail.
+    not to be tight performance gates.  ``full_budget_s`` is
+    ``max(60, 10 x the measured serial full cost, budget_s)``.
+    ``cost_hint`` is the relative expected quick-variant host cost; the
+    runner schedules longest-first so one slow experiment never
+    serializes the tail.  ``claims`` are the paper shapes every
+    successful run must show.
     """
 
     name: str
@@ -66,6 +73,7 @@ class ExperimentSpec:
     budget_s: float
     full_budget_s: float
     cost_hint: float
+    claims: "tuple[claims.Claim, ...]" = ()
 
 
 def _specs_paper() -> list[ExperimentSpec]:
@@ -74,36 +82,44 @@ def _specs_paper() -> list[ExperimentSpec]:
             "table2",
             quick=lambda: exp.run_table2(200),
             full=lambda: exp.run_table2(2000),
-            budget_s=60, full_budget_s=120, cost_hint=0.13),
+            budget_s=60, full_budget_s=60, cost_hint=0.13,
+            claims=claims.TABLE2),
         ExperimentSpec(
             "table3", exp.run_table3, exp.run_table3,
-            budget_s=60, full_budget_s=60, cost_hint=0.02),
+            budget_s=60, full_budget_s=60, cost_hint=0.02,
+            claims=claims.TABLE3),
         ExperimentSpec(
             "table4", exp.run_table4, exp.run_table4,
-            budget_s=60, full_budget_s=60, cost_hint=0.3),
+            budget_s=60, full_budget_s=60, cost_hint=0.3,
+            claims=claims.TABLE4),
         ExperimentSpec(
             "table5", exp.run_table5, exp.run_table5,
-            budget_s=60, full_budget_s=60, cost_hint=0.02),
+            budget_s=60, full_budget_s=60, cost_hint=0.02,
+            claims=claims.TABLE5),
         ExperimentSpec(
             "table6",
             quick=lambda: exp.run_table6(operations=500, records=200),
             full=lambda: exp.run_table6(operations=10_000,
                                         records=1000),
-            budget_s=120, full_budget_s=14_400, cost_hint=3.3),
+            budget_s=120, full_budget_s=540, cost_hint=3.3,
+            claims=claims.TABLE6),
         ExperimentSpec(
             "table7", exp.run_table7, exp.run_table7,
-            budget_s=60, full_budget_s=120, cost_hint=0.6),
+            budget_s=60, full_budget_s=60, cost_hint=0.6,
+            claims=claims.TABLE7),
         ExperimentSpec(
             "fig7",
             quick=lambda: exp.run_fig7(chunk_sizes=(128, 2048, 16384),
                                        total_bytes=64 << 10),
             full=lambda: exp.run_fig7(total_bytes=1 << 20),
-            budget_s=60, full_budget_s=10_800, cost_hint=0.9),
+            budget_s=60, full_budget_s=160, cost_hint=0.9,
+            claims=claims.FIG7),
         ExperimentSpec(
             "fig9",
             quick=lambda: exp.run_fig9(scales=FIG9_QUICK_SCALES),
             full=exp.run_fig9,
-            budget_s=120, full_budget_s=3600, cost_hint=1.2),
+            budget_s=120, full_budget_s=120, cost_hint=1.2,
+            claims=claims.FIG9),
         ExperimentSpec(
             "fig10",
             quick=lambda: exp.run_fig10(n=20, outer_sweep=(1, 4, 20),
@@ -112,41 +128,47 @@ def _specs_paper() -> list[ExperimentSpec]:
                                        outer_sweep=(1, 5, 50, 100,
                                                     500),
                                        page_scale=0.02),
-            budget_s=120, full_budget_s=3600, cost_hint=0.6),
+            budget_s=120, full_budget_s=120, cost_hint=0.6,
+            claims=claims.FIG10),
         ExperimentSpec(
             "fig11",
             quick=lambda: exp.run_fig11(chunks=(64, 1024, 8192)),
             full=exp.run_fig11,
-            budget_s=120, full_budget_s=600, cost_hint=6),
+            budget_s=120, full_budget_s=120, cost_hint=6,
+            claims=claims.FIG11),
         ExperimentSpec(
             "host-serving",
             quick=lambda: host_exp.run_host_serving(1000),
             full=lambda: host_exp.run_host_serving(100_000),
-            budget_s=60, full_budget_s=900, cost_hint=0.7),
+            budget_s=60, full_budget_s=410, cost_hint=0.7),
         ExperimentSpec(
             "host-overload",
             quick=lambda: host_exp.run_host_overload(1000),
             full=lambda: host_exp.run_host_overload(100_000),
-            budget_s=60, full_budget_s=400, cost_hint=0.4),
+            budget_s=60, full_budget_s=190, cost_hint=0.4),
         ExperimentSpec(
             "host-failover",
             quick=lambda: host_exp.run_host_failover(1000),
             full=lambda: host_exp.run_host_failover(100_000),
-            budget_s=60, full_budget_s=600, cost_hint=0.2),
+            budget_s=60, full_budget_s=340, cost_hint=0.2),
         ExperimentSpec(
             "ablation-d1", exp.run_d1_validation_cost,
             exp.run_d1_validation_cost,
-            budget_s=60, full_budget_s=60, cost_hint=0.06),
+            budget_s=60, full_budget_s=60, cost_hint=0.06,
+            claims=claims.D1),
         ExperimentSpec(
             "ablation-d2", exp.run_d2_shootdown, exp.run_d2_shootdown,
-            budget_s=60, full_budget_s=60, cost_hint=0.05),
+            budget_s=60, full_budget_s=60, cost_hint=0.05,
+            claims=claims.D2),
         ExperimentSpec(
             "ablation-d3", exp.run_d3_flush_sensitivity,
             exp.run_d3_flush_sensitivity,
-            budget_s=60, full_budget_s=400, cost_hint=0.9),
+            budget_s=60, full_budget_s=60, cost_hint=0.9,
+            claims=claims.D3),
         ExperimentSpec(
             "ablation-d4", exp.run_d4_depth, exp.run_d4_depth,
-            budget_s=60, full_budget_s=60, cost_hint=0.04),
+            budget_s=60, full_budget_s=60, cost_hint=0.04,
+            claims=claims.D4),
     ]
 
 
@@ -285,13 +307,6 @@ def specs() -> dict[str, ExperimentSpec]:
     return {spec.name: spec for spec in entries}
 
 
-def registry(full: bool = False) -> dict[str, Callable[[],
-                                                       ExperimentResult]]:
-    """name → zero-arg callable returning an ExperimentResult."""
-    return {name: (spec.full if full else spec.quick)
-            for name, spec in specs().items()}
-
-
 def select(wanted: list[str]) -> list[str]:
     """Canonical-order names matching any prefix in ``wanted`` (all
     names when ``wanted`` is empty)."""
@@ -303,3 +318,14 @@ def run_experiment(name: str, full: bool = False) -> ExperimentResult:
     """Worker-side entry point: resolve ``name`` and run it."""
     spec = specs()[name]
     return (spec.full if full else spec.quick)()
+
+
+def check_claims(spec: ExperimentSpec, result: ExperimentResult,
+                 full: bool = False) -> None:
+    """Raise :class:`ClaimFailed` for the first claim of ``spec`` that
+    ``result`` does not show at this scale."""
+    scale = "full" if full else "quick"
+    for claim in spec.claims:
+        if (full or not claim.full_only) and not claim.holds(result):
+            raise ClaimFailed(f"{spec.name} at {scale} scale: claim does "
+                              f"not hold: {claim.cite}")

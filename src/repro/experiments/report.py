@@ -2,8 +2,8 @@
 
 Every experiment module returns a :class:`ExperimentResult` whose rows
 print as an aligned text table shaped like the paper's table/figure, so
-``pytest benchmarks/ --benchmark-only`` output can be compared to the
-paper side by side and EXPERIMENTS.md can embed the same rendering.
+the runner's progress output can be compared to the paper side by side
+and EXPERIMENTS.md can embed the same rendering.
 
 Results are also *machine-readable*: rows are typed values (never
 pre-rendered strings of numbers), every harness records its headline
@@ -36,8 +36,8 @@ class ExperimentResult:
     columns: tuple[str, ...]
     rows: list[tuple[Any, ...]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    #: Headline numbers by name — the typed scalars a shape assertion or
-    #: a dashboard would read, independent of the table layout.
+    #: Headline numbers by name — the typed scalars a dashboard would
+    #: read, independent of the table layout.
     metrics: dict[str, Any] = field(default_factory=dict)
 
     def add(self, *values: Any) -> None:

@@ -63,8 +63,8 @@ class SgxDriver:
         NASSO association (step 3) is a separate :meth:`associate` call
         once both enclaves of a pair are initialised.
         """
-        base = proc.space.reserve(image.elrange_bytes, align=PAGE_SIZE)
-        secs = isa.ecreate(self.machine, base, image.elrange_bytes,
+        base = proc.space.reserve(image.size_bytes, align=PAGE_SIZE)
+        secs = isa.ecreate(self.machine, base, image.size_bytes,
                            attributes=image.attributes)
         resident: dict[int, int] = {}
         for page in image.iter_pages():

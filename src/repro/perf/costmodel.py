@@ -111,10 +111,6 @@ SQL_STATEMENT_NS = 55_000.0
 #: minidb per-row-touched increment on top of :data:`SQL_STATEMENT_NS`.
 SQL_ROW_NS = 1_500.0
 
-#: Switchless-call worker wake latency: one-way cache-line ping-pong
-#: between cores (~100-200 ns on real parts; repro.sdk.switchless).
-SWITCHLESS_POLL_NS = 150.0
-
 #: Simulated backoff the SDK runtime sleeps between ecall entry retries
 #: (TCS busy / evicted-page refault; repro.sdk.runtime) — roughly a
 #: scheduler quantum's worth of yielding on real systems.

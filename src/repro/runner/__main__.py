@@ -9,8 +9,11 @@ Examples::
     python -m repro.runner --report out.json --write-docs
     python -m repro.runner --list               # registry + budgets
 
-Exit status: 0 on success, 1 when an experiment fails (after its
-retry) or ``--check-docs`` finds drift, 2 on usage errors.
+Progress (stderr, silenced by ``--quiet``) includes each finished
+experiment's table.  Exit status: 0 on success, 1 when an experiment
+fails (after its retry), breaks one of its paper-shape claims
+(:mod:`repro.experiments.claims`), or ``--check-docs`` finds drift, 2
+on usage errors.
 
 The ``--json`` document is byte-identical for any ``-j``; host wall
 times live in the separate ``--timings`` document (see

@@ -9,6 +9,11 @@ Design notes:
 * Workers receive only the experiment *name*; they resolve it through
   :func:`repro.experiments.registry.run_experiment` in their own
   process, so nothing about a harness needs to be picklable.
+* The parent judges every successful result against the experiment's
+  paper-shape claims (:func:`repro.experiments.registry.check_claims`);
+  a claim that does not hold fails the experiment with
+  :class:`~repro.errors.ClaimFailed` and no retry, because a claim is
+  deterministic.
 * The parent never consumes worker results in completion order for
   anything observable: outcomes are keyed by name and re-emitted in
   canonical registry order, which is what makes the results document
@@ -27,7 +32,9 @@ from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Callable, Optional
 
+from repro.errors import ClaimFailed
 from repro.experiments import registry as reg
+from repro.experiments.report import ExperimentResult
 from repro.perf import wallclock
 from repro.perf.fingerprint import result_fingerprint
 from repro.sgx import transitions
@@ -249,14 +256,26 @@ def run_suite(names: Optional[list] = None, *, full: bool = False,
                     kind, payload, host_s = message
                     _reap(live)
                     if kind == "ok":
-                        say(f"{name}: ok in {host_s:.1f}s host "
-                            f"(attempt {live.attempts})")
                         result = payload["result"]
-                        settle(name, live, Outcome(
-                            name=name, status="ok", result=result,
-                            fingerprint=result_fingerprint(result),
-                            transition_digest=payload["transition_digest"],
-                            host_s=host_s))
+                        table = ExperimentResult.from_dict(result)
+                        say(table.render())
+                        try:
+                            reg.check_claims(spec_map[name], table, full)
+                        except ClaimFailed as exc:
+                            say(f"{name}: ClaimFailed: {exc}")
+                            settle(name, live, Outcome(
+                                name=name, status="failed",
+                                error=f"ClaimFailed: {exc}",
+                                host_s=host_s))
+                        else:
+                            say(f"{name}: ok in {host_s:.1f}s host "
+                                f"(attempt {live.attempts})")
+                            settle(name, live, Outcome(
+                                name=name, status="ok", result=result,
+                                fingerprint=result_fingerprint(result),
+                                transition_digest=payload[
+                                    "transition_digest"],
+                                host_s=host_s))
                     else:
                         retry_or(name, live, Outcome(
                             name=name, status="failed", error=payload,

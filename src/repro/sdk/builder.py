@@ -71,19 +71,11 @@ class EnclaveImage:
     stack_bytes: int
     tcs_offsets: list[int]
     heap_offset: int
-    #: Extra ELRANGE beyond the static pages, reserved for SGX2-style
-    #: dynamic growth (EAUG/EACCEPT).  Measured into MRENCLAVE because
-    #: ECREATE covers the ELRANGE size.
-    dynamic_bytes: int = 0
 
     @property
     def size_bytes(self) -> int:
         """Static image bytes (the pages the loader EADDs)."""
         return len(self.pages) * PAGE_SIZE
-
-    @property
-    def elrange_bytes(self) -> int:
-        return self.size_bytes + self.dynamic_bytes
 
     def iter_pages(self):
         return iter(self.pages)
@@ -104,7 +96,6 @@ class EnclaveBuilder:
                  stack_bytes: int = 4 * PAGE_SIZE,
                  num_tcs: int = 2,
                  extra_code_bytes: int = 0,
-                 dynamic_bytes: int = 0,
                  isv_prod_id: int = 0, isv_svn: int = 1,
                  attributes: int = 0) -> None:
         self.name = name
@@ -116,8 +107,6 @@ class EnclaveBuilder:
         #: Models statically linked library bulk (Fig. 10 varies footprint
         #: by linking a ~4 MiB SSL library vs a ~1 MiB app).
         self.extra_code_bytes = _page_round(extra_code_bytes)
-        #: SGX2 growth headroom within the ELRANGE.
-        self.dynamic_bytes = _page_round(dynamic_bytes)
         self.isv_prod_id = isv_prod_id
         self.isv_svn = isv_svn
         self.attributes = attributes
@@ -191,8 +180,7 @@ class EnclaveBuilder:
             pages.append(ImagePage(offset, b"", PERM_RW, measured=False))
             offset += PAGE_SIZE
 
-        expected_mrenclave = self._replay_measurement(
-            pages, offset + self.dynamic_bytes)
+        expected_mrenclave = self._replay_measurement(pages, offset)
         sigstruct = sign_sigstruct(
             self.signing_key, self.name, expected_mrenclave,
             isv_prod_id=self.isv_prod_id, isv_svn=self.isv_svn,
@@ -203,7 +191,7 @@ class EnclaveBuilder:
             pages=pages, sigstruct=sigstruct, attributes=self.attributes,
             code_bytes=code_bytes, heap_bytes=self.heap_bytes,
             stack_bytes=self.stack_bytes, tcs_offsets=tcs_offsets,
-            heap_offset=heap_offset, dynamic_bytes=self.dynamic_bytes)
+            heap_offset=heap_offset)
 
     @staticmethod
     def _replay_measurement(pages: list[ImagePage], total: int) -> bytes:

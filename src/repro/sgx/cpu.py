@@ -204,13 +204,9 @@ class Core:
                 raise PageFault(f"no present mapping for {vaddr:#x}", vaddr)
             decision = machine.validator.validate(self, vaddr, pte)
             if decision.action == PAGE_FAULT:
-                machine.trace("PAGE_FAULT", self.core_id,
-                              vaddr=hex(vaddr), reason=decision.reason)
                 raise PageFault(
                     f"#PF at {vaddr:#x}: {decision.reason}", vaddr)
             if decision.action == ABORT:
-                machine.trace("ACCESS_VIOLATION", self.core_id,
-                              vaddr=hex(vaddr), reason=decision.reason)
                 raise AccessViolation(
                     f"access violation at {vaddr:#x}: {decision.reason}",
                     vaddr)

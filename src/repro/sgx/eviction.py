@@ -183,8 +183,6 @@ def ewb(machine: Machine, frame: int, va: VersionArray,
     machine.phys.drop_frame(frame >> 12)
     machine.counters.bump(ctr.EWB)
     machine.cost.charge_event("ewb_page")
-    machine.trace("EWB", None, eid=hex(evicted.eid),
-                  vaddr=hex(evicted.vaddr))
     # The payload is page *identity* (eid/vaddr integers), not key
     # bytes; the record constructor makes the whole EvictedPage carry
     # the seal-key taint, so the field reads over-approximate.
@@ -215,8 +213,6 @@ def eldb(machine: Machine, evicted: EvictedPage,
     va.slots[evicted.va_slot] = None  # consume: anti-replay
     machine.counters.bump(ctr.ELDB)
     machine.cost.charge_event("eldb_page")
-    machine.trace("ELDB", None, eid=hex(evicted.eid),
-                  vaddr=hex(evicted.vaddr))
     machine.log_transition("ELDB", eid=evicted.eid, vaddr=evicted.vaddr)
     return frame
 

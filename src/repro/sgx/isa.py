@@ -166,8 +166,6 @@ def eenter(machine: Machine, core: Core, secs: Secs,
     tcs.state = TCS_ACTIVE
     core.enclave_stack.append(secs.eid)
     core.tcs_stack.append(tcs_vaddr)
-    machine.trace("EENTER", core.core_id, eid=hex(secs.eid),
-                  tcs=hex(tcs_vaddr))
     machine.log_transition("EENTER", core.core_id, eid=secs.eid,
                            tcs=tcs_vaddr, depth=len(core.enclave_stack))
     # Call-level cost/counters (Table II calibration) are charged by the
@@ -188,7 +186,6 @@ def eexit(machine: Machine, core: Core) -> None:
     machine.tcs(eid, tcs_vaddr).state = TCS_IDLE
     core.flush_tlb()
     core.scrub_registers()
-    machine.trace("EEXIT", core.core_id, eid=hex(eid))
     machine.log_transition("EEXIT", core.core_id, eid=eid,
                            tcs=tcs_vaddr, depth=len(core.enclave_stack))
 
@@ -223,7 +220,6 @@ def aex(machine: Machine, core: Core) -> None:
     core.flush_tlb()
     machine.counters.bump(ctr.AEX)
     machine.cost.charge_event("aex")
-    machine.trace("AEX", core.core_id, root_eid=hex(root_eid))
     machine.log_transition("AEX", core.core_id, eid=root_eid,
                            tcs=root_tcs_vaddr, depth=0, parked=parked)
 

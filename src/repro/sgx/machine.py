@@ -99,9 +99,6 @@ class Machine:
         self._address_spaces: list[AddressSpace] = []
         # Fused per-package secret EGETKEY/EREPORT derivations hang off.
         self.root_secret = hashlib.sha256(b"repro-package-fuse").digest()
-        #: Optional structured tracer (repro.perf.trace.Tracer); None
-        #: keeps tracing free.
-        self.tracer = None
         #: Fault-injection engine (repro.faults.engine.FaultEngine); None
         #: in normal runs.  Chaos runs thread a serialized FaultPlan to
         #: worker processes through the environment, so every Machine a
@@ -111,12 +108,6 @@ class Machine:
         if plan_json:
             from repro.faults.engine import attach_engine
             attach_engine(self, plan_json)
-
-    def trace(self, kind: str, core_id: int | None = None,
-              **details) -> None:
-        """Emit a structured trace event if a tracer is attached."""
-        if self.tracer is not None:
-            self.tracer.emit(self.clock.now_ns, kind, core_id, **details)
 
     def log_transition(self, kind: str, core_id: int | None = None, *,
                        eid: int = 0, tcs: int = 0, depth: int = 0,

@@ -44,12 +44,12 @@ class TestCallGraph:
         """Drift tripwire: adding/removing functions or changing the
         resolver shows up here first.  Update deliberately."""
         assert repo_result.stats == {
-            "modules": 143,
-            "functions": 1024,
-            "call_edges": 917,
-            "weak_edges": 2744,
-            "secret_summaries": 474,
-            "always_charging": 150,
+            "modules": 140,
+            "functions": 1017,
+            "call_edges": 910,
+            "weak_edges": 2653,
+            "secret_summaries": 464,
+            "always_charging": 143,
         }
 
     def test_strong_edge_import_resolved(self, repo_result):

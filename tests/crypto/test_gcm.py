@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import gcm as gcm_module
 from repro.crypto.aes import Aes
 from repro.crypto.gcm import (_NUMPY_MIN_BLOCKS, KEY_CACHE_SIZE, AesGcm,
-                              _gf_mult, _ghash, _ghash_simple, _key_state,
-                              _numpy_keystream, _wide_keystream,
-                              _window_tables)
+                              _ghash, _key_state, _numpy_keystream,
+                              _wide_keystream, _window_tables)
 from repro.errors import CryptoError
 
 #: Key, 60-byte plaintext and AAD of NIST GCM spec test cases 4-6.
@@ -32,6 +31,35 @@ def _pad16(data: bytes) -> bytes:
 
 def _bits64(data: bytes) -> bytes:
     return (len(data) * 8).to_bytes(8, "big")
+
+
+#: GCM's reduction polynomial x^128 + x^7 + x^2 + x + 1, reflected.
+_R = 0xE1 << 120
+
+
+def _gf_mult(x: int, y: int) -> int:
+    """Multiply two elements of GF(2^128) (GCM bit order), bit by bit."""
+    z = 0
+    v = x
+    for i in range(127, -1, -1):
+        if (y >> i) & 1:
+            z ^= v
+        if v & 1:
+            v = (v >> 1) ^ _R
+        else:
+            v >>= 1
+    return z
+
+
+def _ghash_simple(h: bytes, data: bytes) -> int:
+    """Reference one-shot GHASH, one :func:`_gf_mult` per block: the
+    slow cross-check the windowed ``gcm._ghash`` is tested against."""
+    hval = int.from_bytes(h, "big")
+    y = 0
+    for off in range(0, len(data), 16):
+        block = data[off:off + 16].ljust(16, b"\x00")
+        y = _gf_mult(y ^ int.from_bytes(block, "big"), hval)
+    return y
 
 
 def _reference_seal(key: bytes, nonce: bytes, plaintext: bytes,

@@ -1,8 +1,9 @@
 """Smoke + shape tests for the experiment harnesses (fast variants).
 
-The full-size runs live in ``benchmarks/``; these exercise the same code
-paths with tiny workloads so `pytest tests/` stays quick while still
-catching harness regressions.
+The quick and full suites run through ``python -m repro.runner``, which
+also checks each result's paper-shape claims; these exercise the same
+code paths with tiny workloads so `pytest tests/` stays quick while
+still catching harness regressions.
 """
 
 import pytest

@@ -103,7 +103,10 @@ class TestDrift:
             self, checked_in, monkeypatch):
         """End-to-end negative test: change a real harness constant,
         re-measure through real workers (fork inherits the patch), and
-        the docs check must fail."""
+        the docs check must fail.  Only dna's feature count moves: the
+        Table V claim pins colon-cancer's, so perturbing that one fails
+        the run before the docs check (``tests/experiments/
+        test_claims.py`` covers that path)."""
         import dataclasses
 
         from repro.apps import datasets
@@ -111,6 +114,7 @@ class TestDrift:
 
         perturbed_specs = tuple(
             dataclasses.replace(spec, features=spec.features + 1)
+            if spec.name == "dna" else spec
             for spec in datasets.TABLE_V)
         monkeypatch.setattr(datasets, "TABLE_V", perturbed_specs)
         monkeypatch.setattr(datasets, "SPECS_BY_NAME",

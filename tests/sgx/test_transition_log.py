@@ -1,14 +1,20 @@
 """The first-class transition log: canonical events, rollback, the
-per-worker session fold, and the digest's determinism guarantees
-(fault-plan transparency, fast-vs-reference identity)."""
+per-worker session fold, the orderings a running machine logs, and the
+digest's determinism guarantees (fault-plan transparency,
+fast-vs-reference identity)."""
 
 import pytest
 
+from repro.apps.ports.fastcomm import NestedChannelDeployment
+from repro.core import NestedValidator
+from repro.errors import AccessViolation
 from repro.faults.plan import FaultPlan
+from repro.os import Kernel
 from repro.perf.fingerprint import (WORKLOADS, machine_fingerprint,
                                     nested_pair, transition_digest)
-from repro.sgx import transitions
-from repro.sgx.constants import SmallMachineConfig
+from repro.sdk import EnclaveBuilder, EnclaveHost, developer_key, parse_edl
+from repro.sgx import isa, transitions
+from repro.sgx.constants import PAGE_SIZE, SmallMachineConfig
 from repro.sgx.machine import Machine
 from repro.sgx.transitions import TransitionLog
 
@@ -103,6 +109,68 @@ class TestMachineRecording:
         machine.log_transition("EENTER", 0, eid=1, tcs=0x1000, depth=1)
         assert machine_fingerprint(machine) == before
         assert len(machine.transitions) == 1
+
+
+EDL = """
+enclave {
+    trusted {
+        public int read_at(int addr);
+    };
+};
+"""
+
+
+def _kinds_since(machine: Machine, mark: int) -> "list[str]":
+    return [event[0] for event in machine.transitions.events[mark:]]
+
+
+class TestEventSequences:
+    """Orderings the log must show on a running machine."""
+
+    @pytest.fixture
+    def world(self):
+        machine = Machine(SmallMachineConfig(),
+                          validator_cls=NestedValidator)
+        host = EnclaveHost(machine, Kernel(machine))
+        builder = EnclaveBuilder("logged", parse_edl(EDL),
+                                 signing_key=developer_key("logged"))
+        builder.add_entry(
+            "read_at",
+            lambda ctx, addr: int.from_bytes(ctx.read(addr, 8),
+                                             "little"))
+        handle = host.load(builder.build())
+        return machine, host, handle
+
+    def test_transition_events(self, world):
+        machine, host, handle = world
+        mark = len(machine.transitions)
+        handle.ecall("read_at", handle.heap.base)
+        kinds = _kinds_since(machine, mark)
+        assert kinds.index("EENTER") < kinds.index("EEXIT")
+
+    def test_violation_names_the_prm(self, world):
+        machine, host, handle = world
+        with pytest.raises(AccessViolation, match="PRM"):
+            host.core.read(handle.heap.base, 8)
+
+    def test_eviction_sequence(self, world):
+        """The §IV-E ordering: AEX of tracked threads precedes EWB."""
+        machine, host, handle = world
+        target = (handle.heap.base & ~(PAGE_SIZE - 1)) + PAGE_SIZE
+        core = machine.cores[1]
+        core.address_space = host.proc.space
+        isa.eenter(machine, core, handle.secs, handle.idle_tcs())
+        core.read(target, 8)
+        mark = len(machine.transitions)
+        host.kernel.driver.evict_page(handle.secs, target)
+        kinds = _kinds_since(machine, mark)
+        assert kinds.index("AEX") < kinds.index("EWB")
+
+    def test_nasso_logged(self, world):
+        machine, host, handle = world
+        mark = len(machine.transitions)
+        NestedChannelDeployment(host, footprint_bytes=1 << 16)
+        assert _kinds_since(machine, mark).count("NASSO") == 2
 
 
 class TestDigestDeterminism:

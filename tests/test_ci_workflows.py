@@ -282,15 +282,17 @@ class TestNightlyPipeline:
                    if "upload-artifact" in step.get("uses", "")]
         assert uploads and uploads[0].get("if") == "always()"
 
-    def test_paper_shape_job_runs_the_benchmarks_directory(self):
-        """Nothing in tier-1 runs ``benchmarks/``; this job does, with
-        pytest-benchmark installed and its timing switched off."""
-        shape = _load("nightly.yml")["jobs"]["paper-shape"]
-        assert shape["env"]["PYTHONPATH"] == "src"
-        runs = [step.get("run", "") for step in shape["steps"]]
-        assert any("pytest-benchmark" in run and "pip install" in run
-                   for run in runs)
-        assert "python -m pytest benchmarks --benchmark-disable -q" in runs
+    def test_no_workflow_runs_a_pytest_benchmark_tree(self):
+        """The paper-shape checks are claims on the registry, which the
+        runner jobs gate; no workflow installs a pytest benchmark
+        plugin or runs a ``benchmarks`` tree."""
+        for path in sorted(WORKFLOWS.glob("*.yml")):
+            for run in _runs(_load(path.name)):
+                installed = run.split("pip install", 1)[1].split() \
+                    if "pip install" in run else []
+                assert not [p for p in installed if "benchmark" in p], \
+                    path.name
+                assert "benchmarks" not in run, path.name
 
     def test_scheduled_run_includes_full_scale_with_timings(self):
         """The benchmark-scale suite is minutes, not hours: every

@@ -9,11 +9,12 @@ it with *random* ones: each seeded :class:`Schedule` drives the shared
 through a random sequence of heap pokes/peeks, nested call storms,
 AEX/ERESUME interruptions, EPC evict/reload round trips, and
 contiguous multi-page read/write bursts straddling TLB flush /
-shootdown boundaries (``bulk_storm``, stressing the access-plan
-compiler's invalidation) — twice.
+shootdown boundaries (``bulk_storm``, stressing the access plan's
+invalidation and page-by-page recompile) — twice.
 The fast run uses the production configuration; the reference run sets
-``MachineConfig.reference_paths`` so every access takes the slow
-per-line path with the access plan disabled.  Three oracles compare the
+``MachineConfig.reference_paths`` so every access takes the per-page
+translate loop with the access plan disabled — the only difference
+between the two runs.  Three oracles compare the
 two:
 
 ``DIFF001``
@@ -48,7 +49,6 @@ CLI::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import random
@@ -319,16 +319,6 @@ def fuzz(count: int, *, base_seed: int = 0, with_faults: bool = False,
                                        sort_keys=True) + "\n")
     report.dedupe()
     return report
-
-
-def corpus_digest(count: int, *, base_seed: int = 0) -> str:
-    """Fold the fast-run transition digest of every schedule into one
-    hex digest — a cheap regression pin for the whole corpus."""
-    h = hashlib.sha256()
-    for i in range(count):
-        outcome = run_schedule(generate_schedule(base_seed + i))
-        h.update(outcome.digest.encode() + b";")
-    return h.hexdigest()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,10 +2,10 @@
 
 Property: every *successful* (non-raising) path from a declared entry
 point (``FlowConfig.charge_entry_points``: the Core read/write leaves,
-``_plan_run``, the memside accessors and the flush broadcasts) to a
-return passes through at least one clock-advancing charge seam.  The
-access-plan compiler (PR 7) fused what used to be per-access charges
-into one ``charge_run`` per serve — golden fingerprints catch a missed
+the memside accessors and the flush broadcasts) to a return passes
+through at least one clock-advancing charge seam.  The access-plan fast
+path in ``Core._access`` fuses the tlb_hit and memory-side charges into
+one inline clock advance per serve — golden fingerprints catch a missed
 charge only if a workload happens to cover that path; this check proves
 it per path, statically.
 
@@ -22,9 +22,9 @@ summary proves it always charges.  ``counters.*`` bumps are *not*
 seams: counter increments are conditional bookkeeping, only the clock
 is the property.  Intentionally charge-free paths carry a
 ``# flow: charged`` declared-intent annotation (zero-length accesses,
-decline-and-fall-back returns, loops over non-empty-by-construction
-collections); the annotation satisfies the obligation at that line and
-is itself grep-able intent documentation.
+loops over non-empty-by-construction collections); the annotation
+satisfies the obligation at that line and is itself grep-able intent
+documentation.
 
 The per-function summary (does it always charge before completing?) is
 computed to fixpoint over the call graph, path-sensitively inside each
@@ -44,8 +44,7 @@ RULE = "FLOW002"
 
 #: CostModel charging methods (see repro.perf.costmodel.CostModel).
 _CHARGE_METHODS = frozenset({
-    "charge", "charge_event", "charge_bytes", "charge_gcm",
-    "charge_mee_lines", "charge_lines", "charge_run", "charge_work"})
+    "charge", "charge_event", "charge_bytes", "charge_gcm", "charge_work"})
 #: Receiver tails that denote the cost model / its clock.
 _COST_RECEIVERS = frozenset({"cost", "_cost"})
 _CLOCK_RECEIVERS = frozenset({"clock", "_clock"})

@@ -27,13 +27,10 @@ class FlowConfig:
         "repro.sgx.cpu:Core.write",
         "repro.sgx.cpu:Core._access",
         "repro.sgx.cpu:Core._translate",
-        "repro.sgx.cpu:Core._plan_run",
         "repro.sgx.cpu:Core.flush_tlb",
         "repro.sgx.machine:Machine.memside_read",
         "repro.sgx.machine:Machine.memside_write",
         "repro.sgx.machine:Machine._charge_lines",
-        "repro.sgx.machine:Machine._reference_memside_read",
-        "repro.sgx.machine:Machine._reference_memside_write",
         "repro.sgx.machine:Machine.epc_read",
         "repro.sgx.machine:Machine.epc_write",
         "repro.sgx.machine:Machine.flush_all_tlbs",

@@ -38,28 +38,22 @@ class FlowMutation:
 
 MUTATIONS: tuple = (
     FlowMutation(
-        name="drop-plan-run-charge",
+        name="drop-plan-multiline-charge",
         path="src/repro/sgx/cpu.py",
         expected_rule="FLOW002",
-        description="delete the fused charge_run cost seam on the "
-                    "access-plan serve path",
-        before=("        machine.counters.charge_run("
-                "npages, hits, misses, dec, enc)\n"
-                "        self._cost.charge_run(npages, hits, misses, mee)\n"),
-        after=("        machine.counters.charge_run("
-               "npages, hits, misses, dec, enc)\n")),
+        description="delete the clock advance in the multi-line branch "
+                    "of the access-plan serve in Core._access",
+        before=(" " * 28 + "clock._now_ns = clock._now_ns + total\n"),
+        after=""),
     FlowMutation(
-        name="drop-memside-read-charge",
+        name="drop-charge-lines-charge",
         path="src/repro/sgx/machine.py",
         expected_rule="FLOW002",
-        description="delete the clock advance in Machine.memside_read",
+        description="delete the clock advance in Machine._charge_lines, "
+                    "the memory-side charge body",
         before=("        clock = self.clock\n"
-                "        clock._now_ns = clock._now_ns + total\n"
-                "        if self._mee_bytes and in_prm:\n"
-                "            return self._read_prm_plaintext(paddr, size)\n"),
-        after=("        clock = self.clock\n"
-               "        if self._mee_bytes and in_prm:\n"
-               "            return self._read_prm_plaintext(paddr, size)\n")),
+                "        clock._now_ns = clock._now_ns + total\n"),
+        after=""),
     FlowMutation(
         name="helper-chain-key-ocall",
         path="src/repro/os/kernel.py",

@@ -205,11 +205,6 @@ def check_log(events: Iterable[tuple]) -> list[Violation]:
     return violations
 
 
-def check_machine(machine) -> list[Violation]:
-    """Convenience: replay a live machine's transition log."""
-    return check_log(machine.transitions.events)
-
-
 def minimize_events(events: Sequence[tuple], rule: str,
                     reason: str) -> list[tuple]:
     """Shrink ``events`` to a 1-minimal log still violating (rule, reason).

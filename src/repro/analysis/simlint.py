@@ -47,10 +47,10 @@ both properties checkable per commit:
     outside the allowlisted translation leaves
     (:data:`DEFAULT_CONFIG` ``.sim008_allowed``, ``module:function``
     granularity — by default only ``repro.sgx.cpu:_translate``).  The
-    access-plan compiler (ISSUE 7) batches validation per page-run; a
-    bulk fast path that re-runs the validator per access silently
-    reverts the optimisation, and one that calls it from a *new* leaf
-    sidesteps the plan cache's invalidation discipline.
+    access plan validates each page once, at its TLB fill; a fast path
+    that re-runs the validator per access silently reverts that, and
+    one that calls it from a *new* leaf sidesteps the plan cache's
+    invalidation discipline.
 
 Tcs/Secs lifecycle-field mutation is FLOW004's business
 (:mod:`repro.analysis.flow.lifecycle`), which follows it through helpers.

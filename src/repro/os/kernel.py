@@ -87,6 +87,3 @@ class Kernel:
         core = self.scheduler.acquire()
         core.address_space = proc.space
         return core
-
-    def yield_core(self, core: Core) -> None:
-        self.scheduler.release(core)

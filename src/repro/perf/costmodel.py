@@ -210,70 +210,6 @@ class CostModel:
         self.charge_bytes("gcm", nbytes, self.params.gcm_byte_ns,
                           self.params.gcm_setup_ns)
 
-    def charge_mee_lines(self, nlines: int) -> None:
-        self.charge("mee", nlines * self.params.mee_line_ns)
-
-    def charge_lines(self, hits: int, misses: int, mee_lines: int) -> None:
-        """One memory-side charge covering a whole access: ``hits`` LLC
-        hits, ``misses`` DRAM fills, ``mee_lines`` MEE line operations.
-
-        Advances the clock once with the summed cost.  Bit-identical to
-        three separate :meth:`charge` calls: every CostParams latency is
-        a multiple of 0.5 ns, so each addend and every partial sum is
-        exactly representable and float addition is associative here.
-        """
-        breakdown = self.breakdown
-        total = 0.0
-        if hits:
-            ns = hits * self._cache_hit_ns
-            breakdown["cache_hit"] += ns
-            total += ns
-        if misses:
-            ns = misses * self._dram_access_ns
-            breakdown["dram"] += ns
-            total += ns
-        if mee_lines:
-            ns = mee_lines * self._mee_line_ns
-            breakdown["mee"] += ns
-            total += ns
-        if total:
-            clock = self.clock
-            clock._now_ns = clock._now_ns + total
-
-    def charge_run(self, tlb_hits: int, llc_hits: int, llc_misses: int,
-                   mee_lines: int) -> None:
-        """One fused charge covering a whole compiled page-run:
-        ``tlb_hits`` plan-served translations plus the run's aggregate
-        LLC hits, DRAM fills, and MEE line operations.
-
-        Advances the clock once with the summed cost and updates each
-        breakdown bucket once.  Bit-identical to the per-access sequence
-        (one tlb_hit charge + one :meth:`charge_lines`-shaped charge per
-        page): every CostParams latency is a multiple of 0.5 ns, so each
-        addend — including the ``count * latency`` products — and every
-        partial sum is exactly representable; float addition of exactly
-        representable dyadic values is associative and commutative, so
-        regrouping N interleaved charges into one fused sum cannot
-        change a single bit of the clock or any breakdown bucket.
-        """
-        breakdown = self.breakdown
-        total = tlb_hits * self._tlb_hit_ns
-        breakdown["tlb_hit"] += total
-        if llc_hits:
-            ns = llc_hits * self._cache_hit_ns
-            breakdown["cache_hit"] += ns
-            total += ns
-        if llc_misses:
-            ns = llc_misses * self._dram_access_ns
-            breakdown["dram"] += ns
-            total += ns
-        if mee_lines:
-            ns = mee_lines * self._mee_line_ns
-            breakdown["mee"] += ns
-            total += ns
-        clock = self.clock
-        clock._now_ns = clock._now_ns + total
-
     def charge_work(self, units: float) -> None:
         """Generic application compute, in abstract work units."""
         self.charge("work", units * self.params.work_unit_ns)

@@ -81,29 +81,6 @@ class Counters:
                 out[name] = count
         return out
 
-    def charge_run(self, tlb_hits: int, llc_hits: int, llc_misses: int,
-                   mee_dec: int, mee_enc: int) -> None:
-        """Bulk slot accumulation for one compiled page-run.
-
-        One call covers what the per-access path would record across an
-        entire straight-line run: ``tlb_hits`` translations served from
-        validated plan entries, the run's aggregate LLC hit/miss counts,
-        and the MEE line decrypts/encrypts its PRM misses incurred.
-        Counters are integers, so batched addition is trivially equal to
-        per-access addition; the companion clock step is
-        :meth:`repro.perf.costmodel.CostModel.charge_run`.
-        """
-        slots = self.slots
-        slots[SLOT_TLB_HIT] += tlb_hits
-        if llc_hits:
-            slots[SLOT_LLC_HIT] += llc_hits
-        if llc_misses:
-            slots[SLOT_LLC_MISS] += llc_misses
-        if mee_dec:
-            slots[SLOT_MEE_LINE_DEC] += mee_dec
-        if mee_enc:
-            slots[SLOT_MEE_LINE_ENC] += mee_enc
-
     def reset(self) -> None:
         # In place, never rebinding ``slots``: hot-path callers (machine,
         # cores) hold a direct reference to the list.

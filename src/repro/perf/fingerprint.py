@@ -18,9 +18,9 @@ channel (crypto byte-for-byte), EPC eviction under live inner threads
 (EWB/ELDB, IPIs, TLB shootdown), a transition storm (EENTER/EEXIT/
 NEENTER/NEEXIT/AEX/ERESUME flush discipline, which the access plan
 must honour), and a bulk same-mode memcpy through a nested
-pair (``bulk_copy``) — the exact multi-page contiguous shape the
-access-plan compiler batches, pinned independently of the Fig. 11
-sweep.
+pair (``bulk_copy``) — multi-page contiguous spans, which the per-page
+loop translates and compiles into the access plan page by page, pinned
+independently of the Fig. 11 sweep.
 """
 
 from __future__ import annotations
@@ -273,15 +273,15 @@ def _wl_eviction_pressure() -> Machine:
 
 
 def bulk_pair(**config_overrides):
-    """An outer/inner pair whose entries move *large contiguous spans*:
-    the hot shape the access-plan compiler batches into page-runs.
+    """An outer/inner pair whose entries move *large contiguous spans*,
+    translated page by page and compiled into the access plan.
 
     A separate constellation from :func:`nested_pair` on purpose — its
     entries are measured into MRENCLAVE, so extending ``nested_pair``
     would shift every existing golden.  ``config_overrides`` pass
     through to :class:`~repro.sgx.constants.MachineConfig`
-    (``reference_paths=True`` replays the same spans per-line with the
-    plan compiler dead).  Returns ``(host, outer, inner)``.
+    (``reference_paths=True`` replays the same spans with the access
+    plan dead).  Returns ``(host, outer, inner)``.
     """
     from repro.experiments.common import nested_host
     from repro.sdk import EnclaveBuilder, parse_edl

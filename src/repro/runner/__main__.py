@@ -10,7 +10,10 @@ Examples::
     python -m repro.runner --list               # registry + budgets
 
 Progress (stderr, silenced by ``--quiet``) includes each finished
-experiment's table.  Exit status: 0 on success, 1 when an experiment
+experiment's table.  Failures are reported on stderr even under
+``--quiet``: one line per failed experiment with the last line of its
+error (a claim citation, a budget breach, a worker exception), live or
+from ``--report``.  Exit status: 0 on success, 1 when an experiment
 fails (after its retry), breaks one of its paper-shape claims
 (:mod:`repro.experiments.claims`), or ``--check-docs`` finds drift, 2
 on usage errors.
@@ -126,7 +129,8 @@ def main(argv: "list[str] | None" = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        failures = [entry["name"] for entry in document["experiments"]
+        failures = [(entry["name"], entry.get("error"))
+                    for entry in document["experiments"]
                     if entry["status"] != "ok"]
     else:
         names = reg.select(args.names)
@@ -138,7 +142,8 @@ def main(argv: "list[str] | None" = None) -> int:
                         enforce_budgets=False if args.no_budgets
                         else None, progress=say)
         document = build_document(run)
-        failures = [outcome.name for outcome in run.failed]
+        failures = [(outcome.name, outcome.error)
+                    for outcome in run.failed]
         if args.timings:
             with open(args.timings, "w", encoding="utf-8") as handle:
                 handle.write(canonical_json(build_timings(run)))
@@ -154,7 +159,12 @@ def main(argv: "list[str] | None" = None) -> int:
 
     status = 0
     if failures:
-        print(f"failed experiment(s): {', '.join(failures)}",
+        for name, error in failures:
+            lines = (error or "").strip().splitlines()
+            print(f"{name}: {lines[-1] if lines else 'no error recorded'}",
+                  file=sys.stderr)
+        print(f"failed experiment(s): "
+              f"{', '.join(name for name, _ in failures)}",
               file=sys.stderr)
         status = 1
 

@@ -63,11 +63,11 @@ class MachineConfig:
     #: Whether MEE really encrypts bytes in simulated DRAM (slower but lets
     #: tests read raw DRAM and confirm ciphertext) or only tracks costs.
     mee_encrypt_bytes: bool = True
-    #: Run the straightforward pre-fast-path memory/translation code:
-    #: no memside inlining, no single-frame shortcut, a dead per-core
-    #: access plan.  Simulated behaviour must be
-    #: bit-identical to the optimized paths — the differential fuzzer
-    #: (repro.analysis.difffuzz) diffs the two on every schedule.
+    #: Run with a dead per-core access plan, so every access takes the
+    #: per-page translate loop (TLB lookup, then the memside accessors).
+    #: Simulated behaviour must be bit-identical to the plan fast path —
+    #: the differential fuzzer (repro.analysis.difffuzz) diffs the two
+    #: on every schedule.
     reference_paths: bool = False
 
     def __post_init__(self) -> None:

@@ -93,7 +93,7 @@ class Core:
         # unit costs, plus the three possible fused single-line charges
         # precomputed with the exact association the generic path uses
         # (tlb, then +llc, then +mee — each partial sum is an exact
-        # dyadic float, see CostModel.charge_run).
+        # dyadic float, see Machine._charge_lines).
         llc = machine.llc
         self._llc = llc
         self._llc_sets = llc._sets
@@ -222,91 +222,6 @@ class Core:
             raise PageFault(f"{kind} permission denied at {vaddr:#x}", vaddr)
         return entry
 
-    def _plan_run(self, vaddr: int, size: int, data: bytes | None):
-        """Serve a contiguous multi-page access entirely from the plan.
-
-        Returns ``None`` — caller falls back to the per-page loop —
-        unless *every* page of the run is compiled with the needed
-        permission: a mid-run fault or recompile must reproduce the
-        reference path's partial charging and partial writes exactly,
-        so runs are all-or-nothing.  Pages are promoted and their LLC
-        lines touched in ascending VA order (identical to the per-page
-        loop, so future capacity evictions and LLC state cannot
-        diverge); the tlb_hit/LLC/MEE charges for the whole run are
-        applied as one fused ``charge_run`` pair at the end.
-        """
-        plan = self._plan
-        needed = PERM_R if data is None else PERM_W
-        first = vaddr >> PAGE_SHIFT
-        vpn = first
-        last = (vaddr + size - 1) >> PAGE_SHIFT
-        recs = []
-        while vpn <= last:
-            rec = plan.get(vpn)
-            if rec is None or not rec[0].perms & needed:
-                # Decline: no memory touched; the caller falls back to
-                # the per-page slow path, which charges.
-                return None  # flow: charged
-            recs.append(rec)
-            vpn += 1
-        tlb = self.tlb
-        entries = tlb._entries
-        capacity = tlb.capacity
-        llc_range = self._llc_range
-        frames = self._frames
-        machine = self.machine
-        out = bytearray() if data is None else None
-        hits = misses = mee = 0
-        off = vaddr & (PAGE_SIZE - 1)
-        pos = 0
-        vpn = first
-        for rec in recs:
-            entry, base, prm, crypto = rec
-            chunk = PAGE_SIZE - off
-            if chunk > size - pos:
-                chunk = size - pos
-            paddr = base | off
-            h, m = llc_range(paddr, chunk)
-            hits += h
-            if m:
-                misses += m
-                if prm:
-                    mee += m
-            entries.pop(vpn, None)
-            entries[vpn] = entry
-            if len(entries) > capacity:
-                del entries[next(iter(entries))]
-            if data is None:
-                if crypto:
-                    out += machine._read_prm_plaintext(paddr, chunk)
-                else:
-                    frame = frames.get(entry.pfn)
-                    if frame is None:
-                        out += bytes(chunk)
-                    else:
-                        out += frame[off:off + chunk]
-            else:
-                piece = data[pos:pos + chunk]
-                if crypto:
-                    machine._write_prm_plaintext(paddr, piece)
-                else:
-                    frame = frames.get(entry.pfn)
-                    if frame is None:
-                        frame = bytearray(PAGE_SIZE)
-                        frames[entry.pfn] = frame
-                    frame[off:off + chunk] = piece
-            pos += chunk
-            off = 0
-            vpn += 1
-        npages = len(recs)
-        if data is None:
-            dec, enc = mee, 0
-        else:
-            dec, enc = 0, mee
-        machine.counters.charge_run(npages, hits, misses, dec, enc)
-        self._cost.charge_run(npages, hits, misses, mee)
-        return bytes(out) if data is None else True
-
     def read(self, vaddr: int, size: int) -> bytes:
         """Read ``size`` bytes of virtual memory with full protection."""
         return self._access(vaddr, size, None)
@@ -320,10 +235,12 @@ class Core:
 
         A single-page access to a planned page is served inline: the
         LRU promotion ``Tlb.lookup`` would perform, one fused charge
-        (FP-exact, see CostModel.charge_run) and the memside byte move.
+        (FP-exact, see Machine._charge_lines) and the memside byte move.
         The pop-with-default and capacity guard keep even a broken
-        model-checker mutant from crashing.  Multi-page accesses try
-        ``_plan_run``; everything else takes the per-page loop.
+        model-checker mutant from crashing.  Everything else, multi-page
+        accesses included, takes the per-page loop: every ``Tlb.insert``
+        moves ``content_gen`` and clears the plan, so a multi-page plan
+        serve would almost never find all its pages compiled.
         """
         write = data is not None
         hook = self.access_hook
@@ -390,6 +307,13 @@ class Core:
                                     clock._now_ns = (clock._now_ns
                                                      + self._chg_miss)
                         else:
+                            # Multi-line access: the tlb_hit charge
+                            # folded into Machine._charge_lines' body.
+                            # Kept inline rather than delegated: the
+                            # extra call cost about 2.5% of the ring
+                            # bench's ops/s (2-CPU box, Python 3.11);
+                            # multi-line serves are a quarter of its
+                            # validated accesses.
                             total = self._tlb_hit_ns
                             breakdown["tlb_hit"] += total
                             hits, misses = self._llc_range(paddr, size)
@@ -429,10 +353,6 @@ class Core:
                         if frame is None:
                             return bytes(size)
                         return bytes(frame[off:off + size])
-        elif size > 0 and self._plan_gen == self.tlb.content_gen:
-            run = self._plan_run(vaddr, size, data)
-            if run is not None:
-                return run
         out = None if write else bytearray()
         pos = 0
         while pos < size:  # flow: charged — zero-length access is free

@@ -15,7 +15,9 @@ Memory-side path
 *validated* access takes after translation.  Lines resident in the LLC are
 plaintext inside the CPU package and cost a cache hit; lines missing to the
 PRM pass through the MEE (decrypt on fill, encrypt on writeback) and cost
-DRAM + MEE time.  When ``config.mee_encrypt_bytes`` is set, the bytes in
+DRAM + MEE time; both accessors charge through :meth:`Machine._charge_lines`
+and move bytes through :class:`~repro.sgx.memory.PhysicalMemory` (or the
+PRM plaintext helpers).  When ``config.mee_encrypt_bytes`` is set, the bytes in
 simulated DRAM for PRM lines are genuine ciphertext — physical-attack tests
 read :attr:`phys` directly and verify they cannot see plaintext.
 
@@ -34,8 +36,7 @@ from repro.perf.cache import LlcModel
 from repro.perf.costmodel import CostModel, CostParams, SimClock
 from repro.perf.counters import Counters
 from repro.sgx.access import BaselineValidator
-from repro.sgx.constants import (CACHELINE_SIZE, MachineConfig, PAGE_SHIFT,
-                                 PAGE_SIZE)
+from repro.sgx.constants import CACHELINE_SIZE, MachineConfig
 from repro.sgx.cpu import Core
 from repro.sgx.epcm import Epcm
 from repro.sgx.mee import Mee
@@ -85,14 +86,6 @@ class Machine:
         #: no counter, so the golden machine fingerprints are untouched.
         self.transitions = TransitionLog()
         _register_log(self.transitions)
-        # Reference mode (config.reference_paths): rebind the memory-side
-        # accessors to the straightforward pre-fast-path implementations
-        # BEFORE cores are built — cores alias machine.memside_read/write
-        # at construction.  The differential fuzzer diffs fast vs
-        # reference runs, so the rebinding must be the only difference.
-        if self.config.reference_paths:
-            self.memside_read = self._reference_memside_read
-            self.memside_write = self._reference_memside_write
         self.cores = [Core(self, i) for i in range(self.config.num_cores)]
         self.enclaves: dict[int, Secs] = {}
         self.tcs_registry: dict[tuple[int, int], Tcs] = {}
@@ -144,12 +137,15 @@ class Machine:
     def _charge_lines(self, paddr: int, size: int, *, writeback: bool) -> None:
         """Charge LLC/MEE/DRAM costs for touching [paddr, paddr+size).
 
-        Aggregated: one counter add per event kind and a single clock
-        advance per access instead of per line (bit-identical regrouping,
-        see :meth:`~repro.perf.costmodel.CostModel.charge_lines`).
-        ``memside_read``/``memside_write`` carry their own fused copies;
-        this entry point serves cost-model-only callers (e.g. the GCM
-        channel's modelled scratch traffic).
+        The one memory-side charge body: ``memside_read``/``memside_write``
+        and cost-model-only callers (the GCM channel's modelled scratch
+        traffic) all charge here; only the plan fast path in
+        ``Core._access`` inlines a copy.  Aggregated: one counter add per
+        event kind and a single clock advance per access instead of per
+        line.  The regrouping is bit-identical: every CostParams latency
+        is a multiple of 0.5 ns, so each ``count * latency`` addend and
+        every partial sum is an exactly representable dyadic float, and
+        float addition of such values is associative.
         """
         hits, misses = self._llc_range(paddr, size)
         slots = self._slots
@@ -175,101 +171,13 @@ class Machine:
         clock = self.clock
         clock._now_ns = clock._now_ns + total
 
-    # The memside accessors are the hottest functions in the simulator
-    # (one call per validated memory access); both inline _charge_lines
-    # and the single-frame DRAM fast path rather than delegating.
     def memside_read(self, paddr: int, size: int) -> bytes:
-        hits, misses = self._llc_range(paddr, size)
-        slots = self._slots
-        breakdown = self._breakdown
-        total = 0.0
-        in_prm = self._prm_lo <= paddr < self._prm_hi
-        if hits:
-            slots[ctr.SLOT_LLC_HIT] += hits
-            ns = hits * self._cache_hit_ns
-            breakdown["cache_hit"] += ns
-            total = ns
-        if misses:
-            slots[ctr.SLOT_LLC_MISS] += misses
-            ns = misses * self._dram_access_ns
-            breakdown["dram"] += ns
-            total += ns
-            if in_prm:
-                slots[ctr.SLOT_MEE_LINE_DEC] += misses
-                ns = misses * self._mee_line_ns
-                breakdown["mee"] += ns
-                total += ns
-        clock = self.clock
-        clock._now_ns = clock._now_ns + total
-        if self._mee_bytes and in_prm:
-            return self._read_prm_plaintext(paddr, size)
-        phys = self.phys
-        if 0 < size <= PAGE_SIZE - (paddr & (PAGE_SIZE - 1)):
-            if paddr < 0 or paddr + size > self._dram_bytes:
-                raise SgxFault(
-                    f"physical access [{paddr:#x}, +{size}) outside DRAM")
-            frame = phys._frames.get(paddr >> PAGE_SHIFT)
-            if frame is None:
-                return bytes(size)
-            off = paddr & (PAGE_SIZE - 1)
-            return bytes(frame[off:off + size])
-        return phys.read(paddr, size)
-
-    def memside_write(self, paddr: int, data: bytes) -> None:
-        size = len(data)
-        hits, misses = self._llc_range(paddr, size)
-        slots = self._slots
-        breakdown = self._breakdown
-        total = 0.0
-        in_prm = self._prm_lo <= paddr < self._prm_hi
-        if hits:
-            slots[ctr.SLOT_LLC_HIT] += hits
-            ns = hits * self._cache_hit_ns
-            breakdown["cache_hit"] += ns
-            total = ns
-        if misses:
-            slots[ctr.SLOT_LLC_MISS] += misses
-            ns = misses * self._dram_access_ns
-            breakdown["dram"] += ns
-            total += ns
-            if in_prm:
-                slots[ctr.SLOT_MEE_LINE_ENC] += misses
-                ns = misses * self._mee_line_ns
-                breakdown["mee"] += ns
-                total += ns
-        clock = self.clock
-        clock._now_ns = clock._now_ns + total
-        if self._mee_bytes and in_prm:
-            self._write_prm_plaintext(paddr, data)
-            return
-        phys = self.phys
-        if 0 < size <= PAGE_SIZE - (paddr & (PAGE_SIZE - 1)):
-            if paddr < 0 or paddr + size > self._dram_bytes:
-                raise SgxFault(
-                    f"physical access [{paddr:#x}, +{size}) outside DRAM")
-            off = paddr & (PAGE_SIZE - 1)
-            pfn = paddr >> PAGE_SHIFT
-            frame = phys._frames.get(pfn)
-            if frame is None:
-                frame = bytearray(PAGE_SIZE)
-                phys._frames[pfn] = frame
-            frame[off:off + size] = data
-            return
-        phys.write(paddr, data)
-
-    # Reference memory-side path (config.reference_paths): the
-    # straightforward pre-optimization structure — delegate cost charging
-    # to _charge_lines, delegate byte movement to PhysicalMemory — with
-    # no inlining and no single-frame fast path.  Simulated behaviour
-    # must be bit-identical to the fused accessors above; the
-    # differential fuzzer (repro.analysis.difffuzz) enforces that.
-    def _reference_memside_read(self, paddr: int, size: int) -> bytes:
         self._charge_lines(paddr, size, writeback=False)
         if self._mee_bytes and self._prm_lo <= paddr < self._prm_hi:
             return self._read_prm_plaintext(paddr, size)
         return self.phys.read(paddr, size)
 
-    def _reference_memside_write(self, paddr: int, data: bytes) -> None:
+    def memside_write(self, paddr: int, data: bytes) -> None:
         self._charge_lines(paddr, len(data), writeback=True)
         if self._mee_bytes and self._prm_lo <= paddr < self._prm_hi:
             self._write_prm_plaintext(paddr, data)

@@ -108,11 +108,6 @@ class PhysicalMemory:
         cfg = self.config
         return cfg.prm_base <= paddr < cfg.prm_base + cfg.prm_bytes
 
-    def page_in_prm(self, paddr: int) -> bool:
-        """True if the page containing ``paddr`` overlaps the PRM."""
-        page = paddr & ~(PAGE_SIZE - 1)
-        return self.in_prm(page)
-
     def in_epc(self, paddr: int) -> bool:
         cfg = self.config
         return cfg.epc_base <= paddr < cfg.epc_base + cfg.epc_bytes

@@ -80,9 +80,6 @@ class AddressSpace:
         self._next_free_vaddr = base + pages * PAGE_SIZE
         return base
 
-    def mapped_vpns(self) -> list[int]:
-        return sorted(self._table)
-
     # -- snapshot / restore (bounded model checking) ------------------------
     def capture(self) -> tuple:
         return tuple((vpn, pte.pfn, pte.perms, pte.present)

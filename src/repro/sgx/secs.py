@@ -72,14 +72,6 @@ class Secs:
         lo, hi = self.elrange()
         return lo <= vaddr < hi
 
-    @property
-    def is_inner(self) -> bool:
-        return bool(self.outer_eids)
-
-    @property
-    def is_outer(self) -> bool:
-        return bool(self.inner_eids)
-
 
 @dataclass
 class Tcs:

@@ -44,12 +44,12 @@ class TestCallGraph:
         """Drift tripwire: adding/removing functions or changing the
         resolver shows up here first.  Update deliberately."""
         assert repo_result.stats == {
-            "modules": 140,
-            "functions": 1017,
-            "call_edges": 910,
-            "weak_edges": 2653,
-            "secret_summaries": 464,
-            "always_charging": 143,
+            "modules": 139,
+            "functions": 995,
+            "call_edges": 897,
+            "weak_edges": 2571,
+            "secret_summaries": 453,
+            "always_charging": 138,
         }
 
     def test_strong_edge_import_resolved(self, repo_result):
@@ -444,7 +444,7 @@ class TestChargeCoverage:
         """Counter bumps are bookkeeping; only the cost clock counts."""
         graph = _graph_of(tmp_path, """
             def touch(machine):
-                machine.counters.charge_run(1, 0, 1, 0, 0)
+                machine.counters.charge_event("tlb_hit")
                 return 1
         """)
         findings, _ = check_charge_coverage(graph, ("mod:touch",))
@@ -463,8 +463,8 @@ class TestMutationCorpus:
             "clock-above-fingerprint-fold",
             "clock-under-attested-handshake",
             "driver-helper-parks-tcs",
-            "drop-memside-read-charge",
-            "drop-plan-run-charge",
+            "drop-charge-lines-charge",
+            "drop-plan-multiline-charge",
             "egetkey-chain-transition-log",
             "helper-chain-key-ocall",
         ]

@@ -333,7 +333,7 @@ class TestSim008:
         a *new* validator call site inside repro.sgx.cpu sidesteps the
         plan cache's invalidation discipline and must be flagged."""
         result = _lint(tmp_path, """
-        def _plan_run(self, vaddr):
+        def _access(self, vaddr):
             return self.machine.validator.validate(self, vaddr)
         """, name="repro/sgx/cpu.py")
         assert _rules(result) == ["SIM008"]

@@ -94,6 +94,20 @@ class TestRunnerGatesClaims:
         assert main(["selftest-ok", "-j1", "--quiet"]) == 1
         assert "selftest-ok" in capsys.readouterr().err
 
+    def test_quiet_failure_names_the_claim(
+            self, false_claim_on_selftest_ok, capsys, tmp_path):
+        """``--quiet`` silences progress, not the reason for a failure:
+        live runs and ``--report`` both print the claim citation."""
+        doc = str(tmp_path / "results.json")
+        assert main(["selftest-ok", "-j1", "--quiet", "--json", doc]) == 1
+        live = capsys.readouterr().err
+        assert main(["--report", doc, "--quiet"]) == 1
+        replayed = capsys.readouterr().err
+        for err in (live, replayed):
+            assert "selftest-ok: ClaimFailed: selftest-ok at quick " \
+                "scale" in err
+            assert FALSE_CLAIM.cite in err
+
     def test_progress_prints_the_table(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUNNER_TEST_EXPERIMENTS", "1")
         lines = []

@@ -1,8 +1,8 @@
 """Property tests for the per-core access plan, the only translation cache.
 
-The plan cache (:class:`repro.sgx.cpu.Core`) may serve a contiguous
-multi-page run without re-walking the Fig. 6 automaton only while its
-snapshot of ``Tlb.content_gen`` is current — so the validate-once
+The plan cache (:class:`repro.sgx.cpu.Core`) may serve a single-page
+access without re-walking the Fig. 6 automaton or probing the TLB only
+while its snapshot of ``Tlb.content_gen`` is current — so the validate-once
 security argument extends to it *iff* every event that can change a
 validation outcome also moves the content epoch: transition flushes
 (EENTER/NEENTER/NEEXIT/EEXIT/AEX), explicit flushes, IPI shootdowns,
@@ -20,9 +20,11 @@ every step,
   which serving from the plan is unobservable.
 
 Run-boundary equivalence is pinned separately: runs crossing cache-line
-and page boundaries must return per-byte-identical data, and runs
+and page boundaries must return per-byte-identical data, with the LLC
+warm and cold and with MEE byte encryption on and off, and runs
 crossing into an EWB'd page must fault, recharge, and reload exactly
-like the per-line reference replay (``MachineConfig.reference_paths``).
+like the reference replay (``MachineConfig.reference_paths``, access
+plan disabled).
 """
 
 import random
@@ -76,6 +78,12 @@ def plan_violations(core) -> list[str]:
                 f"core{core.core_id}: plan[{vpn:#x}] base {base:#x} "
                 f"disagrees with pfn {entry.pfn:#x}")
     return errs
+
+
+def _cold_llc(machine) -> None:
+    """Drop every LLC line in place (the cores alias the set list)."""
+    for lru in machine.llc._sets:
+        lru.clear()
 
 
 def _audit(machine) -> None:
@@ -309,9 +317,9 @@ class TestRandomWalk:
         _audit(machine)
 
 
-#: Spans (offset into the heap, size) crossing every run boundary the
-#: plan compiler must charge exactly: inside one line, across a cache
-#: line, across a page, multi-page unaligned, multi-page aligned.
+#: Spans (offset into the heap, size) crossing every boundary the memory
+#: path must charge exactly: inside one line, across a cache line,
+#: across a page, multi-page unaligned, multi-page aligned.
 BOUNDARY_SPANS = (
     (3, 5),
     (64 - 3, 6),
@@ -322,7 +330,7 @@ BOUNDARY_SPANS = (
 
 #: TLB capacity for the reference comparison: below the sequence's
 #: five-page working set, so it capacity-evicts, but large enough for
-#: the warm pass's four-page run to be served whole from the plan.
+#: the warm passes over pages 0-3 to hit, keeping the plan live.
 TINY_TLB = 4
 
 
@@ -330,8 +338,11 @@ class TestRunBoundaryEquivalence:
     def _sequence(self, machine, core, outer):
         """The fixed boundary-crossing access sequence both paths run.
 
-        Returns the data read and the final TLB contents, LRU order
-        included."""
+        The LLC-cold passes drop every line (both machines alike), so
+        the plan-served single-page accesses miss to PRM: reads through
+        the MEE decrypt, the write-back of the same bytes through its
+        encrypt.  Returns the data read and the final TLB contents, LRU
+        order included."""
         heap = outer.heap.base
         pattern = bytes(i & 0xFF for i in range(5 * PAGE_SIZE))
         isa.eenter(machine, core, outer.secs, outer.idle_tcs())
@@ -343,6 +354,13 @@ class TestRunBoundaryEquivalence:
         for _ in range(2):            # the second pass runs warm
             for offset, size in BOUNDARY_SPANS:
                 out.append(core.read(heap + offset, size))
+        _cold_llc(machine)
+        cold = [core.read(heap + offset, size)
+                for offset, size in BOUNDARY_SPANS]
+        out += cold
+        _cold_llc(machine)
+        for (offset, _size), data in zip(BOUNDARY_SPANS, cold):
+            core.write(heap + offset, data)
         out.append(core.read(heap + 8, 8))     # promote page 0 from LRU
         out.append(core.read(heap + 4 * PAGE_SIZE, 8))  # evicts the LRU
         tlb = core.tlb.capture()
@@ -362,21 +380,28 @@ class TestRunBoundaryEquivalence:
         isa.eexit(machine, core)
         _audit(machine)
 
-    def test_boundary_runs_match_reference_bit_for_bit(self):
+    @pytest.mark.parametrize("mee_bytes", (True, False))
+    def test_boundary_runs_match_reference_bit_for_bit(self, mee_bytes):
         """Same sequence, compiled vs ``reference_paths``: data, clock,
         counters, breakdown, ciphertext, MEE root, and TLB contents in
         LRU order all identical.  The TLB is small enough that the
         sequence capacity-evicts, so a plan hit that skipped (or
-        misordered) its LRU promotion would evict a different page."""
-        fast_m, _h, fast_outer, _i = _build_world(tlb_entries=TINY_TLB)
-        ref_m, _h2, ref_outer, _i2 = _build_world(tlb_entries=TINY_TLB,
-                                                  reference_paths=True)
+        misordered) its LRU promotion would evict a different page.
+        ``mee_bytes=False`` is the configuration every performance
+        experiment runs: MEE time is charged, DRAM holds plaintext."""
+        fast_m, _h, fast_outer, _i = _build_world(
+            tlb_entries=TINY_TLB, mee_encrypt_bytes=mee_bytes)
+        ref_m, _h2, ref_outer, _i2 = _build_world(
+            tlb_entries=TINY_TLB, mee_encrypt_bytes=mee_bytes,
+            reference_paths=True)
         fast, fast_tlb = self._sequence(fast_m, fast_m.cores[0],
                                         fast_outer)
         ref, ref_tlb = self._sequence(ref_m, ref_m.cores[0], ref_outer)
         assert fast == ref
         assert fast_tlb == ref_tlb
         assert len(fast_tlb) == TINY_TLB
+        assert fast_m.counters.get("mee_line_encrypt") > 0
+        assert fast_m.counters.get("mee_line_decrypt") > 0
         assert machine_fingerprint(fast_m) == machine_fingerprint(ref_m)
 
     def test_run_into_an_ewbed_page_matches_reference(self):

@@ -380,15 +380,7 @@ class TestRunBoundaryEquivalence:
         isa.eexit(machine, core)
         _audit(machine)
 
-    @pytest.mark.parametrize("mee_bytes", (True, False))
-    def test_boundary_runs_match_reference_bit_for_bit(self, mee_bytes):
-        """Same sequence, compiled vs ``reference_paths``: data, clock,
-        counters, breakdown, ciphertext, MEE root, and TLB contents in
-        LRU order all identical.  The TLB is small enough that the
-        sequence capacity-evicts, so a plan hit that skipped (or
-        misordered) its LRU promotion would evict a different page.
-        ``mee_bytes=False`` is the configuration every performance
-        experiment runs: MEE time is charged, DRAM holds plaintext."""
+    def _assert_matches_reference(self, mee_bytes):
         fast_m, _h, fast_outer, _i = _build_world(
             tlb_entries=TINY_TLB, mee_encrypt_bytes=mee_bytes)
         ref_m, _h2, ref_outer, _i2 = _build_world(
@@ -403,6 +395,20 @@ class TestRunBoundaryEquivalence:
         assert fast_m.counters.get("mee_line_encrypt") > 0
         assert fast_m.counters.get("mee_line_decrypt") > 0
         assert machine_fingerprint(fast_m) == machine_fingerprint(ref_m)
+
+    def test_boundary_runs_match_reference_bit_for_bit(self):
+        """Same sequence, compiled vs ``reference_paths``: data, clock,
+        counters, breakdown, ciphertext, MEE root, and TLB contents in
+        LRU order all identical.  The TLB is small enough that the
+        sequence capacity-evicts, so a plan hit that skipped (or
+        misordered) its LRU promotion would evict a different page."""
+        self._assert_matches_reference(mee_bytes=True)
+
+    def test_boundary_runs_match_reference_with_mee_bytes_off(self):
+        """The same comparison with ``mee_encrypt_bytes=False``, the
+        configuration every performance experiment runs: MEE time is
+        charged, DRAM holds plaintext."""
+        self._assert_matches_reference(mee_bytes=False)
 
     def test_run_into_an_ewbed_page_matches_reference(self):
         """EPC-section boundary: a run whose tail page was EWB'd must

@@ -31,13 +31,13 @@ Occlum for SFI: validate at build time, don't trust convention):
   (``python -m repro.analysis.difffuzz``, rules ``DIFF001``/``DIFF002``)
   comparing the memory-system fast paths with the reference replay.
 * :mod:`repro.analysis.modelcheck` — a bounded model checker
-  (``--check modelcheck``, rules ``MC001``–``MC004``): BFS over every
-  reachable configuration of a small bounded machine driving the *real*
-  ISA transitions and the real access validator, auditing the §VII-A
-  invariants plus executable MLS-lattice properties at every state, and
-  a ``--mutate`` self-validation mode where each named single-edit
-  weakening of the validator must be killed with a minimized
-  counterexample trace.
+  (``python -m repro.analysis modelcheck``, rules ``MC001``–``MC004``):
+  BFS over every reachable configuration of a small bounded machine
+  driving the *real* ISA transitions and the real access validator,
+  auditing the §VII-A invariants plus executable MLS-lattice properties
+  at every state, and a ``--mutate`` self-validation mode where each
+  named single-edit weakening of the validator or the TLB must be
+  killed with a minimized counterexample trace.
 
 All passes run from one CLI — ``python -m repro.analysis`` — with
 ``--format text|json``, ``--sarif FILE`` for code-scanning upload, an

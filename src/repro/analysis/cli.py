@@ -6,8 +6,8 @@ Examples::
     python -m repro.analysis edl sim flow         # the CI gate's set
     python -m repro.analysis --only simlint       # exactly one pass
     python -m repro.analysis --only orderliness   # transition-log replay
-    python -m repro.analysis --check modelcheck   # bounded model checker
-    python -m repro.analysis --check modelcheck --scope deep
+    python -m repro.analysis modelcheck           # bounded model checker
+    python -m repro.analysis modelcheck --scope deep
     python -m repro.analysis --only flow          # interprocedural dataflow
     python -m repro.analysis --mutate all         # model-checker kill-list
     python -m repro.analysis --only flow --mutate all  # flow-engine kill-list
@@ -61,13 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=sorted(ONLY_ALIASES),
                         help="run exactly one pass or check "
                              f"({', '.join(sorted(ONLY_ALIASES))}); "
-                             "mutually exclusive with positional passes "
-                             "and --check")
-    parser.add_argument("--check", action="append", default=[],
-                        metavar="NAME", dest="checks",
-                        help="run a named check instead of the default "
-                             f"passes ({', '.join(PASSES + EXTRA_CHECKS)}; "
-                             "repeatable)")
+                             "mutually exclusive with positional passes")
     parser.add_argument("--scope", default="default",
                         choices=("tiny", "default", "deep"),
                         help="bounded scope for the model checker "
@@ -157,15 +151,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.mutate is not None:
         return _run_mutate(args)
     if args.only is not None:
-        if args.passes or args.checks:
+        if args.passes:
             print("error: --only is mutually exclusive with positional "
-                  "passes and --check", file=sys.stderr)
+                  "passes", file=sys.stderr)
             return 2
         passes = (ONLY_ALIASES[args.only],)
     else:
-        passes = tuple(args.passes) + tuple(args.checks)
-    if not passes:
-        passes = PASSES
+        passes = tuple(args.passes) or PASSES
     try:
         baseline = load_baseline(args.baseline)
         report = run_repo_analysis(args.root, passes,

@@ -1,7 +1,7 @@
 """Differential schedule fuzzer: fast paths vs. the reference replay.
 
-The memory-system fast paths (aggregated cost charging, the per-core
-access plan and its inline page serve, dict-backed LLC sets) claim to be
+The memory-system fast paths (aggregated cost charging, the inline
+TLB-hit page serve, dict-backed LLC sets) claim to be
 observably identical to the slow reference implementation.  The golden
 fingerprints pin that claim for *fixed* workloads; this fuzzer attacks
 it with *random* ones: each seeded :class:`Schedule` drives the shared
@@ -9,11 +9,11 @@ it with *random* ones: each seeded :class:`Schedule` drives the shared
 through a random sequence of heap pokes/peeks, nested call storms,
 AEX/ERESUME interruptions, EPC evict/reload round trips, and
 contiguous multi-page read/write bursts straddling TLB flush /
-shootdown boundaries (``bulk_storm``, stressing the access plan's
-invalidation and page-by-page recompile) — twice.
+shootdown boundaries (``bulk_storm``, stressing TLB invalidation and
+the page-by-page refill) — twice.
 The fast run uses the production configuration; the reference run sets
 ``MachineConfig.reference_paths`` so every access takes the per-page
-translate loop with the access plan disabled — the only difference
+translate loop with the inline serve disabled — the only difference
 between the two runs.  Three oracles compare the
 two:
 
@@ -58,7 +58,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.analysis import orderliness
-from repro.analysis.findings import Finding, Report
+from repro.analysis.findings import Finding, Report, minimize
 
 DIFF_RULES = ("DIFF001", "DIFF002")
 
@@ -71,8 +71,7 @@ FINDING_PATH = "repro/perf/fingerprint.py"
 #: drives the driver's EWB/ELDB round trip over heap pages;
 #: ``bulk_storm`` issues contiguous multi-page read/write bursts over
 #: an untrusted buffer, interleaved with a full IPI shootdown and a
-#: local TLB flush, so every burst crosses a plan-cache invalidation
-#: boundary.
+#: local TLB flush, so every burst crosses a TLB invalidation boundary.
 OP_KINDS = ("poke", "peek", "storm", "interrupted", "evict_reload",
             "bulk_storm")
 
@@ -176,8 +175,8 @@ def run_schedule(schedule: Schedule, *,
         if kind == "bulk_storm":
             # Contiguous multi-page bursts across invalidation
             # boundaries: write the whole span in one access, broadcast
-            # an IPI shootdown (killing every compiled plan and TLB
-            # entry), read it back, flush the local TLB, read again.
+            # an IPI shootdown (killing every TLB entry), read it
+            # back, flush the local TLB, read again.
             # The checksum pins the bytes; the machine fingerprint pins
             # the charging of every burst.
             pages, pattern_seed = args
@@ -241,29 +240,18 @@ def minimize_schedule(schedule: Schedule, rules: list[str], *,
     """
     wanted = set(rules)
 
-    def still_fails(candidate: Schedule) -> bool:
-        got, _fast, _ref = diff_schedule(candidate, runner=runner)
+    def with_ops(ops) -> Schedule:
+        return Schedule(seed=schedule.seed, ops=tuple(ops),
+                        fault_seed=schedule.fault_seed)
+
+    def still_fails(ops) -> bool:
+        got, _fast, _ref = diff_schedule(with_ops(ops), runner=runner)
         return wanted <= set(got)
 
-    if not still_fails(schedule):
+    if not still_fails(schedule.ops):
         raise ValueError(
             f"schedule {schedule.seed} does not diverge with {rules}")
-    ops = list(schedule.ops)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(ops):
-            candidate = Schedule(seed=schedule.seed,
-                                 ops=tuple(ops[:i] + ops[i + 1:]),
-                                 fault_seed=schedule.fault_seed)
-            if still_fails(candidate):
-                del ops[i]
-                changed = True
-            else:
-                i += 1
-    return Schedule(seed=schedule.seed, ops=tuple(ops),
-                    fault_seed=schedule.fault_seed)
+    return with_ops(minimize(schedule.ops, still_fails))
 
 
 def _schedule_label(schedule: Schedule) -> str:

@@ -8,6 +8,9 @@ fingerprints so the CLI can fail only on regressions.
 Fingerprints deliberately exclude the line number: a baseline must
 survive unrelated edits shifting code up or down, so identity is
 ``rule : path : symbol : message``.
+
+:func:`minimize` is the one witness shrinker every pass that reports a
+counterexample (event log, fuzz schedule, model-checker trace) uses.
 """
 
 from __future__ import annotations
@@ -21,6 +24,31 @@ from repro.errors import ReproError
 
 class AnalysisError(ReproError):
     """A pass could not run (unreadable file, bad baseline, bad config)."""
+
+
+def minimize(items, still_fails) -> list:
+    """Shrink ``items`` by greedy single deletion, to a fixpoint.
+
+    Each pass tries dropping one item at a time and keeps a removal iff
+    ``still_fails`` holds for the shorter list; passes repeat until one
+    changes nothing, so the result is 1-minimal: removing any single
+    remaining item makes ``still_fails`` false.  Deterministic for a
+    given input, which lets tests pin witnesses.  The caller decides
+    what to do when ``items`` itself does not fail.
+    """
+    kept = list(items)
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(kept):
+            candidate = kept[:i] + kept[i + 1:]
+            if still_fails(candidate):
+                kept = candidate
+                changed = True
+            else:
+                i += 1
+    return kept
 
 
 @dataclass(frozen=True, order=True)

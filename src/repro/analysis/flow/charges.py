@@ -3,8 +3,8 @@
 Property: every *successful* (non-raising) path from a declared entry
 point (``FlowConfig.charge_entry_points``: the Core read/write leaves,
 the memside accessors and the flush broadcasts) to a return passes
-through at least one clock-advancing charge seam.  The access-plan fast
-path in ``Core._access`` fuses the tlb_hit and memory-side charges into
+through at least one clock-advancing charge seam.  The inline TLB-hit
+serve in ``Core._access`` fuses the tlb_hit and memory-side charges into
 one inline clock advance per serve — golden fingerprints catch a missed
 charge only if a workload happens to cover that path; this check proves
 it per path, statically.

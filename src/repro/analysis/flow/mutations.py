@@ -38,12 +38,12 @@ class FlowMutation:
 
 MUTATIONS: tuple = (
     FlowMutation(
-        name="drop-plan-multiline-charge",
+        name="drop-inline-multiline-charge",
         path="src/repro/sgx/cpu.py",
         expected_rule="FLOW002",
         description="delete the clock advance in the multi-line branch "
-                    "of the access-plan serve in Core._access",
-        before=(" " * 28 + "clock._now_ns = clock._now_ns + total\n"),
+                    "of the inline TLB-hit serve in Core._access",
+        before=(" " * 24 + "clock._now_ns = clock._now_ns + total\n"),
         after=""),
     FlowMutation(
         name="drop-charge-lines-charge",

@@ -5,7 +5,8 @@ machine (see :data:`SCOPES`) through the real ISA and validator, checks
 the §VII-A invariants plus executable MLS-lattice properties at every
 state, and reports violations as MC001-MC004 findings with minimized
 counterexample traces.  ``run_mutation_kill`` is the self-validation
-mode: each named validator weakening must be killed.
+mode: each named weakening (of the validator or of the TLB) must be
+killed.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ def run_mutation_kill(scope: str = "tiny",
                             validator_cls=mutation.validator_cls)
         if mutation.apply is not None:
             mutation.apply(world)
-        result = explore(world, stop_on_violation=True,
-                         key_fn=mutation.key_fn)
+        result = explore(world, stop_on_violation=True)
         rules = tuple(sorted({f.rule for f in result.findings}))
         outcomes.append(MutationOutcome(
             mutation=name, expected_rule=mutation.expected_rule,

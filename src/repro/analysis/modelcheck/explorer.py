@@ -204,21 +204,16 @@ def format_trace(trace: list, probe: tuple) -> str:
 
 def explore(world: World, *, shuffle_seed=None,
             stop_on_violation: bool = False,
-            max_states=None, key_fn=None) -> CheckResult:
+            max_states=None) -> CheckResult:
     """Exhaust the reachable state space of ``world``.
 
     ``shuffle_seed`` permutes the per-state transition enumeration order
     (seeded, deterministic); the reached state set and digest must be
-    invariant under it.  ``key_fn`` overrides the canonical state key —
-    mutant worlds whose bug lives in state the default key quotients
-    away (the access-plan cache) supply a finer key so the dangerous
-    states stay distinguishable.
+    invariant under it.
     """
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
-    if key_fn is None:
-        key_fn = canonical_key
     init_snap = snapshot(world)
-    init_key = key_fn(world)
+    init_key = canonical_key(world)
     visited = {init_key: init_snap}
     parents = {init_key: None}
     queue = deque([init_key])
@@ -272,7 +267,7 @@ def explore(world: World, *, shuffle_seed=None,
             except SgxFault:
                 continue  # no successor; partial effects are discarded
             transition_count += 1
-            succ_key = key_fn(world)
+            succ_key = canonical_key(world)
             if succ_key not in visited:
                 visited[succ_key] = snapshot(world)
                 parents[succ_key] = (key, label)

@@ -2,7 +2,8 @@
 
 A BFS witness trace is already shortest *as reached*, but it can carry
 labels irrelevant to the violation (e.g. a touch on an unrelated page).
-Greedy single-label removal re-executes the candidate trace from the
+Greedy single-label removal (:func:`repro.analysis.findings.minimize`,
+repeated to a fixpoint) re-executes the candidate trace from the
 initial snapshot through the real transitions and keeps a removal only
 if the same property still fails — so the minimized trace is guaranteed
 to be a genuine counterexample, and 1-minimal (no single label can be
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from repro.errors import SgxFault
 
+from repro.analysis.findings import minimize
 from repro.analysis.modelcheck import properties, state
 
 
@@ -34,11 +36,5 @@ def minimize_trace(world, init_snap, labels, probe) -> list:
     labels = list(labels)
     if not _replays(world, init_snap, labels, probe):
         return labels  # non-replayable witness: report it unminimized
-    index = 0
-    while index < len(labels):
-        candidate = labels[:index] + labels[index + 1:]
-        if _replays(world, init_snap, candidate, probe):
-            labels = candidate
-        else:
-            index += 1
-    return labels
+    return minimize(labels, lambda candidate: _replays(
+        world, init_snap, candidate, probe))

@@ -1,18 +1,21 @@
 """Named single-edit weakenings (the mutation kill-list).
 
 Most mutations are subclasses of the real :class:`NestedValidator`
-overriding exactly one check; ``plan-cache-skips-validation`` instead
-weakens the *memory fast path* (a TLB whose content epoch never moves,
-so the per-core access-plan cache survives every invalidation event).
+overriding exactly one check; ``tlb-flush-keeps-entries`` instead
+weakens the *translation cache* (a TLB whose flush counts itself but
+drops nothing, so translations validated under one context survive
+every transition flush and shootdown).
 ``--mutate`` builds a world with the mutant installed and requires the
 explorer to kill it with a minimized counterexample of the expected
 rule.  A surviving mutant means the checker lost discrimination — the
 self-validation the paper-style security argument needs before trusting
 "zero findings".
 
-``MC001`` (the bare-state invariant audit) is deliberately not mapped to
-a mutation: it fires on corrupted *reachable* state rather than on a
-weakened check, and every transition here goes through the real ISA.
+``MC001`` (the bare-state invariant audit) fires on corrupted
+*reachable* state rather than on a weakened check.  Every transition
+here goes through the real ISA, so only a mutant that corrupts state
+behind the ISA's back can reach it: a flush that does nothing is one,
+and ``tlb-flush-keeps-entries`` is the mutation MC001 kills.
 """
 
 from __future__ import annotations
@@ -75,43 +78,23 @@ class AcceptUnrelatedOwner(NestedValidator):
         return decision
 
 
-class FrozenPlanEpochTlb(Tlb):
-    """The plan-cache invalidation bug under test (ISSUE 7): every
-    content-changing operation — insert, flush, invalidate_pfn, restore
-    — performs its real state change but *forgets to move*
-    ``content_gen``.  A core's compiled access plan therefore stays
-    "live" across transition flushes and shootdowns and keeps serving
-    translations that were validated under a dead context, without ever
+class FlushKeepsEntriesTlb(Tlb):
+    """A TLB flush that forgets to flush: it bumps ``flush_count`` (so
+    the EWB tracking check sees an epoch change) but keeps every entry.
+    Translations validated inside an enclave survive EEXIT, and the
+    untrusted code that runs next is served from them without ever
     re-running the Fig. 6 automaton."""
 
-    def insert(self, entry) -> None:
-        gen = self.content_gen
-        super().insert(entry)
-        self.content_gen = gen
-
     def flush(self) -> None:
-        gen = self.content_gen
-        super().flush()
-        self.content_gen = gen
-
-    def invalidate_pfn(self, pfn: int) -> int:
-        gen = self.content_gen
-        dropped = super().invalidate_pfn(pfn)
-        self.content_gen = gen
-        return dropped
-
-    def restore(self, snapshot: tuple) -> None:
-        gen = self.content_gen
-        super().restore(snapshot)
-        self.content_gen = gen
+        self.flush_count += 1
 
 
-def _install_frozen_plan_epoch(world) -> None:
-    """Swap every core's (empty, post-build) TLB for the frozen-epoch
-    mutant.  ``build_world`` ends with a flush of all TLBs, so no
-    contents need carrying over."""
+def _install_flush_keeps_entries(world) -> None:
+    """Swap every core's (empty, post-build) TLB for the mutant.
+    ``build_world`` ends with a flush of all TLBs, so no contents need
+    carrying over."""
     for core in world.machine.cores:
-        core.tlb = FrozenPlanEpochTlb(core.tlb.capacity)
+        core.tlb = FlushKeepsEntriesTlb(core.tlb.capacity)
 
 
 @dataclass(frozen=True)
@@ -122,14 +105,6 @@ class Mutation:
     description: str
     #: Optional post-build hook installing non-validator mutants.
     apply: Optional[Callable] = None
-    #: Optional canonical-key override for exploring the mutant world
-    #: (see state.canonical_key_with_plans).
-    key_fn: Optional[Callable] = None
-
-
-def _plan_key_fn(world):
-    from repro.analysis.modelcheck.state import canonical_key_with_plans
-    return canonical_key_with_plans(world)
 
 
 MUTATIONS = {
@@ -145,13 +120,11 @@ MUTATIONS = {
     "accept-unrelated-owner": Mutation(
         "accept-unrelated-owner", AcceptUnrelatedOwner, "MC002",
         "accept EPC pages owned by unrelated enclaves"),
-    # Rule MC003: the first witness BFS reaches is a compiled plan
-    # serving a shadowed outer page straight past the re-pointed page
-    # table (no validator run, so no #PF) — the same stale-plan bug
-    # also yields MC002s at deeper states.
-    "plan-cache-skips-validation": Mutation(
-        "plan-cache-skips-validation", NestedValidator, "MC003",
-        "freeze the TLB content epoch so compiled access plans survive "
-        "every invalidation event and serve stale translations",
-        apply=_install_frozen_plan_epoch, key_fn=_plan_key_fn),
+    # Rule MC001: an enclave page stays in the TLB after EEXIT, and the
+    # audit finds a non-enclave entry mapping into PRM.
+    "tlb-flush-keeps-entries": Mutation(
+        "tlb-flush-keeps-entries", NestedValidator, "MC001",
+        "a TLB flush that counts itself but keeps every entry, so "
+        "translations survive transition flushes and shootdowns",
+        apply=_install_flush_keeps_entries),
 }

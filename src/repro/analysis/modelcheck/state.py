@@ -43,7 +43,7 @@ from repro.analysis.modelcheck.world import World
 def snapshot(world: World) -> tuple:
     m = world.machine
     cores = tuple((tuple(c.enclave_stack), tuple(c.tcs_stack),
-                   c.tlb.capture(), c.plan_capture()) for c in m.cores)
+                   c.tlb.capture()) for c in m.cores)
     secs = tuple((h.secs.outer_eid, tuple(h.secs.outer_eids),
                   tuple(h.secs.inner_eids)) for h in world.handles)
     tcs = tuple(t.state for _key, t in sorted(m.tcs_registry.items()))
@@ -58,16 +58,10 @@ def snapshot(world: World) -> tuple:
 
 def restore(world: World, snap: tuple) -> None:
     cores, secs, tcs, epcm, alloc, space, drv, va_slots = snap
-    for core, (stack, tstack, tlb, plan) in zip(world.machine.cores, cores):
+    for core, (stack, tstack, tlb) in zip(world.machine.cores, cores):
         core.enclave_stack[:] = stack
         core.tcs_stack[:] = tstack
-        # TLB first: its restore moves ``content_gen``, and the plan
-        # stamp must be re-imposed *after* so a captured live plan stays
-        # live exactly when the world's TLB semantics say it should
-        # (never in a normal world, where content_gen is monotonic;
-        # replayable in the frozen-epoch mutant world).
         core.tlb.restore(tlb)
-        core.plan_restore(plan)
     for h, (outer_eid, outer_eids, inner_eids) in zip(world.handles, secs):
         h.secs.outer_eid = outer_eid
         h.secs.outer_eids[:] = outer_eids
@@ -120,30 +114,6 @@ def canonical_key(world: World) -> tuple:
                       for e in c.tlb.entries())))
         for c in world.machine.cores)
     return (assoc, evicted, cores)
-
-
-def canonical_key_with_plans(world: World) -> tuple:
-    """:func:`canonical_key` extended with each core's *live* plan-cache
-    contents (logical-frame renamed, sorted, empty when the stamp is
-    stale).
-
-    The default key deliberately ignores the plan cache: in a correct
-    world it is a pure performance artifact — every serve it makes is
-    byte-identical to the validated TLB-hit path, so merging states that
-    differ only in plan contents loses nothing.  A *mutant* whose
-    invalidation is broken makes the plan an independent source of
-    (stale) authority, so mutant exploration must key on it or the
-    dangerous state (untrusted mode + live stale plan) would dedupe with
-    its clean twin and never be probed.
-    """
-    idx = world.eid_index
-    plans = tuple(
-        tuple(sorted((vpn, _logical_frame(world, rec[0].pfn),
-                      rec[0].perms, idx.get(rec[0].context_eid, -1))
-                     for vpn, rec in c._plan.items()))
-        if c._plan_gen == c.tlb.content_gen else ()
-        for c in world.machine.cores)
-    return canonical_key(world) + (plans,)
 
 
 def space_digest(keys) -> str:

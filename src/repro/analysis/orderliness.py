@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.analysis.findings import Finding, Report
+from repro.analysis.findings import Finding, Report, minimize
 
 RULES = ("ORD001", "ORD002", "ORD003", "ORD004", "ORD005")
 
@@ -209,30 +209,17 @@ def minimize_events(events: Sequence[tuple], rule: str,
                     reason: str) -> list[tuple]:
     """Shrink ``events`` to a 1-minimal log still violating (rule, reason).
 
-    Greedy single-deletion to a fixpoint: the result is 1-minimal —
+    Greedy single-deletion to a fixpoint (:func:`findings.minimize`):
     removing any one remaining event makes the violation disappear.
-    Deterministic for a given input, which lets tests pin the witness.
     """
     def still_fails(candidate: list[tuple]) -> bool:
         return any(v.rule == rule and v.reason == reason
                    for v in check_log(candidate))
 
-    kept = list(events)
-    if not still_fails(kept):
+    if not still_fails(list(events)):
         raise ValueError(
             f"log does not violate {rule}({reason}); nothing to minimize")
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(kept):
-            candidate = kept[:i] + kept[i + 1:]
-            if still_fails(candidate):
-                kept = candidate
-                changed = True
-            else:
-                i += 1
-    return kept
+    return minimize(events, still_fails)
 
 
 def _witness(events: Sequence[tuple]) -> str:

@@ -12,7 +12,7 @@ from repro.analysis import edl_lint, simlint
 from repro.analysis.findings import AnalysisError, Report
 
 #: CLI pass names → runner (the default set; heavier opt-in checks such
-#: as ``modelcheck`` are selected explicitly via ``--check``).
+#: as ``modelcheck`` are selected explicitly by name).
 PASSES = ("edl", "sim")
 
 #: Opt-in checks accepted alongside PASSES.

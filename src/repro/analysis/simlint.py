@@ -47,10 +47,10 @@ both properties checkable per commit:
     outside the allowlisted translation leaves
     (:data:`DEFAULT_CONFIG` ``.sim008_allowed``, ``module:function``
     granularity — by default only ``repro.sgx.cpu:_translate``).  The
-    access plan validates each page once, at its TLB fill; a fast path
-    that re-runs the validator per access silently reverts that, and
-    one that calls it from a *new* leaf sidesteps the plan cache's
-    invalidation discipline.
+    core validates each page once, at its TLB fill, and serves later
+    hits from the TLB; a fast path that re-runs the validator per
+    access silently reverts that, and one that calls it from a *new*
+    leaf sidesteps the TLB's flush discipline.
 
 Tcs/Secs lifecycle-field mutation is FLOW004's business
 (:mod:`repro.analysis.flow.lifecycle`), which follows it through helpers.
@@ -109,9 +109,9 @@ class SimlintConfig:
         "repro.sgx.machine",    # CPU-side LLC+MEE accessors
         "repro.sgx.isa",        # microcode leaves (below the automaton)
         "repro.sgx.eviction",   # EWB/ELDB page movers
-        # The core's plan-serve fast paths move bytes for translations
-        # the automaton already validated (plan ⊆ TLB, ISSUE 7); SIM008
-        # polices that those paths never *re-enter* the validator.
+        # The core's inline TLB-hit serve moves bytes for translations
+        # the automaton already validated; SIM008 polices that it never
+        # *re-enters* the validator.
         "repro.sgx.cpu",
     })
     sim002_allowed: frozenset[str] = frozenset({
@@ -132,7 +132,7 @@ class SimlintConfig:
     )
     #: ``module:function`` pairs that may call ``*.validator.validate``
     #: directly (SIM008).  Exactly one leaf validates per-access; bulk
-    #: fast paths must reuse its TLB fills via the access plan.
+    #: fast paths must reuse its TLB fills.
     sim008_allowed: frozenset[str] = frozenset({
         "repro.sgx.cpu:_translate",
     })
@@ -228,7 +228,7 @@ class _SimlintVisitor(ast.NodeVisitor):
         self._flag(node, "SIM008",
                    "direct per-access '.validator.validate' call outside "
                    "the allowlisted translation leaves; bulk fast paths "
-                   "must reuse plan-compiled validations (ISSUE 7)",
+                   "must reuse the TLB's validated fills",
                    symbol=f"{where}:validator.validate")
 
     # -- SIM002 / SIM003 (call-shaped rules) --------------------------------

@@ -17,11 +17,11 @@ client", §VI-A):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.kdf import hkdf, mac, mac_verify
 from repro.errors import ChannelError
-from repro.apps.minissl.records import SUPPORTED_VERSIONS, VERSION_12
+from repro.apps.minissl.records import SUPPORTED_VERSIONS
 
 CIPHER_GCM128 = "AES128-GCM"
 CIPHER_LEGACY = "LEGACY-XOR"  # deliberately weak, for rollback tests

@@ -33,7 +33,7 @@ from repro.apps.minidb import Database, SqlError, parse
 from repro.apps.minidb import ast_nodes as ast
 from repro.apps.ports import handle_state
 from repro.crypto.gcm import AesGcm
-from repro.errors import CryptoError, SdkError
+from repro.errors import CryptoError
 from repro.perf.costmodel import NET_ROUND_TRIP_DB_NS
 from repro.sdk import EnclaveBuilder, EnclaveHost, parse_edl
 from repro.sdk.builder import developer_key

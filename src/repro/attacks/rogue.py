@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 from repro.core.association import nasso
 from repro.errors import (AccessViolation, GeneralProtectionFault,
-                          MeasurementMismatch, SgxFault,
-                          UnknownInterfaceError)
+                          MeasurementMismatch, SgxFault)
 from repro.sdk import EnclaveBuilder, parse_edl
 from repro.sdk.builder import developer_key
 from repro.sdk.edl import EdlFunction

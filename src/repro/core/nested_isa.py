@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from repro.crypto.kdf import mac, mac_verify
 from repro.errors import EnclaveStateError, GeneralProtectionFault, TcsBusy
-from repro.perf import counters as ctr
 from repro.sgx.constants import ST_INITIALIZED, TCS_ACTIVE, TCS_IDLE
 from repro.sgx.cpu import Core
 from repro.sgx.isa import _report_key

@@ -23,10 +23,10 @@ that a fault-free run would not have perturbed:
 * the LLC replacement state (eviction bubbles only — AEX/ERESUME perform
   no memory traffic).
 
-The TLB restore bumps the content epoch, so the per-core access plan is
-invalidated; the next access takes the full ``tlb.lookup`` hit path, which
-charges exactly the same ``tlb_hit`` cost and counter as the fast path —
-simulated time is unchanged.  What deliberately *persists* is the
+The TLB restore rebuilds the same translations in the same LRU order, so
+the next access hits exactly the entry a fault-free run would hit and
+charges the same ``tlb_hit`` cost and counter — simulated time is
+unchanged.  What deliberately *persists* is the
 architectural bookkeeping a real fault leaves behind: ``Tcs.aex_count``
 and MEE version/ciphertext churn (neither is folded into any experiment's
 ``result_fingerprint``).  After every injection the engine audits
@@ -164,7 +164,7 @@ class FaultEngine:
     @staticmethod
     def _tlb_restore(core: "Core", snapshot: tuple) -> None:
         contents, flush_count = snapshot
-        core.tlb.restore(contents)          # bumps content_gen
+        core.tlb.restore(contents)
         core.tlb.flush_count = flush_count  # see module docstring
 
     # -- injections -----------------------------------------------------------

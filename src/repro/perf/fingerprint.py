@@ -1,7 +1,7 @@
 """Determinism-fingerprint harness for the simulated memory system.
 
 The memory-system fast paths (dict-backed LLC sets, aggregated
-memory-side cost charging, the per-core access plan, bulk transfers)
+memory-side cost charging, the inline TLB-hit serve, bulk transfers)
 are only legal if they change *host* wall-clock and nothing else.  This module
 pins that down: a handful of fixed workloads run on fresh machines, and
 everything an optimization could corrupt — the simulated clock, every
@@ -16,11 +16,11 @@ The workloads deliberately cover the paths the fast-path work touches:
 the in-EPC ring channel (LLC + MEE ciphertext), the AES-GCM software
 channel (crypto byte-for-byte), EPC eviction under live inner threads
 (EWB/ELDB, IPIs, TLB shootdown), a transition storm (EENTER/EEXIT/
-NEENTER/NEEXIT/AEX/ERESUME flush discipline, which the access plan
+NEENTER/NEEXIT/AEX/ERESUME flush discipline, which the inline serve
 must honour), and a bulk same-mode memcpy through a nested
 pair (``bulk_copy``) — multi-page contiguous spans, which the per-page
-loop translates and compiles into the access plan page by page, pinned
-independently of the Fig. 11 sweep.
+loop translates page by page, pinned independently of the Fig. 11
+sweep.
 """
 
 from __future__ import annotations
@@ -274,14 +274,14 @@ def _wl_eviction_pressure() -> Machine:
 
 def bulk_pair(**config_overrides):
     """An outer/inner pair whose entries move *large contiguous spans*,
-    translated page by page and compiled into the access plan.
+    translated page by page by the per-page loop.
 
     A separate constellation from :func:`nested_pair` on purpose — its
     entries are measured into MRENCLAVE, so extending ``nested_pair``
     would shift every existing golden.  ``config_overrides`` pass
     through to :class:`~repro.sgx.constants.MachineConfig`
-    (``reference_paths=True`` replays the same spans with the access
-    plan dead).  Returns ``(host, outer, inner)``.
+    (``reference_paths=True`` replays the same spans without the inline
+    TLB-hit serve).  Returns ``(host, outer, inner)``.
     """
     from repro.experiments.common import nested_host
     from repro.sdk import EnclaveBuilder, parse_edl

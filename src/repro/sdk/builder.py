@@ -23,14 +23,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.crypto.rsa import RsaPrivateKey
 from repro.errors import SdkError
 from repro.sdk.edl import EdlSpec
-from repro.sgx.constants import (PAGE_SIZE, PERM_RW, PERM_RX, PT_REG,
-                                 PT_TCS, PERM_RWX)
+from repro.sgx.constants import PAGE_SIZE, PERM_RW, PERM_RX, PT_REG, PT_TCS
 from repro.sgx.measure import MeasurementLog
 from repro.sgx.sigstruct import Sigstruct, sign_sigstruct
 

@@ -9,7 +9,7 @@ eviction tests want a tiny EPC so that EWB pressure is easy to create.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
@@ -57,15 +57,12 @@ class MachineConfig:
     llc_line_bytes: int = CACHELINE_SIZE
     llc_ways: int = 16
     tlb_entries: int = 1536            # per-core TLB capacity
-    #: Store page contents only for pages that are actually written.  The
-    #: simulator always does this; the flag exists for documentation value.
-    lazy_backing: bool = True
     #: Whether MEE really encrypts bytes in simulated DRAM (slower but lets
     #: tests read raw DRAM and confirm ciphertext) or only tracks costs.
     mee_encrypt_bytes: bool = True
-    #: Run with a dead per-core access plan, so every access takes the
+    #: Run without the inline TLB-hit serve, so every access takes the
     #: per-page translate loop (TLB lookup, then the memside accessors).
-    #: Simulated behaviour must be bit-identical to the plan fast path —
+    #: Simulated behaviour must be bit-identical to the inline serve —
     #: the differential fuzzer (repro.analysis.difffuzz) diffs the two
     #: on every schedule.
     reference_paths: bool = False

@@ -60,22 +60,12 @@ class Core:
         #: None in normal runs, so the hot path pays one attribute load
         #: and an is-None test per access.
         self.access_hook = None
-        # Access plan, the core's only translation cache: vpn -> (entry,
-        # base_paddr, prm, crypto) for pages this core has validated,
-        # live only while ``_plan_gen == tlb.content_gen``.  content_gen
-        # moves on every event that can change which translations are
-        # valid (transition flushes, shootdowns, invalidation, restore,
-        # every insert), so a live plan page provably is in the TLB.  The
-        # *frame* is looked up at serve time, never cached: EREMOVE drops
-        # frames without flushing TLBs.
-        self._plan: dict[int, tuple] = {}
-        self._plan_gen = -1
-        # Reference mode: the plan stays dead (content_gen starts at 0
-        # and only grows; _translate skips the compile), so every access
-        # takes the full Tlb.lookup path — difffuzz's slow oracle.
-        self._reference = machine.config.reference_paths
-        if self._reference:
-            self._plan_gen = -2
+        # Single-page accesses of at most this many bytes (counted from
+        # the page offset) are served inline from the TLB by _access.
+        # Reference mode sets it to 0, so every access takes the
+        # per-page translate loop: difffuzz's slow oracle.
+        self._inline_max = (0 if machine.config.reference_paths
+                            else PAGE_SIZE)
         # Hot-path aliases (see Machine.__init__: these objects are never
         # rebound, and Counters.reset clears the slot list in place).
         self._slots = machine.counters.slots
@@ -88,7 +78,7 @@ class Core:
         self._prm_hi = machine._prm_hi
         self._mee_bytes = machine._mee_bytes
         self._dram_bytes = machine._dram_bytes
-        # Single-line LLC probe, inlined into the plan fast path: the
+        # Single-line LLC probe, inlined into the TLB-hit serve: the
         # model's internals (set list, geometry) and the memory-system
         # unit costs, plus the three possible fused single-line charges
         # precomputed with the exact association the generic path uses
@@ -135,58 +125,9 @@ class Core:
         self.machine.cost.charge_event("tlb_flush")
         self.machine.counters.bump(ctr.TLB_FLUSH)
 
-    # -- access-plan compilation -----------------------------------------------
-    def _plan_add(self, vpn: int, entry: TlbEntry) -> None:
-        """Compile a validated translation into the access plan.
-
-        Called from every successful ``_translate`` (TLB hit or fill).
-        A stale plan (``content_gen`` moved) is cleared and restamped
-        here — the stamp is taken *after* any insert, so the insert's own
-        ``content_gen`` bump is already included and the fresh entry is
-        immediately servable.  Pages that straddle DRAM or the PRM
-        boundary are left to the slow path: the plan's per-page ``prm``
-        and ``crypto`` flags must be constant across the page for the
-        fused charge to be exact.
-        """
-        tlb = self.tlb
-        gen = tlb.content_gen
-        if self._plan_gen != gen:
-            self._plan.clear()
-            self._plan_gen = gen
-        base = entry.pfn << PAGE_SHIFT
-        if base < 0 or base + PAGE_SIZE > self._dram_bytes:
-            return
-        prm = self._prm_lo <= base < self._prm_hi
-        if prm != (self._prm_lo <= base + PAGE_SIZE - 1 < self._prm_hi):
-            return
-        self._plan[vpn] = (entry, base, prm, self._mee_bytes and prm)
-
-    def plan_capture(self) -> tuple:
-        """Plan-cache state for snapshot/restore (bounded model checking).
-
-        In normal worlds a restored stamp is always dead on arrival —
-        ``content_gen`` is monotonic and ``Tlb.restore`` bumps it, so
-        the captured stamp can never equal the post-restore epoch.  The
-        model checker's ``plan-cache-skips-validation`` mutant freezes
-        the epoch, and then this capture is what makes its stale-plan
-        states replayable.
-        """
-        return (self._plan_gen, tuple(self._plan.items()))
-
-    def plan_restore(self, snapshot: tuple) -> None:
-        gen, items = snapshot
-        self._plan_gen = gen
-        self._plan.clear()
-        self._plan.update(items)
-
     # -- the memory pipeline ------------------------------------------------------
     def _translate(self, vaddr: int, write: bool) -> TlbEntry:
-        """TLB lookup; on miss, page walk + access validation + fill.
-
-        Every successful translation is compiled into the access plan
-        (outside reference mode), so the next access to the page is
-        served by the plan fast path in :meth:`_access`.
-        """
+        """TLB lookup; on miss, page walk + access validation + fill."""
         vpn = vaddr >> PAGE_SHIFT
         tlb = self.tlb
         machine = self.machine
@@ -214,8 +155,6 @@ class Core:
             entry = TlbEntry(vpn=vpn, pfn=pte.pfn, perms=decision.perms,
                              context_eid=self.current_eid)
             tlb.insert(entry)
-        if not self._reference:
-            self._plan_add(vpn, entry)
         needed = PERM_W if write else PERM_R
         if not entry.perms & needed:
             kind = "write" if write else "read"
@@ -233,126 +172,128 @@ class Core:
     def _access(self, vaddr: int, size: int, data: bytes | None):
         """The one read/write body; ``data is None`` means a read.
 
-        A single-page access to a planned page is served inline: the
-        LRU promotion ``Tlb.lookup`` would perform, one fused charge
-        (FP-exact, see Machine._charge_lines) and the memside byte move.
-        The pop-with-default and capacity guard keep even a broken
-        model-checker mutant from crashing.  Everything else, multi-page
-        accesses included, takes the per-page loop: every ``Tlb.insert``
-        moves ``content_gen`` and clears the plan, so a multi-page plan
-        serve would almost never find all its pages compiled.
+        A single-page access whose page is in the TLB with the needed
+        permission is served inline: the LRU promotion ``Tlb.lookup``
+        would perform, one fused charge (FP-exact, see
+        Machine._charge_lines) and the memside byte move.  The TLB only
+        ever holds validated translations (every event that can change a
+        validation outcome flushes or invalidates it), so a hit needs no
+        Fig. 6 walk.  Everything else — misses, permission failures and
+        multi-page accesses — takes the per-page loop through
+        :meth:`_translate`.  The frame is looked up at serve time, never
+        cached: EREMOVE drops frames without flushing TLBs.
         """
         write = data is not None
         hook = self.access_hook
         if hook is not None:
             hook(self, vaddr, write)
         off = vaddr & _PAGE_MASK
-        if 0 < size <= PAGE_SIZE - off:
-            tlb = self.tlb
-            if self._plan_gen == tlb.content_gen:
-                vpn = vaddr >> PAGE_SHIFT
-                rec = self._plan.get(vpn)
-                if rec is not None:
-                    entry, base, prm, crypto = rec
-                    if entry.perms & (PERM_W if write else PERM_R):
-                        entries = tlb._entries
-                        entries.pop(vpn, None)
-                        entries[vpn] = entry
-                        if len(entries) > tlb.capacity:
-                            del entries[next(iter(entries))]
-                        paddr = base | off
-                        slots = self._slots
-                        slots[_SLOT_TLB_HIT] += 1
-                        breakdown = self._breakdown
-                        clock = self._clock
-                        lb = self._llc_lb
-                        first = paddr - (paddr % lb)
-                        if paddr + size - first <= lb:
-                            # Single-line access: LLC probe and fused
-                            # charge inlined (same state transitions
-                            # and charge association as LlcModel.
-                            # access_range + the generic branch below).
-                            llc = self._llc
-                            lru = self._llc_sets[
-                                (first // lb) % self._llc_nsets]
-                            if first in lru:
-                                del lru[first]
-                                lru[first] = None
-                                llc.hits += 1
-                                slots[_SLOT_LLC_HIT] += 1
-                                breakdown["tlb_hit"] += self._tlb_hit_ns
-                                breakdown["cache_hit"] += \
-                                    self._cache_hit_ns
-                                clock._now_ns = (clock._now_ns
-                                                 + self._chg_hit)
-                            else:
-                                llc.misses += 1
-                                if len(lru) >= self._llc_ways:
-                                    del lru[next(iter(lru))]
-                                    llc.evictions += 1
-                                lru[first] = None
-                                slots[_SLOT_LLC_MISS] += 1
-                                breakdown["tlb_hit"] += self._tlb_hit_ns
-                                breakdown["dram"] += \
-                                    self._dram_access_ns
-                                if prm:
-                                    slots[_SLOT_MEE_LINE_ENC if write
-                                          else _SLOT_MEE_LINE_DEC] += 1
-                                    breakdown["mee"] += \
-                                        self._mee_line_ns
-                                    clock._now_ns = (
-                                        clock._now_ns
-                                        + self._chg_miss_mee)
-                                else:
-                                    clock._now_ns = (clock._now_ns
-                                                     + self._chg_miss)
+        if 0 < size <= self._inline_max - off:
+            vpn = vaddr >> PAGE_SHIFT
+            entries = self.tlb._entries
+            entry = entries.get(vpn)
+            if entry is not None and \
+                    entry.perms & (PERM_W if write else PERM_R):
+                base = entry.pfn << PAGE_SHIFT
+                if base + PAGE_SIZE <= self._dram_bytes:
+                    # PRM bounds are page aligned (MachineConfig), so
+                    # the whole page is in PRM or none of it is.
+                    del entries[vpn]
+                    entries[vpn] = entry
+                    prm = self._prm_lo <= base < self._prm_hi
+                    paddr = base | off
+                    slots = self._slots
+                    slots[_SLOT_TLB_HIT] += 1
+                    breakdown = self._breakdown
+                    clock = self._clock
+                    lb = self._llc_lb
+                    first = paddr - (paddr % lb)
+                    if paddr + size - first <= lb:
+                        # Single-line access: LLC probe and fused
+                        # charge inlined (same state transitions
+                        # and charge association as LlcModel.
+                        # access_range + the generic branch below).
+                        llc = self._llc
+                        lru = self._llc_sets[
+                            (first // lb) % self._llc_nsets]
+                        if first in lru:
+                            del lru[first]
+                            lru[first] = None
+                            llc.hits += 1
+                            slots[_SLOT_LLC_HIT] += 1
+                            breakdown["tlb_hit"] += self._tlb_hit_ns
+                            breakdown["cache_hit"] += \
+                                self._cache_hit_ns
+                            clock._now_ns = (clock._now_ns
+                                             + self._chg_hit)
                         else:
-                            # Multi-line access: the tlb_hit charge
-                            # folded into Machine._charge_lines' body.
-                            # Kept inline rather than delegated: the
-                            # extra call cost about 2.5% of the ring
-                            # bench's ops/s (2-CPU box, Python 3.11);
-                            # multi-line serves are a quarter of its
-                            # validated accesses.
-                            total = self._tlb_hit_ns
-                            breakdown["tlb_hit"] += total
-                            hits, misses = self._llc_range(paddr, size)
-                            if hits:
-                                slots[_SLOT_LLC_HIT] += hits
-                                ns = hits * self._cache_hit_ns
-                                breakdown["cache_hit"] += ns
+                            llc.misses += 1
+                            if len(lru) >= self._llc_ways:
+                                del lru[next(iter(lru))]
+                                llc.evictions += 1
+                            lru[first] = None
+                            slots[_SLOT_LLC_MISS] += 1
+                            breakdown["tlb_hit"] += self._tlb_hit_ns
+                            breakdown["dram"] += \
+                                self._dram_access_ns
+                            if prm:
+                                slots[_SLOT_MEE_LINE_ENC if write
+                                      else _SLOT_MEE_LINE_DEC] += 1
+                                breakdown["mee"] += \
+                                    self._mee_line_ns
+                                clock._now_ns = (
+                                    clock._now_ns
+                                    + self._chg_miss_mee)
+                            else:
+                                clock._now_ns = (clock._now_ns
+                                                 + self._chg_miss)
+                    else:
+                        # Multi-line access: the tlb_hit charge
+                        # folded into Machine._charge_lines' body.
+                        # Kept inline rather than delegated: the
+                        # extra call cost about 2.5% of the ring
+                        # bench's ops/s (2-CPU box, Python 3.11);
+                        # multi-line serves are a quarter of its
+                        # validated accesses.
+                        total = self._tlb_hit_ns
+                        breakdown["tlb_hit"] += total
+                        hits, misses = self._llc_range(paddr, size)
+                        if hits:
+                            slots[_SLOT_LLC_HIT] += hits
+                            ns = hits * self._cache_hit_ns
+                            breakdown["cache_hit"] += ns
+                            total += ns
+                        if misses:
+                            slots[_SLOT_LLC_MISS] += misses
+                            ns = misses * self._dram_access_ns
+                            breakdown["dram"] += ns
+                            total += ns
+                            if prm:
+                                slots[_SLOT_MEE_LINE_ENC if write
+                                      else _SLOT_MEE_LINE_DEC] += misses
+                                ns = misses * self._mee_line_ns
+                                breakdown["mee"] += ns
                                 total += ns
-                            if misses:
-                                slots[_SLOT_LLC_MISS] += misses
-                                ns = misses * self._dram_access_ns
-                                breakdown["dram"] += ns
-                                total += ns
-                                if prm:
-                                    slots[_SLOT_MEE_LINE_ENC if write
-                                          else _SLOT_MEE_LINE_DEC] += misses
-                                    ns = misses * self._mee_line_ns
-                                    breakdown["mee"] += ns
-                                    total += ns
-                            clock._now_ns = clock._now_ns + total
-                        if write:
-                            if crypto:
-                                self.machine._write_prm_plaintext(paddr,
-                                                                  data)
-                                return None
-                            frames = self._frames
-                            frame = frames.get(entry.pfn)
-                            if frame is None:
-                                frame = bytearray(PAGE_SIZE)
-                                frames[entry.pfn] = frame
-                            frame[off:off + size] = data
+                        clock._now_ns = clock._now_ns + total
+                    if write:
+                        if prm and self._mee_bytes:
+                            self.machine._write_prm_plaintext(paddr,
+                                                              data)
                             return None
-                        if crypto:
-                            return self.machine._read_prm_plaintext(
-                                paddr, size)
-                        frame = self._frames.get(entry.pfn)
+                        frames = self._frames
+                        frame = frames.get(entry.pfn)
                         if frame is None:
-                            return bytes(size)
-                        return bytes(frame[off:off + size])
+                            frame = bytearray(PAGE_SIZE)
+                            frames[entry.pfn] = frame
+                        frame[off:off + size] = data
+                        return None
+                    if prm and self._mee_bytes:
+                        return self.machine._read_prm_plaintext(
+                            paddr, size)
+                    frame = self._frames.get(entry.pfn)
+                    if frame is None:
+                        return bytes(size)
+                    return bytes(frame[off:off + size])
         out = None if write else bytearray()
         pos = 0
         while pos < size:  # flow: charged — zero-length access is free

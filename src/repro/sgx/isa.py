@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.crypto.kdf import hkdf, mac, mac_verify
 from repro.errors import (EnclaveStateError, GeneralProtectionFault,
-                          SgxFault, SigstructInvalid, TcsBusy)
+                          SigstructInvalid, TcsBusy)
 from repro.perf import counters as ctr
 from repro.sgx.constants import (PAGE_SIZE, PERM_RWX, PT_REG, PT_SECS,
                                  PT_TCS, ST_DESTROYED, ST_INITIALIZED,

@@ -139,7 +139,7 @@ class Machine:
 
         The one memory-side charge body: ``memside_read``/``memside_write``
         and cost-model-only callers (the GCM channel's modelled scratch
-        traffic) all charge here; only the plan fast path in
+        traffic) all charge here; only the inline TLB-hit serve in
         ``Core._access`` inlines a copy.  Aggregated: one counter add per
         event kind and a single clock advance per access instead of per
         line.  The regrouping is bit-identical: every CostParams latency

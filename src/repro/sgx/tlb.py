@@ -46,16 +46,6 @@ class Tlb:
         # is the LRU promotion, ``next(iter(...))`` the LRU victim.
         self._entries: dict[int, TlbEntry] = {}
         self.flush_count = 0
-        #: Bumped on every operation that can change *contents* — insert
-        #: (which may capacity-evict), flush, invalidate_pfn, restore —
-        #: never on lookup (promotion only reorders recency).  The
-        #: per-core access plan (:class:`repro.sgx.cpu.Core`), the only
-        #: translation cache, snapshots this value: while it is
-        #: unchanged, every entry that was in the TLB at snapshot time
-        #: provably still is, so a plan hit may charge tlb_hit without
-        #: consulting the TLB.  Monotonic, never rewound (see
-        #: :meth:`restore`).
-        self.content_gen = 0
 
     def lookup(self, vpn: int) -> TlbEntry | None:
         entries = self._entries
@@ -71,12 +61,10 @@ class Tlb:
         entries[entry.vpn] = entry
         if len(entries) > self.capacity:
             del entries[next(iter(entries))]
-        self.content_gen += 1
 
     def flush(self) -> None:
         self._entries.clear()
         self.flush_count += 1
-        self.content_gen += 1
 
     def invalidate_pfn(self, pfn: int) -> int:
         """Drop every entry mapping to ``pfn``. Returns #dropped.
@@ -88,7 +76,6 @@ class Tlb:
         victims = [vpn for vpn, e in self._entries.items() if e.pfn == pfn]
         for vpn in victims:
             del self._entries[vpn]
-        self.content_gen += 1
         return len(victims)
 
     def entries(self) -> list[TlbEntry]:
@@ -101,16 +88,10 @@ class Tlb:
                      for e in self._entries.values())
 
     def restore(self, snapshot: tuple) -> None:
-        """Rebuild contents from :meth:`capture`.
-
-        ``content_gen`` is *bumped*, never rewound: the per-core access
-        plan compares it for equality, so any rewind could make a stale
-        compiled page look current again.
-        """
+        """Rebuild contents from :meth:`capture`."""
         self._entries.clear()
         for vpn, pfn, perms, context_eid in snapshot:
             self._entries[vpn] = TlbEntry(vpn, pfn, perms, context_eid)
-        self.content_gen += 1
 
     def __len__(self) -> int:
         return len(self._entries)

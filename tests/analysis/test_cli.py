@@ -110,7 +110,7 @@ class TestOnly:
         assert "mutually exclusive" in capsys.readouterr().err
 
     def test_only_is_exclusive_with_check(self, capsys):
-        assert main(["--only", "simlint", "--check", "modelcheck"]) == 2
+        assert main(["--only", "simlint", "modelcheck"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
     def test_only_orderliness_replays_workload_logs(self, capsys):

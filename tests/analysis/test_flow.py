@@ -45,10 +45,10 @@ class TestCallGraph:
         resolver shows up here first.  Update deliberately."""
         assert repo_result.stats == {
             "modules": 139,
-            "functions": 995,
-            "call_edges": 897,
-            "weak_edges": 2571,
-            "secret_summaries": 453,
+            "functions": 989,
+            "call_edges": 899,
+            "weak_edges": 2543,
+            "secret_summaries": 451,
             "always_charging": 138,
         }
 
@@ -464,7 +464,7 @@ class TestMutationCorpus:
             "clock-under-attested-handshake",
             "driver-helper-parks-tcs",
             "drop-charge-lines-charge",
-            "drop-plan-multiline-charge",
+            "drop-inline-multiline-charge",
             "egetkey-chain-transition-log",
             "helper-chain-key-ocall",
         ]

@@ -34,17 +34,6 @@ GOLDEN_KILLS = {
         "MC002",
         "nasso(E1 -> outer E0) -> eenter(core0, E1) "
         "-> probe alias-outer(core0, E0.data0)"),
-    # The frozen-epoch plan cache (ISSUE 7): a compiled plan serves the
-    # shadowed outer page straight past the re-pointed page table — one
-    # touch to compile the plan, then the probe reads through it with
-    # no validator run.  Each label is load-bearing: drop the nasso and
-    # the touch aborts; drop the eenter and the touch runs untrusted;
-    # drop the touch and there is no plan, so the real validator #PFs.
-    "plan-cache-skips-validation": (
-        "MC003",
-        "nasso(E1 -> outer E0) -> eenter(core0, E1) "
-        "-> touch(core0, E0.data0) "
-        "-> probe shadow-outer(core0, E0.data0)"),
     "skip-outside-elrange-pf": (
         "MC003",
         "nasso(E1 -> outer E0) -> eenter(core0, E1) "
@@ -53,6 +42,15 @@ GOLDEN_KILLS = {
         "MC004",
         "nasso(E1 -> outer E0) -> eenter(core0, E1) "
         "-> probe walk-budget(core0)"),
+    # The flush that keeps its entries: the enclave page touched inside
+    # E0 is still in core0's TLB after EEXIT, which the §VII-A audit
+    # flags.  Each label is load-bearing: drop the eenter and the touch
+    # runs untrusted and aborts; drop the touch and the TLB is empty;
+    # drop the eexit and the core is still in enclave mode.
+    "tlb-flush-keeps-entries": (
+        "MC001",
+        "eenter(core0, E0) -> touch(core0, E0.data0) -> eexit(core0) "
+        "-> audit"),
 }
 
 
@@ -120,13 +118,13 @@ class TestMutationKillList:
 
 class TestCli:
     def test_check_modelcheck_clean(self, capsys):
-        assert main(["--check", "modelcheck", "--scope", "tiny"]) == 0
+        assert main(["modelcheck", "--scope", "tiny"]) == 0
         assert "modelcheck" in capsys.readouterr().out
 
     def test_unknown_scope_is_usage_error(self, capsys):
         # argparse rejects the choice itself and exits with code 2.
         with pytest.raises(SystemExit) as exc:
-            main(["--check", "modelcheck", "--scope", "bogus"])
+            main(["modelcheck", "--scope", "bogus"])
         assert exc.value.code == 2
 
     def test_mutate_all_exits_zero_when_killed(self, capsys):
@@ -142,7 +140,7 @@ class TestCli:
 
     def test_sarif_output_is_written(self, tmp_path, capsys):
         out = tmp_path / "out.sarif"
-        assert main(["--check", "modelcheck", "--scope", "tiny",
+        assert main(["modelcheck", "--scope", "tiny",
                      "--sarif", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["version"] == "2.1.0"

@@ -4,8 +4,7 @@ suppression syntax, allowlists, and the JSON report shape."""
 import json
 import textwrap
 
-from repro.analysis.findings import Report
-from repro.analysis.pysource import Module, load_module, parse_suppressions
+from repro.analysis.pysource import load_module, parse_suppressions
 from repro.analysis.simlint import (DEFAULT_CONFIG, SimlintConfig,
                                     lint_module, lint_tree)
 
@@ -310,7 +309,7 @@ class TestSim008:
         """)
         assert _rules(result) == ["SIM008"]
         finding = result.findings[0]
-        assert "plan-compiled" in finding.message
+        assert "validated fills" in finding.message
         assert finding.symbol == "bulk_read:validator.validate"
 
     def test_module_level_call_flagged(self, tmp_path):

@@ -23,7 +23,6 @@ from repro.apps.ports.mlservice import (MonolithicMlService,
 from repro.apps.ports.sharing import (baseline_combined,
                                       baseline_separate, nested_shared)
 from repro.core import NestedValidator, audit_machine
-from repro.errors import AccessViolation
 from repro.os import Kernel
 from repro.sdk import EnclaveHost
 from repro.sgx import Machine

@@ -1,7 +1,5 @@
 """Heartbleed attack tests (case study VI-A, Table VII row 1)."""
 
-import pytest
-
 from repro.apps.ports.echo import MonolithicEchoServer, NestedEchoServer
 from repro.attacks.heartbleed import run_heartbleed
 from repro.core import NestedValidator

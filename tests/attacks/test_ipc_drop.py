@@ -1,7 +1,5 @@
 """Panoply-style OS message-drop attack tests (§VII-B, Table VII row 3)."""
 
-import pytest
-
 from repro.attacks.ipc_drop import (BOGUS_CERT, run_over_nested_ring,
                                     run_over_os_ipc,
                                     run_over_reliable_link,

@@ -9,9 +9,8 @@ attempts* never leave a forbidden translation cached.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
-from hypothesis.stateful import (RuleBasedStateMachine, initialize,
-                                 invariant, rule)
+from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.access import NestedValidator
 from repro.core.invariants import assert_invariants, audit_machine

@@ -11,7 +11,6 @@ would schedule them.
 import pytest
 
 from repro.core import NestedValidator, audit_machine
-from repro.errors import SgxFault
 from repro.os import Kernel
 from repro.sdk import EnclaveBuilder, EnclaveHost, developer_key, parse_edl
 from repro.sgx import Machine, isa

@@ -82,7 +82,6 @@ class TestOuterEvictionWithInnerThreads:
         inner_core = machine.cores[1]
         inner_core.address_space = host.proc.space
         isa.eenter(machine, inner_core, inner.secs, inner.idle_tcs())
-        from repro.core import nested_isa  # direct EENTER then no nest
         assert inner.image.entries  # (the read goes via raw core access)
         inner_core.read(target, 8)
 

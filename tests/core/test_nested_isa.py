@@ -5,8 +5,7 @@ import pytest
 from repro.core import nested_isa
 from repro.core.association import nasso
 from repro.crypto.rsa import generate_keypair
-from repro.errors import (EnclaveStateError, GeneralProtectionFault,
-                          TcsBusy)
+from repro.errors import GeneralProtectionFault, TcsBusy
 from repro.sgx import isa
 from repro.sgx.constants import (PAGE_SIZE, PT_TCS, SmallMachineConfig,
                                  TCS_ACTIVE, TCS_IDLE)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.access import NestedValidator
-from repro.errors import PageFault, SgxFault
+from repro.errors import SgxFault
 from repro.experiments.common import nested_host
 from repro.os import Kernel
 from repro.sdk import EnclaveBuilder, EnclaveHost, developer_key, parse_edl

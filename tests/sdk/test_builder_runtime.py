@@ -9,7 +9,7 @@ from repro.errors import (SdkError, SigstructInvalid,
 from repro.os import Kernel
 from repro.sdk import (EnclaveBuilder, EnclaveHost, developer_key,
                        parse_edl)
-from repro.sgx.constants import PAGE_SIZE, SmallMachineConfig
+from repro.sgx.constants import SmallMachineConfig
 from repro.sgx.machine import Machine
 
 OUTER_EDL = """

@@ -1,6 +1,5 @@
 """EDL parser robustness: fuzzing and round-trip properties."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import EdlSyntaxError

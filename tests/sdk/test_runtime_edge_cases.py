@@ -4,7 +4,7 @@ exhaustion, re-entrancy, multi-core usage, and handle helpers."""
 import pytest
 
 from repro.core import NestedValidator, audit_machine
-from repro.errors import GeneralProtectionFault, SdkError, TcsBusy
+from repro.errors import SdkError
 from repro.os import Kernel
 from repro.sdk import EnclaveBuilder, EnclaveHost, developer_key, parse_edl
 from repro.sgx import Machine

@@ -8,7 +8,7 @@ from the SDK.
 import pytest
 
 from repro.errors import AccessViolation, PageFault
-from repro.sgx.constants import (PAGE_SIZE, PERM_RW, PT_REG, PT_SECS,
+from repro.sgx.constants import (PERM_RW, PT_REG, PT_SECS,
                                  SmallMachineConfig, ST_INITIALIZED)
 from repro.sgx.machine import Machine
 from repro.sgx.secs import Secs

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import (EnclaveStateError, GeneralProtectionFault,
-                          SgxFault, SigstructInvalid)
+                          SigstructInvalid)
 from repro.sgx import isa
 from repro.sgx.constants import (PAGE_SIZE, PT_TCS, SmallMachineConfig,
                                  ST_DESTROYED, ST_INITIALIZED,

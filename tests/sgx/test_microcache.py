@@ -1,25 +1,25 @@
 """Property tests for translation staleness and TLB recency on the hot path.
 
 The single-page fast path of :class:`repro.sgx.cpu.Core` serves a
-planned page without calling ``Tlb.lookup``; it performs the LRU
-promotion inline instead.  The security argument of paper §II-B
-(validate once at fill time, flush on every security transition)
-extends to that path *iff*
+TLB-resident page without calling ``Tlb.lookup`` or ``Core._translate``;
+it performs the LRU promotion inline instead.  The security argument of
+paper §II-B (validate once at fill time, flush on every security
+transition) extends to that path *iff*
 
 * every flush-bearing operation (EENTER, EEXIT, NEENTER, NEEXIT, AEX,
   ERESUME and EWB shootdowns) empties the translations a core may
-  serve — the TLB loses the page and the access plan goes stale
-  immediately, before any refill — and
+  serve — the TLB loses the page immediately, before any refill — and
 * between flushes the inline promotion leaves the TLB in exactly the
   recency order ``Tlb.lookup`` would, so a later capacity eviction
   picks the same victim.
 
-The directed tests check the first point one flush source at a time;
-the random walks check both by running each seed on a compiled machine
-and on a ``reference_paths`` machine (every access through
-``Tlb.lookup``) and comparing every core's TLB, LRU order included,
-after every step.  Each step also audits the four §VII-A invariants via
-:mod:`repro.core.invariants`.
+The directed tests check the first point one flush source at a time,
+and that a TLB-resident page really is served without a translation;
+the random walks check both points by running each seed on an
+inline-serve machine and on a ``reference_paths`` machine (every access
+through ``Tlb.lookup``) and comparing every core's TLB, LRU order
+included, after every step.  Each step also audits the four §VII-A
+invariants via :mod:`repro.core.invariants`.
 """
 
 import random
@@ -59,8 +59,6 @@ def _assert_stale(core) -> None:
     """The core may serve no translation until the next refill."""
     assert len(core.tlb) == 0, (
         f"core{core.core_id}: TLB survived a flush-bearing operation")
-    assert core._plan_gen != core.tlb.content_gen, (
-        f"core{core.core_id}: access plan survived a TLB flush")
 
 
 def _assert_mru(core, vaddr) -> None:
@@ -112,9 +110,8 @@ class TestDirectedInvalidation:
         isa.eenter(machine, core, outer.secs, outer.idle_tcs())
         _assert_stale(core)
         core.write(heap, b"\xAA" * 8)           # fill: walk + validate
-        core.write(heap, b"\xBB" * 8)           # served from the plan
+        core.write(heap, b"\xBB" * 8)           # served from the TLB
         _assert_mru(core, heap)
-        assert core._plan_gen == core.tlb.content_gen
 
         neenter(machine, core, inner.secs, inner.idle_tcs())
         _assert_stale(core)
@@ -152,7 +149,6 @@ class TestDirectedInvalidation:
         core1.read(target, 8)
         for core in machine.cores:
             _assert_mru(core, target)
-            assert core._plan_gen == core.tlb.content_gen
 
         host.kernel.driver.evict_page(outer.secs, target)
         for core in machine.cores:
@@ -168,6 +164,31 @@ class TestDirectedInvalidation:
         isa.eresume(machine, core0, outer.secs, tcs0_vaddr)
         assert core0.read(target, 8) == (1).to_bytes(8, "little")
         isa.eexit(machine, core0)
+        _audit(machine)
+
+
+class TestInlineServe:
+    def test_tlb_resident_page_skips_translate(self, world, monkeypatch):
+        """Fill page A, then page B, then read A: A is still in the TLB,
+        so the read is served inline with no ``_translate`` call."""
+        machine, host, outer, inner = world
+        core = machine.cores[0]
+        page_a = (outer.heap.base & ~(PAGE_SIZE - 1)) + PAGE_SIZE
+        page_b = page_a + PAGE_SIZE
+        isa.eenter(machine, core, outer.secs, outer.idle_tcs())
+        core.write(page_a, b"\xA1" * 8)
+        core.write(page_b, b"\xB2" * 8)
+        assert page_a >> PAGE_SHIFT in core.tlb
+
+        calls = []
+        translate = core._translate
+        monkeypatch.setattr(core, "_translate",
+                            lambda *args: calls.append(args)
+                            or translate(*args))
+        assert core.read(page_a, 8) == b"\xA1" * 8
+        assert calls == []
+        _assert_mru(core, page_a)
+        isa.eexit(machine, core)
         _audit(machine)
 
 
@@ -249,7 +270,8 @@ def _walk(world, seed) -> list:
 
 
 class TestRandomWalk:
-    """Random walks, compiled vs reference, audited and compared per step."""
+    """Random walks, inline serve vs reference, audited and compared per
+    step."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sequence(self, seed):
@@ -260,5 +282,5 @@ class TestRandomWalk:
         assert any(len(tlb) == TINY_TLB
                    for *_rest, tlbs in fast for tlb in tlbs)
         for step, (f, r) in enumerate(zip(fast, ref)):
-            assert f == r, f"compiled and reference diverge at step {step}"
+            assert f == r, f"inline and reference diverge at step {step}"
         assert len(fast) == len(ref)

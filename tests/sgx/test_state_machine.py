@@ -15,7 +15,6 @@ means, after every step and on every core:
 * the §VII-A memory invariants hold.
 """
 
-import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -23,9 +22,9 @@ from repro.core import nested_isa
 from repro.core.invariants import audit_machine
 from repro.errors import SgxFault
 from repro.sgx import isa
-from repro.sgx.constants import (PAGE_SIZE, PERM_RW, PT_REG, PT_SECS,
-                                 PT_TCS, SmallMachineConfig,
-                                 ST_INITIALIZED, TCS_ACTIVE)
+from repro.sgx.constants import (PAGE_SIZE, PERM_RW, PT_SECS, PT_TCS,
+                                 SmallMachineConfig, ST_INITIALIZED,
+                                 TCS_ACTIVE)
 from repro.core.access import NestedValidator
 from repro.sgx.machine import Machine
 from repro.sgx.secs import Secs, Tcs

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sgx.constants import PAGE_SIZE, PERM_RW, PERM_RWX
+from repro.sgx.constants import PAGE_SIZE, PERM_RWX
 from repro.sgx.paging import AddressSpace
 from repro.sgx.tlb import Tlb, TlbEntry
 

@@ -177,7 +177,7 @@ class TestTier1Gate:
         modelcheck = _load("ci.yml")["jobs"]["modelcheck"]
         assert modelcheck["env"]["PYTHONPATH"] == "src"
         assert any(
-            "python -m repro.analysis --check modelcheck" in run
+            "python -m repro.analysis modelcheck" in run
             and "--scope default" in run
             for step in modelcheck["steps"]
             for run in [step.get("run", "")])
@@ -214,7 +214,7 @@ class TestNightlyPipeline:
 
     def test_deep_modelcheck_and_mutation_kill_list(self):
         runs = _runs(_load("nightly.yml"))
-        assert any("--check modelcheck" in run and "--scope deep" in run
+        assert any("repro.analysis modelcheck" in run and "--scope deep" in run
                    for run in runs)
         assert any("--mutate all" in run and "--only flow" not in run
                    for run in runs)

@@ -18,7 +18,6 @@ never into fingerprints (a declared boundary, DESIGN.md §11).
 from __future__ import annotations
 
 import ast
-from collections import deque
 
 from repro.analysis.findings import Finding
 from repro.analysis.flow.graph import CallGraph, FunctionInfo
@@ -79,16 +78,7 @@ def check_determinism_reachability(graph: CallGraph, config) -> list:
              if any(info.module.name == root
                     or info.module.name.startswith(root + ".")
                     for root in config.fingerprint_root_modules)]
-    parent: dict = {fid: None for fid in roots}
-    queue = deque(roots)
-    while queue:
-        fid = queue.popleft()
-        for succ in sorted(graph.strong.get(fid, ())
-                           | graph.weak.get(fid, ())):
-            if succ not in parent:
-                parent[succ] = fid
-                queue.append(succ)
-
+    parent = graph.reach(roots)
     findings: list = []
     for fid in sorted(parent):
         info = graph.functions[fid]
@@ -97,12 +87,7 @@ def check_determinism_reachability(graph: CallGraph, config) -> list:
         for line, what in _nondet_effects(info, graph):
             if info.module.suppressed(line, RULE):
                 continue
-            chain: list = []
-            cursor = fid
-            while cursor is not None:
-                chain.append(graph.functions[cursor].qualname)
-                cursor = parent[cursor]
-            path = " → ".join(reversed(chain))
+            path = graph.witness(parent, fid)
             findings.append(Finding(
                 path=info.module.path, line=line, rule=RULE,
                 message=(f"{what} is reachable from fingerprint-feeding "

@@ -32,6 +32,7 @@ and values constructed outside the analyzed tree.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.analysis.pysource import Module
@@ -79,6 +80,33 @@ class CallGraph:
             "call_edges": sum(len(v) for v in self.strong.values()),
             "weak_edges": sum(len(v) for v in self.weak.values()),
         }
+
+    # -- reachability (FLOW003, FLOW004) -----------------------------------
+    def reach(self, roots: list) -> dict:
+        """Breadth-first closure of ``roots`` over strong *and* weak
+        edges: ``fid -> parent fid`` (``None`` for a root) for every
+        reached function.  Successors are visited in sorted order, so
+        the parent map, and every witness built from it, is
+        deterministic."""
+        parent: dict = {fid: None for fid in roots}
+        queue = deque(roots)
+        while queue:
+            fid = queue.popleft()
+            for succ in sorted(self.strong.get(fid, ())
+                               | self.weak.get(fid, ())):
+                if succ not in parent:
+                    parent[succ] = fid
+                    queue.append(succ)
+        return parent
+
+    def witness(self, parent: dict, fid: str) -> str:
+        """The ``root → … → fid`` qualname chain through ``parent``."""
+        chain: list = []
+        cursor = fid
+        while cursor is not None:
+            chain.append(self.functions[cursor].qualname)
+            cursor = parent[cursor]
+        return " → ".join(reversed(chain))
 
     # -- resolution ---------------------------------------------------------
     def in_module(self, name: str):

@@ -16,7 +16,6 @@ attributed to its caller.
 from __future__ import annotations
 
 import ast
-from collections import deque
 
 from repro.analysis.findings import Finding
 from repro.analysis.flow.graph import CallGraph
@@ -57,16 +56,7 @@ def check_lifecycle_escape(graph: CallGraph, config) -> list:
     """Offenders anywhere, witness chains from the lifecycle drivers."""
     roots = [info.fid for module in config.lifecycle_entry_modules
              for info in graph.in_module(module)]
-    parent: dict = {fid: None for fid in roots}
-    queue = deque(roots)
-    while queue:
-        fid = queue.popleft()
-        for succ in sorted(graph.strong.get(fid, ())
-                           | graph.weak.get(fid, ())):
-            if succ not in parent:
-                parent[succ] = fid
-                queue.append(succ)
-
+    parent = graph.reach(roots)
     findings: list = []
 
     def report(module, line, field_name, symbol, detail) -> None:
@@ -83,12 +73,7 @@ def check_lifecycle_escape(graph: CallGraph, config) -> list:
             continue
         for line, field_name in _mutations(info.node):
             if fid in parent:
-                chain: list = []
-                cursor = fid
-                while cursor is not None:
-                    chain.append(graph.functions[cursor].qualname)
-                    cursor = parent[cursor]
-                route = " → ".join(reversed(chain))
+                route = graph.witness(parent, fid)
                 detail = (f"reached from lifecycle drivers via {route} → "
                           f".{field_name} assignment at line {line}")
             else:

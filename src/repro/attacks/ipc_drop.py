@@ -11,9 +11,9 @@ Three transports implement the same protocol:
 
 * ``run_over_os_ipc``  — baseline: GCM-sealed messages over OS IPC.
   Sealing stops forgery/replay, but the drop is silent; the attack
-  succeeds.  The drop itself is a thin preset over the fault engine's
-  :class:`~repro.faults.ipc.LossyIpcRouter` — the same mechanism
-  ``python -m repro.runner --chaos`` injects from a plan.
+  succeeds.  The drop is a :func:`~repro.faults.ipc.dropping_policy`
+  set on the kernel's router — the same policy hook through which
+  ``python -m repro.runner --chaos`` injects a plan's IPC faults.
 * ``run_over_reliable_link`` — hardened baseline: the OS still carries
   the bytes, but the exchange runs over a
   :class:`~repro.sdk.secure_channel.ReliableLink`.  Intermittent drops
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from repro.core.channel import SharedRing
 from repro.errors import ChannelTimeout
-from repro.faults.ipc import dropping_policy, install_lossy_router
+from repro.faults.ipc import dropping_policy
 from repro.sdk.secure_channel import GcmChannel, reliable_pair
 
 
@@ -118,8 +118,8 @@ def _manager_service(recv, send) -> int:
 def run_over_os_ipc(machine, kernel, *, os_drops: bool) -> CertCheckOutcome:
     """Baseline transport: sealed messages through OS IPC."""
     if os_drops:
-        install_lossy_router(kernel, dropping_policy(
-            lambda port, msg: port.endswith(":to-mgr")))
+        kernel.ipc.policy = dropping_policy(
+            lambda port, msg: port.endswith(":to-mgr"))
     kernel.ipc.create_port("cert:to-mgr")
     kernel.ipc.create_port("cert:to-app")
     key = b"cert-channel-key"
@@ -153,8 +153,8 @@ def run_over_reliable_link(machine, kernel, *, drop_first: int = 0,
     :class:`ChannelTimeout` the application handles by failing closed.
     """
     if drop_all:
-        install_lossy_router(kernel, dropping_policy(
-            lambda port, msg: port.endswith(":req")))
+        kernel.ipc.policy = dropping_policy(
+            lambda port, msg: port.endswith(":req"))
     elif drop_first:
         remaining = {"n": drop_first}
 
@@ -164,7 +164,7 @@ def run_over_reliable_link(machine, kernel, *, drop_first: int = 0,
             remaining["n"] -= 1
             return True
 
-        install_lossy_router(kernel, dropping_policy(should_drop))
+        kernel.ipc.policy = dropping_policy(should_drop)
 
     executed = {"n": 0}
 

@@ -9,8 +9,10 @@ repo previously modelled ad hoc:
   real driver protocol (EBLOCK → ETRACK → IPI → EWB → ELDB);
 * **DRAM bit flips** behind the MEE, which authenticated decryption must
   surface as a typed :class:`repro.errors.IntegrityViolation`;
-* **lossy IPC** — drop / duplicate / delay / reorder on the OS message
-  router (subsuming ``attacks/ipc_drop.py``).
+* **lossy IPC** — drop / duplicate / delay / reorder, applied through
+  the delivery ``policy`` of the OS message router
+  (:class:`repro.os.ipc.IpcRouter`), the hook ``attacks/ipc_drop.py``
+  sets to drop.
 
 Every run is replayable from a single integer seed: a :class:`FaultPlan`
 is generated with a seeded RNG, serialises to JSON, and the engine fires
@@ -25,7 +27,9 @@ each injection, so a chaos replay of an experiment reproduces the
 fault-free ``result_fingerprint`` byte for byte.  Malicious faults (bit
 flips, message drops past the retry budget) must instead fail loudly
 with typed errors.  ``python -m repro.runner --chaos K`` enforces both
-properties over the registered experiment suite.
+properties over the registered experiment suite, and a serialized plan
+replays through the plain runner:
+``REPRO_FAULT_PLAN="$(cat plan.json)" python -m repro.runner NAMES``.
 """
 
 from repro.faults.plan import FaultPlan, FaultSpec

@@ -4,8 +4,9 @@ One :class:`FaultEngine` attaches to a :class:`~repro.sgx.machine.Machine`
 and fires the plan's memory-triggered faults from the per-core access hook
 (:attr:`repro.sgx.cpu.Core.access_hook`): the engine counts every
 ``read``/``write`` a core issues and, on the ``at``-th access, injects the
-head fault.  IPC faults are driven separately by a
-:class:`~repro.faults.ipc.LossyIpcRouter` installed when a kernel attaches.
+head fault.  IPC faults are driven separately: when a kernel attaches,
+the engine sets its router's delivery policy to the plan's
+(:func:`repro.faults.ipc.plan_policy`).
 
 Transparency argument (benign faults)
 -------------------------------------
@@ -102,12 +103,11 @@ class FaultEngine:
             self.machine._mee_bytes = True
 
     def attach_kernel(self, kernel: "Kernel") -> None:
-        """Called from Kernel.__init__; installs the lossy IPC router."""
+        """Called from Kernel.__init__; sets the plan's IPC policy."""
         self.kernel = kernel
         if self.plan.ipc_faults():
-            from repro.faults.ipc import LossyIpcRouter, plan_policy
-            kernel.ipc = LossyIpcRouter(
-                kernel, plan_policy(self.plan), base=kernel.ipc)
+            from repro.faults.ipc import plan_policy
+            kernel.ipc.policy = plan_policy(self.plan)
 
     # -- the hot path --------------------------------------------------------
     def _on_access(self, core: "Core", vaddr: int, is_write: bool) -> None:

@@ -1,49 +1,22 @@
-"""Lossy IPC: drop / duplicate / delay / reorder on the OS message router.
+"""IPC fault policies for the OS message router.
 
-:class:`LossyIpcRouter` wraps the honest :class:`~repro.os.ipc.IpcRouter`
-delivery path with a *policy* — a function ``policy(n, port, message) ->
-action`` called with the 1-based count of messages seen so far.  Actions:
-
-``deliver``
-    Honest FIFO delivery.
-``drop``
-    The message vanishes (malicious: no sealed channel can detect a
-    trailing silent drop; only end-to-end acknowledgements recover).
-``dup``
-    The message is enqueued twice (benign: sequence numbers let the
-    receiver discard the duplicate).
-``delay``
-    The message is held back and released *before* the next message to
-    the same port (or when the receiver polls an empty queue), so FIFO
-    order is preserved — a pure latency wobble.
-``reorder``
-    The message is held back and released *after* the next message to
-    the same port — a visible inversion the receiver's reorder window
-    must absorb.
-
-Held messages are always flushed before a receiver can observe an empty
-queue it would otherwise have found non-empty, so synchronous
-request/response protocols never deadlock on a benign fault.
-
-The module also provides the thin preset the legacy attack scripts
-(`attacks/ipc_drop.py`, `os/malicious.py`) are now built on, so the repo
-has exactly one injection mechanism.
+The router itself (:class:`repro.os.ipc.IpcRouter`) applies a delivery
+policy — ``policy(n, port, message) -> action`` with the actions
+``deliver``/``drop``/``dup``/``delay``/``reorder`` documented there.
+This module builds the two policies the repo uses: one that fires a
+:class:`~repro.faults.plan.FaultPlan`'s IPC specs (set by the fault
+engine when a kernel attaches), and the drop preset the attack code
+(`attacks/ipc_drop.py`) and the tests set on ``kernel.ipc.policy``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.os.ipc import IpcRouter
+from repro.os.ipc import Policy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
-    from repro.os.kernel import Kernel
-
-#: policy(n, port, message) -> action name.
-Policy = Callable[[int, str, bytes], str]
-
-_ACTIONS = frozenset({"deliver", "drop", "dup", "delay", "reorder"})
 
 
 def plan_policy(plan: "FaultPlan") -> Policy:
@@ -57,88 +30,9 @@ def plan_policy(plan: "FaultPlan") -> Policy:
 
 
 def dropping_policy(should_drop: Callable[[str, bytes], bool]) -> Policy:
-    """Preset matching the legacy DroppingIpcRouter contract: drop when
-    ``should_drop(port, message)`` says so."""
+    """Drop a message when ``should_drop(port, message)`` says so."""
 
     def policy(n: int, port: str, message: bytes) -> str:
         return "drop" if should_drop(port, message) else "deliver"
 
     return policy
-
-
-class LossyIpcRouter(IpcRouter):
-    """An IpcRouter whose delivery path consults a fault policy."""
-
-    def __init__(self, kernel: "Kernel", policy: Policy | None = None,
-                 *, base: IpcRouter | None = None) -> None:
-        super().__init__(kernel)
-        self.policy = policy
-        #: 1-based count of messages presented for delivery.
-        self.seen = 0
-        #: (n, action) for every non-honest decision, for tests/plans.
-        self.actions: list[tuple[int, str]] = []
-        #: port -> held-back (mode, message) pairs, FIFO among themselves.
-        self._held: dict[str, list[tuple[str, bytes]]] = {}
-        if base is not None:
-            # Adopt the ports (and counters) of the router we replace —
-            # the engine installs us after Kernel.__init__ created the
-            # honest router, and apps may hold port names already.
-            self._ports = base._ports
-            self.delivered = base.delivered
-            self.dropped = base.dropped
-
-    def deliver(self, port: str, message: bytes) -> None:
-        self.seen += 1
-        action = (self.policy(self.seen, port, message)
-                  if self.policy is not None else "deliver")
-        if action not in _ACTIONS:
-            raise ValueError(f"unknown IPC fault action {action!r}")
-        if action != "deliver":
-            self.actions.append((self.seen, action))
-        if action == "drop":
-            self.dropped += 1
-            return
-        if action in ("delay", "reorder"):
-            self._held.setdefault(port, []).append(
-                (action, bytes(message)))
-            return
-        held = self._held.get(port)
-        before: list[bytes] = []
-        after: list[bytes] = []
-        if held:
-            for mode, held_message in held:
-                (before if mode == "delay" else after).append(held_message)
-            held.clear()
-        queue = self._port(port)
-        for held_message in before:
-            queue.append(held_message)
-            self.delivered += 1
-        queue.append(bytes(message))
-        self.delivered += 1
-        if action == "dup":
-            queue.append(bytes(message))
-            self.delivered += 1
-        for held_message in after:
-            queue.append(held_message)
-            self.delivered += 1
-
-    def try_recv(self, port: str) -> bytes | None:
-        message = super().try_recv(port)
-        if message is None:
-            held = self._held.get(port)
-            if held:
-                queue = self._port(port)
-                for _, held_message in held:
-                    queue.append(held_message)
-                    self.delivered += 1
-                held.clear()
-                return super().try_recv(port)
-        return message
-
-
-def install_lossy_router(kernel: "Kernel",
-                         policy: Policy) -> LossyIpcRouter:
-    """Replace a kernel's router with a lossy one sharing its ports."""
-    router = LossyIpcRouter(kernel, policy, base=kernel.ipc)
-    kernel.ipc = router
-    return router

@@ -6,10 +6,10 @@ address spaces, hands cores to threads, manages page tables and the EPC
 through its SGX driver, and provides the IPC primitives that the
 monolithic baseline must use for enclave-to-enclave communication.
 
-The class is deliberately easy to subclass into an *active attacker*
-(:mod:`repro.os.malicious`): every security-relevant action — delivering
-an IPC message, choosing page mappings, scheduling — goes through an
-overridable method.
+Every security-relevant action is open to an *active attacker*
+(:mod:`repro.os.malicious`): page mappings and scheduling go through
+overridable methods, and IPC delivery through the delivery policy of the
+kernel's one :class:`~repro.os.ipc.IpcRouter`, bound here once.
 """
 
 from __future__ import annotations

@@ -1,73 +1,24 @@
 """Active-attacker OS variants.
 
-Each class realises one capability of the §III-B threat model so that
+Each helper realises one capability of the §III-B threat model so that
 security tests and the Table VII matrix can exercise a *specific* attack
-and assert the *specific* defence that stops it:
+and assert the *specific* defence that stops it.  IPC attacks need no
+helper here: the OS *is* the router, so dropping, replaying or forging
+a message is setting ``kernel.ipc.policy`` (see
+:func:`repro.faults.ipc.dropping_policy`) or calling
+``kernel.ipc.deliver(port, raw)`` directly.
 
-* :class:`DroppingIpcRouter` — silently drops selected IPC messages (the
-  Panoply certificate-check bypass of §VII-B: the victim never learns the
-  message existed, so "handle the explicit failure" logic never runs).
-* :class:`ReplayingIpcRouter` — records and re-delivers old messages.
-* :class:`ForgingIpcRouter` — injects attacker-crafted messages.
-* :class:`RemappingKernel` helpers — rewire page tables to alias enclave
+* the ``remap_*`` helpers — rewire page tables to alias enclave
   virtual addresses onto attacker frames or other enclaves' EPC pages;
   defeated by the EPCM VA check in the access automaton.
-* :class:`dram_tamper` — flip bits in raw DRAM under an EPC page;
+* :func:`dram_tamper` — flip bits in raw DRAM under an EPC page;
   detected by the MEE integrity tree.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.faults.ipc import LossyIpcRouter, dropping_policy
-from repro.os.ipc import IpcRouter
 from repro.os.kernel import Kernel, Process
 from repro.sgx.machine import Machine
-from repro.sgx.secs import Secs
-
-
-class DroppingIpcRouter(LossyIpcRouter):
-    """Drops every message for which ``should_drop`` returns True.
-
-    A thin preset over the fault engine's
-    :class:`~repro.faults.ipc.LossyIpcRouter` — the repo has exactly one
-    IPC-fault injection mechanism; this class only pins the historical
-    ``(kernel, should_drop)`` constructor the attack tests use."""
-
-    def __init__(self, kernel: Kernel,
-                 should_drop: Callable[[str, bytes], bool]) -> None:
-        super().__init__(kernel, dropping_policy(should_drop))
-        self.should_drop = should_drop
-
-
-class ReplayingIpcRouter(IpcRouter):
-    """Records all traffic and can re-deliver any past message."""
-
-    def __init__(self, kernel: Kernel) -> None:
-        super().__init__(kernel)
-        self.recorded: list[tuple[str, bytes]] = []
-
-    def deliver(self, port: str, message: bytes) -> None:
-        self.recorded.append((port, bytes(message)))
-        super().deliver(port, message)
-
-    def replay(self, index: int) -> None:
-        port, message = self.recorded[index]
-        super().deliver(port, message)
-
-
-class ForgingIpcRouter(IpcRouter):
-    """Lets the attacker inject arbitrary messages into any port."""
-
-    def forge(self, port: str, message: bytes) -> None:
-        self._port(port).append(bytes(message))
-
-
-def install_router(kernel: Kernel, router: IpcRouter) -> None:
-    """Swap a kernel's IPC router (preserving existing ports)."""
-    router._ports = kernel.ipc._ports
-    kernel.ipc = router
 
 
 # ---------------------------------------------------------------------------
@@ -114,19 +65,3 @@ def dram_tamper(machine: Machine, paddr: int, flip_mask: int = 0x01) -> None:
     raw = bytearray(machine.phys.read(paddr, 64))   # simlint: disable=SIM001
     raw[0] ^= flip_mask
     machine.phys.write(paddr, bytes(raw))           # simlint: disable=SIM001
-
-
-def fake_association(inner: Secs, outer: Secs) -> None:
-    """What a malicious OS *wishes* it could do: scribble the association
-    fields directly.  In this simulator SECS fields are only reachable
-    through ISA leaves; this helper exists for the negative test that
-    documents the point — calling it bypasses no hardware check because
-    tests use it only to show the EDL/OS cannot conjure rights that the
-    access path would honour without a valid NASSO-set SECS state.
-
-    (The access automaton reads the same SECS objects, so the test
-    instead asserts that NASSO itself — the only architectural write path
-    — refuses unauthenticated pairs.)
-    """
-    raise NotImplementedError(
-        "SECS association fields are hardware-internal; use NASSO")

@@ -16,23 +16,23 @@ from __future__ import annotations
 
 # Kept local (not imported from repro.sgx.constants) so the perf package
 # has no dependency on the sgx package — the machine imports us, not the
-# other way around.
+# other way around.  The one line size of the machine: the MEE and the
+# PRM plaintext helpers work on the same 64 B lines, so an LLC miss is
+# exactly one MEE line.
 CACHELINE_SIZE = 64
 
 
 class LlcModel:
     """Set-associative, true-LRU, physically indexed cache of line tags."""
 
-    __slots__ = ("line_bytes", "ways", "num_sets", "_sets",
-                 "hits", "misses", "evictions")
+    __slots__ = ("ways", "num_sets", "_sets", "hits", "misses",
+                 "evictions")
 
-    def __init__(self, size_bytes: int, ways: int = 16,
-                 line_bytes: int = CACHELINE_SIZE) -> None:
-        if size_bytes % (ways * line_bytes):
+    def __init__(self, size_bytes: int, ways: int = 16) -> None:
+        if size_bytes % (ways * CACHELINE_SIZE):
             raise ValueError("cache size must be a multiple of ways*line")
-        self.line_bytes = line_bytes
         self.ways = ways
-        self.num_sets = size_bytes // (ways * line_bytes)
+        self.num_sets = size_bytes // (ways * CACHELINE_SIZE)
         # Each set is an insertion-ordered dict of line addresses (values
         # unused), most-recently-used last: delete+reinsert is the LRU
         # promotion, ``next(iter(s))`` the LRU victim.  Same replacement
@@ -45,49 +45,19 @@ class LlcModel:
         self.evictions = 0
 
     def _set_index(self, line_addr: int) -> int:
-        return (line_addr // self.line_bytes) % self.num_sets
-
-    def access(self, paddr: int) -> bool:
-        """Touch the line containing ``paddr``. Returns True on a hit."""
-        line_addr = paddr - (paddr % self.line_bytes)
-        lru = self._sets[(line_addr // self.line_bytes) % self.num_sets]
-        if line_addr in lru:
-            del lru[line_addr]
-            lru[line_addr] = None
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(lru) >= self.ways:
-            del lru[next(iter(lru))]
-            self.evictions += 1
-        lru[line_addr] = None
-        return False
+        return (line_addr // CACHELINE_SIZE) % self.num_sets
 
     def access_range(self, paddr: int, nbytes: int) -> tuple[int, int]:
         """Touch every line in [paddr, paddr+nbytes). Returns (hits, misses)."""
         if nbytes <= 0:
             return (0, 0)
-        line_bytes = self.line_bytes
+        line_bytes = CACHELINE_SIZE
         first = paddr - (paddr % line_bytes)
         last = (paddr + nbytes - 1)
         last -= last % line_bytes
         num_sets = self.num_sets
         ways = self.ways
         sets = self._sets
-        if first == last:
-            # Single-line access (u64s, headers): skip the loop scaffolding.
-            lru = sets[(first // line_bytes) % num_sets]
-            if first in lru:
-                del lru[first]
-                lru[first] = None
-                self.hits += 1
-                return (1, 0)
-            self.misses += 1
-            if len(lru) >= ways:
-                del lru[next(iter(lru))]
-                self.evictions += 1
-            lru[first] = None
-            return (0, 1)
         if last - first == line_bytes:
             # Two-line access (unaligned u64s / 64 B payloads): unrolled.
             hits = misses = 0
@@ -133,7 +103,7 @@ class LlcModel:
         return (hits, misses)
 
     def contains(self, paddr: int) -> bool:
-        line_addr = paddr - (paddr % self.line_bytes)
+        line_addr = paddr - (paddr % CACHELINE_SIZE)
         return line_addr in self._sets[self._set_index(line_addr)]
 
     def flush(self) -> None:
@@ -144,7 +114,7 @@ class LlcModel:
         """Drop the line containing ``paddr`` from the cache (models a
         snooped invalidation so the next access refills from DRAM).
         Returns True if the line was present."""
-        line_addr = paddr - (paddr % self.line_bytes)
+        line_addr = paddr - (paddr % CACHELINE_SIZE)
         return self._sets[self._set_index(line_addr)].pop(
             line_addr, 1) is None
 

@@ -61,9 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--chaos-dir", default=None, metavar="PATH",
                         help="serialize the bitflip plan and any "
                              "failing fault plans here for replay")
-    parser.add_argument("--no-budgets", action="store_true",
-                        help="disable per-experiment host-time budgets "
-                             "(also implied by REPRO_SKIP_HOST_BUDGET=1)")
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="load an existing results document "
                              "instead of running experiments")
@@ -109,9 +106,7 @@ def main(argv: "list[str] | None" = None) -> int:
         from repro.runner.chaos import run_chaos
         chaos_report = run_chaos(
             names, full=args.full, jobs=args.parallel,
-            chaos=args.chaos, chaos_dir=args.chaos_dir,
-            enforce_budgets=False if args.no_budgets else None,
-            progress=say)
+            chaos=args.chaos, chaos_dir=args.chaos_dir, progress=say)
         for label, path in chaos_report.saved_plans.items():
             say(f"chaos: plan '{label}' serialized to {path}")
         if not chaos_report.ok:
@@ -139,8 +134,7 @@ def main(argv: "list[str] | None" = None) -> int:
                   f"{', '.join(reg.specs())}", file=sys.stderr)
             return 2
         run = run_suite(names, full=args.full, jobs=args.parallel,
-                        enforce_budgets=False if args.no_budgets
-                        else None, progress=say)
+                        progress=say)
         document = build_document(run)
         failures = [(outcome.name, outcome.error)
                     for outcome in run.failed]

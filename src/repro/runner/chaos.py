@@ -21,7 +21,7 @@ three ways and checks the headline robustness property end to end:
 
 Every plan that produced a failure (and the bitflip plan always) is
 serialized to ``--chaos-dir`` so the exact run can be replayed with
-``python -m repro.faults replay <plan.json>``.
+``REPRO_FAULT_PLAN="$(cat plan.json)" python -m repro.runner NAMES``.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ def _save_plan(report: ChaosReport, chaos_dir: Optional[str],
 def run_chaos(names: "list[str]", *, full: bool = False,
               jobs: Optional[int] = None, chaos: int = 3,
               chaos_dir: Optional[str] = None,
-              enforce_budgets: Optional[bool] = None,
               progress: Optional[Callable[[str], None]] = None
               ) -> ChaosReport:
     """Run the chaos acceptance protocol over ``names``."""
@@ -75,9 +74,8 @@ def run_chaos(names: "list[str]", *, full: bool = False,
 
     def suite(fault_plan: "str | None" = None) -> SuiteRun:
         report.suites_run += 1
-        return run_suite(names, full=full, jobs=jobs,
-                         enforce_budgets=enforce_budgets,
-                         progress=say, fault_plan=fault_plan)
+        return run_suite(names, full=full, jobs=jobs, progress=say,
+                         fault_plan=fault_plan)
 
     say(f"chaos: baseline suite over {len(names)} experiment(s)")
     baseline = suite()
@@ -146,15 +144,3 @@ def run_chaos(names: "list[str]", *, full: bool = False,
             "never reached enclave traffic, so the malicious leg "
             "proved nothing (widen the trigger window or the suite)")
     return report
-
-
-def run_replay(plan: FaultPlan, names: "list[str]", *,
-               full: bool = False, jobs: Optional[int] = None,
-               enforce_budgets: Optional[bool] = None,
-               progress: Optional[Callable[[str], None]] = None
-               ) -> SuiteRun:
-    """Re-run ``names`` under a serialized plan (the debugging half of
-    the chaos workflow: same integer seed, same injection points)."""
-    return run_suite(names, full=full, jobs=jobs,
-                     enforce_budgets=enforce_budgets, progress=progress,
-                     fault_plan=plan.to_json())

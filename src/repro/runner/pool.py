@@ -51,7 +51,8 @@ _REAP_S = 5.0
 MAX_ATTEMPTS = 2
 
 
-def _worker_main(name: str, full: bool, conn) -> None:
+def _worker_main(name: str, full: bool, fault_plan: Optional[str],
+                 conn) -> None:
     """Run one experiment and ship ``(kind, payload, host_s)`` back.
 
     An ``ok`` payload is ``{"result": …, "transition_digest": …}``: the
@@ -59,7 +60,15 @@ def _worker_main(name: str, full: bool, conn) -> None:
     the experiment builds contributes its event log to one canonical
     digest — the per-experiment determinism observable the chaos
     harness and the ``-j1``/``-jN`` identity tests compare.
+
+    A ``fault_plan`` is exported as ``REPRO_FAULT_PLAN`` in the worker's
+    own environment, so every :class:`~repro.sgx.machine.Machine` the
+    experiment builds attaches a fault engine; with ``None`` the worker
+    keeps whatever it inherited (the replay path:
+    ``REPRO_FAULT_PLAN="$(cat plan.json)" python -m repro.runner …``).
     """
+    if fault_plan is not None:
+        os.environ["REPRO_FAULT_PLAN"] = fault_plan
     watch = wallclock.Stopwatch()
     transitions.begin_session()
     try:
@@ -131,11 +140,11 @@ def _context():
     return multiprocessing.get_context()
 
 
-def _launch(ctx, name: str, full: bool, budget_s: Optional[float],
-            attempts: int) -> _Live:
+def _launch(ctx, name: str, full: bool, fault_plan: Optional[str],
+            budget_s: Optional[float], attempts: int) -> _Live:
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     process = ctx.Process(target=_worker_main,
-                          args=(name, full, child_conn),
+                          args=(name, full, fault_plan, child_conn),
                           name=f"repro-runner-{name}", daemon=True)
     process.start()
     child_conn.close()
@@ -168,23 +177,9 @@ def run_suite(names: Optional[list] = None, *, full: bool = False,
     thing — host-time expectations a loaded shared runner cannot meet.
 
     ``fault_plan`` is a serialized :class:`repro.faults.FaultPlan`
-    (JSON); it is exported as ``REPRO_FAULT_PLAN`` for the duration of
-    the suite so every worker's :class:`~repro.sgx.machine.Machine`
-    attaches a fault engine (workers inherit the parent environment at
-    fork/spawn time).
+    (JSON) handed to every worker, which runs its experiment under it
+    (see :func:`_worker_main`); the parent's environment is untouched.
     """
-    if fault_plan is not None:
-        saved = os.environ.get("REPRO_FAULT_PLAN")
-        os.environ["REPRO_FAULT_PLAN"] = fault_plan
-        try:
-            return run_suite(names, full=full, jobs=jobs,
-                             enforce_budgets=enforce_budgets,
-                             progress=progress)
-        finally:
-            if saved is None:
-                del os.environ["REPRO_FAULT_PLAN"]
-            else:
-                os.environ["REPRO_FAULT_PLAN"] = saved
     spec_map = reg.specs()
     if names is None:
         names = list(spec_map)
@@ -226,8 +221,8 @@ def run_suite(names: Optional[list] = None, *, full: bool = False,
             say(f"{name}: {outcome.status} on attempt "
                 f"{live.attempts}, retrying")
             del running[name]
-            running[name] = _launch(ctx, name, full, live.budget_s,
-                                    live.attempts + 1)
+            running[name] = _launch(ctx, name, full, fault_plan,
+                                    live.budget_s, live.attempts + 1)
             running[name].last_error = outcome.error
         else:
             say(f"{name}: {outcome.status} after "
@@ -240,7 +235,7 @@ def run_suite(names: Optional[list] = None, *, full: bool = False,
                 name = pending.pop(0)
                 say(f"{name}: start "
                     f"({'full' if full else 'quick'} variant)")
-                running[name] = _launch(ctx, name, full,
+                running[name] = _launch(ctx, name, full, fault_plan,
                                         budget_for(name), attempts=1)
             connection.wait([live.conn
                              for live in running.values()],

@@ -54,8 +54,6 @@ class MachineConfig:
     prm_bytes: int = 128 << 20         # 128 MiB PRM
     epc_bytes: int = 93 << 20          # usable EPC inside PRM
     llc_bytes: int = 8 << 20           # 8 MiB last-level cache (i7-7700)
-    llc_line_bytes: int = CACHELINE_SIZE
-    llc_ways: int = 16
     tlb_entries: int = 1536            # per-core TLB capacity
     #: Whether MEE really encrypts bytes in simulated DRAM (slower but lets
     #: tests read raw DRAM and confirm ciphertext) or only tracks costs.

@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING
 from repro.errors import AccessViolation, PageFault
 from repro.perf import counters as ctr
 from repro.sgx.access import ABORT, INSERT, PAGE_FAULT
-from repro.sgx.constants import PAGE_SHIFT, PAGE_SIZE, PERM_R, PERM_W
+from repro.sgx.constants import (CACHELINE_SIZE, PAGE_SHIFT, PAGE_SIZE,
+                                 PERM_R, PERM_W)
 from repro.sgx.paging import AddressSpace
 from repro.sgx.tlb import Tlb, TlbEntry
 
@@ -88,8 +89,7 @@ class Core:
         self._llc = llc
         self._llc_sets = llc._sets
         self._llc_nsets = llc.num_sets
-        self._llc_ways = llc.ways
-        self._llc_lb = llc.line_bytes
+        self._llc_assoc = llc.ways
         cost = machine.cost
         self._breakdown = cost.breakdown
         self._clock = cost.clock
@@ -206,7 +206,7 @@ class Core:
                     slots[_SLOT_TLB_HIT] += 1
                     breakdown = self._breakdown
                     clock = self._clock
-                    lb = self._llc_lb
+                    lb = CACHELINE_SIZE
                     first = paddr - (paddr % lb)
                     if paddr + size - first <= lb:
                         # Single-line access: LLC probe and fused
@@ -228,7 +228,7 @@ class Core:
                                              + self._chg_hit)
                         else:
                             llc.misses += 1
-                            if len(lru) >= self._llc_ways:
+                            if len(lru) >= self._llc_assoc:
                                 del lru[next(iter(lru))]
                                 llc.evictions += 1
                             lru[first] = None

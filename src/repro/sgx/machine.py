@@ -64,8 +64,7 @@ class Machine:
         self.epc_alloc = EpcAllocator(self.config)
         self.epcm = Epcm(self.config)
         self.mee = Mee(self.config)
-        self.llc = LlcModel(self.config.llc_bytes, self.config.llc_ways,
-                            self.config.llc_line_bytes)
+        self.llc = LlcModel(self.config.llc_bytes)
         self.clock = SimClock()
         self.cost = CostModel(self.clock, cost_params)
         self.counters = Counters()
@@ -252,15 +251,3 @@ class Machine:
         """Cores whose TLB currently caches a translation to ``pfn``."""
         return [c for c in self.cores
                 if any(e.pfn == pfn for e in c.tlb.entries())]
-
-    # -- debugging ---------------------------------------------------------------
-    def describe(self) -> str:  # pragma: no cover - debug aid
-        lines = [f"Machine({self.config.num_cores} cores, "
-                 f"EPC {self.config.epc_bytes >> 20} MiB, "
-                 f"validator={self.validator.name})"]
-        for eid, secs in sorted(self.enclaves.items()):
-            lines.append(
-                f"  enclave {eid:#x}: ELRANGE {secs.base_addr:#x}"
-                f"+{secs.size:#x} state={secs.state} "
-                f"outer={secs.outer_eid:#x} inner={len(secs.inner_eids)}")
-        return "\n".join(lines)

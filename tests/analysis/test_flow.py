@@ -44,12 +44,12 @@ class TestCallGraph:
         """Drift tripwire: adding/removing functions or changing the
         resolver shows up here first.  Update deliberately."""
         assert repo_result.stats == {
-            "modules": 139,
-            "functions": 989,
-            "call_edges": 899,
-            "weak_edges": 2543,
-            "secret_summaries": 451,
-            "always_charging": 138,
+            "modules": 138,
+            "functions": 971,
+            "call_edges": 883,
+            "weak_edges": 2274,
+            "secret_summaries": 449,
+            "always_charging": 139,
         }
 
     def test_strong_edge_import_resolved(self, repo_result):

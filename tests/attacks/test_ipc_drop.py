@@ -6,6 +6,7 @@ from repro.attacks.ipc_drop import (BOGUS_CERT, run_over_nested_ring,
                                     _verify_certificate)
 from repro.core import NestedValidator
 from repro.core.channel import SharedRing
+from repro.faults.ipc import dropping_policy
 from repro.os import Kernel
 from repro.sdk import EnclaveHost
 from repro.sgx import Machine
@@ -103,9 +104,7 @@ class TestNestedRingTransport:
         IPC router, so a dropping router has nothing to drop."""
         machine, core_a, core_b, to_mgr, to_app = self._rings()
         kernel = Kernel(machine)
-        from repro.os.malicious import DroppingIpcRouter, install_router
-        install_router(kernel,
-                       DroppingIpcRouter(kernel, lambda p, m: True))
+        kernel.ipc.policy = dropping_policy(lambda p, m: True)
         outcome = run_over_nested_ring(machine, core_a, core_b,
                                        to_mgr, to_app)
         assert outcome.check_executed            # unaffected

@@ -1,10 +1,10 @@
-"""LossyIpcRouter semantics and GcmChannel recovery over a lossy OS."""
+"""IPC fault-policy semantics on the OS router and GcmChannel recovery
+over a lossy OS."""
 
 from repro.core import NestedValidator
 from repro.faults import FaultPlan, FaultSpec
-from repro.faults.engine import attach_engine
-from repro.faults.ipc import (LossyIpcRouter, dropping_policy,
-                              install_lossy_router, plan_policy)
+from repro.faults.engine import FaultEngine, attach_engine
+from repro.faults.ipc import dropping_policy, plan_policy
 from repro.os import Kernel
 from repro.sdk.secure_channel import GcmChannel
 from repro.sgx.constants import SmallMachineConfig
@@ -25,7 +25,8 @@ def actions_policy(script):
 class TestLossyRouterActions:
     def test_drop_vanishes_silently(self):
         machine, kernel = fresh()
-        router = install_lossy_router(kernel, actions_policy({1: "drop"}))
+        kernel.ipc.policy = actions_policy({1: "drop"})
+        router = kernel.ipc
         kernel.ipc.create_port("p")
         kernel.ipc.send("p", b"gone")
         kernel.ipc.send("p", b"kept")
@@ -36,7 +37,7 @@ class TestLossyRouterActions:
 
     def test_dup_enqueues_twice(self):
         machine, kernel = fresh()
-        install_lossy_router(kernel, actions_policy({1: "dup"}))
+        kernel.ipc.policy = actions_policy({1: "dup"})
         kernel.ipc.create_port("p")
         kernel.ipc.send("p", b"twice")
         assert kernel.ipc.try_recv("p") == b"twice"
@@ -47,7 +48,7 @@ class TestLossyRouterActions:
         """A delayed message is released *before* the next one: pure
         latency wobble, no visible inversion."""
         machine, kernel = fresh()
-        install_lossy_router(kernel, actions_policy({1: "delay"}))
+        kernel.ipc.policy = actions_policy({1: "delay"})
         kernel.ipc.create_port("p")
         kernel.ipc.send("p", b"one")   # held
         kernel.ipc.send("p", b"two")   # releases 'one' first
@@ -56,7 +57,7 @@ class TestLossyRouterActions:
 
     def test_reorder_inverts_order(self):
         machine, kernel = fresh()
-        install_lossy_router(kernel, actions_policy({1: "reorder"}))
+        kernel.ipc.policy = actions_policy({1: "reorder"})
         kernel.ipc.create_port("p")
         kernel.ipc.send("p", b"one")   # held
         kernel.ipc.send("p", b"two")   # delivered first
@@ -67,15 +68,15 @@ class TestLossyRouterActions:
         """A synchronous receiver never observes a spurious empty queue:
         polling flushes anything held back."""
         machine, kernel = fresh()
-        install_lossy_router(kernel, actions_policy({1: "delay"}))
+        kernel.ipc.policy = actions_policy({1: "delay"})
         kernel.ipc.create_port("p")
         kernel.ipc.send("p", b"held")
         assert kernel.ipc.try_recv("p") == b"held"
 
     def test_dropping_policy_preset_matches_legacy_contract(self):
         machine, kernel = fresh()
-        install_lossy_router(kernel, dropping_policy(
-            lambda port, msg: port == "victim"))
+        kernel.ipc.policy = dropping_policy(
+            lambda port, msg: port == "victim")
         kernel.ipc.create_port("victim")
         kernel.ipc.create_port("bystander")
         kernel.ipc.send("victim", b"x")
@@ -91,7 +92,8 @@ class TestPlanPolicy:
             FaultSpec(kind="ipc", at=4, action="drop"),
         ))
         machine, kernel = fresh()
-        router = install_lossy_router(kernel, plan_policy(plan))
+        kernel.ipc.policy = plan_policy(plan)
+        router = kernel.ipc
         kernel.ipc.create_port("p")
         for i in range(5):
             kernel.ipc.send("p", bytes([i]))
@@ -111,7 +113,23 @@ class TestPlanPolicy:
                           validator_cls=NestedValidator)
         attach_engine(machine, plan.to_json())
         kernel = Kernel(machine)
-        assert isinstance(kernel.ipc, LossyIpcRouter)
+        assert kernel.ipc.policy is not None
+        kernel.ipc.create_port("p")
+        kernel.ipc.send("p", b"held")   # delivery #1: delayed
+        assert kernel.ipc.actions == [(1, "delay")]
+        assert kernel.ipc.try_recv("p") == b"held"
+
+    def test_engine_attach_keeps_the_kernel_router(self):
+        """The engine sets a policy on the router the kernel already
+        has; it never swaps the router out from under its users."""
+        plan = FaultPlan(seed=0, faults=(
+            FaultSpec(kind="ipc", at=1, action="drop"),))
+        machine, kernel = fresh()
+        router = kernel.ipc
+        engine = FaultEngine(machine, plan)
+        engine.attach_kernel(kernel)
+        assert kernel.ipc is router
+        assert router.policy is not None
 
     def test_memory_only_plan_keeps_honest_router(self):
         plan = FaultPlan(seed=0, faults=(FaultSpec(kind="aex", at=50),))
@@ -119,7 +137,7 @@ class TestPlanPolicy:
                           validator_cls=NestedValidator)
         attach_engine(machine, plan.to_json())
         kernel = Kernel(machine)
-        assert not isinstance(kernel.ipc, LossyIpcRouter)
+        assert kernel.ipc.policy is None
 
 
 class TestGcmChannelRecovery:
@@ -136,15 +154,14 @@ class TestGcmChannelRecovery:
 
     def test_stream_survives_reorder(self):
         machine, kernel = fresh()
-        install_lossy_router(kernel, actions_policy({2: "reorder"}))
+        kernel.ipc.policy = actions_policy({2: "reorder"})
         tx, rx = self._channel_pair(kernel, machine)
         assert self._stream(tx, rx) \
             == [f"msg{i}".encode() for i in range(6)]
 
     def test_stream_survives_dup_and_delay(self):
         machine, kernel = fresh()
-        install_lossy_router(kernel, actions_policy({1: "dup",
-                                                     3: "delay"}))
+        kernel.ipc.policy = actions_policy({1: "dup", 3: "delay"})
         tx, rx = self._channel_pair(kernel, machine)
         assert self._stream(tx, rx) \
             == [f"msg{i}".encode() for i in range(6)]
@@ -159,8 +176,7 @@ class TestGcmChannelRecovery:
         base_counts = dict(base_machine.counters.snapshot())
 
         machine, kernel = fresh()
-        install_lossy_router(kernel, actions_policy({2: "dup",
-                                                     4: "dup"}))
+        kernel.ipc.policy = actions_policy({2: "dup", 4: "dup"})
         tx, rx = self._channel_pair(kernel, machine)
         assert self._stream(tx, rx) \
             == [f"msg{i}".encode() for i in range(6)]
@@ -174,9 +190,18 @@ class TestGcmChannelRecovery:
         base_ns = base_machine.clock.now_ns
 
         machine, kernel = fresh()
-        install_lossy_router(kernel, actions_policy({1: "reorder",
-                                                     4: "reorder"}))
+        kernel.ipc.policy = actions_policy({1: "reorder", 4: "reorder"})
         tx, rx = self._channel_pair(kernel, machine)
         assert self._stream(tx, rx) \
             == [f"msg{i}".encode() for i in range(6)]
         assert machine.clock.now_ns == base_ns
+
+    def test_policy_set_after_channels_exist_governs_them(self):
+        """Channels hold the kernel's one router, so a drop-all policy
+        set after a GcmChannel pair was built still drops its traffic."""
+        machine, kernel = fresh()
+        tx, rx = self._channel_pair(kernel, machine)
+        kernel.ipc.policy = dropping_policy(lambda port, msg: True)
+        tx.send(b"initialise the certificate check!")
+        assert kernel.ipc.dropped == 1
+        assert rx.try_recv() is None

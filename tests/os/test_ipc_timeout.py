@@ -46,10 +46,8 @@ class TestRecvTimeout:
     def test_message_arriving_during_wait_is_returned(self, kernel):
         """A sender racing the poll loop: try_recv sees the message on a
         later poll iteration (modelled by pre-seeding after first poll
-        via a lossy-held release)."""
-        from repro.faults.ipc import install_lossy_router
-        install_lossy_router(
-            kernel, lambda n, port, message: "delay")
+        via a policy-held release)."""
+        kernel.ipc.policy = lambda n, port, message: "delay"
         kernel.ipc.create_port("p")
         kernel.ipc.send("p", b"late")   # held until a poll flushes it
         assert kernel.ipc.recv("p", timeout_ns=10 * IPC_POLL_NS) \

@@ -58,39 +58,39 @@ class TestCostModel:
 
 class TestLlc:
     def test_miss_then_hit(self):
-        llc = LlcModel(size_bytes=1024, ways=2, line_bytes=64)
-        assert not llc.access(0x100)
-        assert llc.access(0x100)
-        assert llc.access(0x13F)   # same line
+        llc = LlcModel(size_bytes=1024, ways=2)
+        assert llc.access_range(0x100, 1) == (0, 1)
+        assert llc.access_range(0x100, 1) == (1, 0)
+        assert llc.access_range(0x13F, 1) == (1, 0)  # same line
         assert llc.hits == 2 and llc.misses == 1
 
     def test_set_conflict_eviction(self):
-        llc = LlcModel(size_bytes=256, ways=2, line_bytes=64)
+        llc = LlcModel(size_bytes=256, ways=2)
         # num_sets = 2; lines mapping to set 0: addresses 0, 128, 256...
-        llc.access(0)
-        llc.access(128)
-        llc.access(256)            # evicts line 0 (LRU)
-        assert not llc.access(0)
+        llc.access_range(0, 1)
+        llc.access_range(128, 1)
+        llc.access_range(256, 1)   # evicts line 0 (LRU)
+        assert llc.access_range(0, 1) == (0, 1)
         assert llc.evictions >= 1
 
     def test_lru_order(self):
-        llc = LlcModel(size_bytes=256, ways=2, line_bytes=64)
-        llc.access(0)
-        llc.access(128)
-        llc.access(0)              # 0 becomes MRU
-        llc.access(256)            # evicts 128, not 0
+        llc = LlcModel(size_bytes=256, ways=2)
+        llc.access_range(0, 1)
+        llc.access_range(128, 1)
+        llc.access_range(0, 1)     # 0 becomes MRU
+        llc.access_range(256, 1)   # evicts 128, not 0
         assert llc.contains(0)
         assert not llc.contains(128)
 
     def test_access_range_counts(self):
-        llc = LlcModel(size_bytes=4096, ways=4, line_bytes=64)
+        llc = LlcModel(size_bytes=4096, ways=4)
         hits, misses = llc.access_range(0, 256)      # 4 lines
         assert (hits, misses) == (0, 4)
         hits, misses = llc.access_range(0, 256)
         assert (hits, misses) == (4, 0)
 
     def test_unaligned_range(self):
-        llc = LlcModel(size_bytes=4096, ways=4, line_bytes=64)
+        llc = LlcModel(size_bytes=4096, ways=4)
         hits, misses = llc.access_range(60, 8)       # straddles 2 lines
         assert misses == 2
 
@@ -100,20 +100,20 @@ class TestLlc:
 
     def test_flush(self):
         llc = LlcModel(size_bytes=4096, ways=4)
-        llc.access(0)
+        llc.access_range(0, 1)
         llc.flush()
         assert not llc.contains(0)
 
     def test_bad_geometry(self):
         with pytest.raises(ValueError):
-            LlcModel(size_bytes=1000, ways=3, line_bytes=64)
+            LlcModel(size_bytes=1000, ways=3)
 
     @given(st.lists(st.integers(0, 1 << 16), min_size=1, max_size=300))
     @settings(max_examples=30, deadline=None)
     def test_capacity_bound_property(self, addrs):
-        llc = LlcModel(size_bytes=1024, ways=2, line_bytes=64)
+        llc = LlcModel(size_bytes=1024, ways=2)
         for addr in addrs:
-            llc.access(addr)
+            llc.access_range(addr, 1)
         resident = sum(len(s) for s in llc._sets)
         assert resident <= llc.capacity_lines
         assert llc.hits + llc.misses == len(addrs)

@@ -11,12 +11,12 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.runner.__main__ import main as runner_main
-from repro.runner.chaos import run_chaos, run_replay
+from repro.runner.chaos import run_chaos
 from repro.runner.pool import run_suite
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fault plans reach workers via fork-inherited env")
+    reason="selftest experiments reach workers via fork-inherited env")
 
 
 @needs_fork
@@ -46,20 +46,22 @@ class TestChaosProtocol:
     def test_replay_reproduces_the_failure(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUNNER_TEST_EXPERIMENTS", "1")
         plan = FaultPlan.bitflip(1)
-        run = run_replay(plan, ["selftest-memory"], jobs=1)
+        run = run_suite(["selftest-memory"], jobs=1,
+                        fault_plan=plan.to_json())
         outcome = run.outcomes["selftest-memory"]
         assert outcome.status == "failed"
         assert "IntegrityViolation" in outcome.error
         # Deterministic: the same plan fails the same way again.
-        rerun = run_replay(plan, ["selftest-memory"], jobs=1)
+        rerun = run_suite(["selftest-memory"], jobs=1,
+                          fault_plan=plan.to_json())
         assert rerun.outcomes["selftest-memory"].status == "failed"
 
     def test_benign_replay_matches_fault_free_fingerprint(
             self, monkeypatch):
         monkeypatch.setenv("REPRO_RUNNER_TEST_EXPERIMENTS", "1")
         base = run_suite(["selftest-memory"], jobs=1)
-        faulted = run_replay(FaultPlan.benign(2), ["selftest-memory"],
-                             jobs=1)
+        faulted = run_suite(["selftest-memory"], jobs=1,
+                            fault_plan=FaultPlan.benign(2).to_json())
         assert faulted.outcomes["selftest-memory"].fingerprint \
             == base.outcomes["selftest-memory"].fingerprint
         # The transition-log digest is held to the same transparency
@@ -100,26 +102,17 @@ class TestCli:
     def test_chaos_needs_positive_k(self, capsys):
         assert runner_main(["--chaos", "0"]) == 2
 
-    def test_faults_cli_generate_show_replay(self, monkeypatch,
-                                             tmp_path, capsys):
-        from repro.faults.__main__ import main as faults_main
+    def test_faults_cli_generate_show_replay(self, monkeypatch, capsys):
+        """Replay is the runner under REPRO_FAULT_PLAN: a malicious plan
+        fails loudly (exit 1) and names the typed integrity error."""
         monkeypatch.setenv("REPRO_RUNNER_TEST_EXPERIMENTS", "1")
-        plan_path = tmp_path / "plan.json"
-        assert faults_main(["generate", "--bitflip", "1",
-                            "-o", str(plan_path)]) == 0
-        assert FaultPlan.from_json(plan_path.read_text()).has_bitflip
-        assert faults_main(["show", str(plan_path)]) == 0
-        assert "MALICIOUS" in capsys.readouterr().out
-        # Replaying the malicious plan must fail loudly (exit 1).
-        assert faults_main(["replay", str(plan_path),
-                            "selftest-memory", "--quiet", "-j1"]) == 1
+        monkeypatch.setenv("REPRO_FAULT_PLAN",
+                           FaultPlan.bitflip(1).to_json())
+        assert runner_main(["-j1", "--quiet", "selftest-memory"]) == 1
+        assert "IntegrityViolation" in capsys.readouterr().err
 
-    def test_faults_cli_benign_replay_passes(self, monkeypatch,
-                                             tmp_path):
-        from repro.faults.__main__ import main as faults_main
+    def test_faults_cli_benign_replay_passes(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUNNER_TEST_EXPERIMENTS", "1")
-        plan_path = tmp_path / "plan.json"
-        assert faults_main(["generate", "--benign", "3",
-                            "-o", str(plan_path)]) == 0
-        assert faults_main(["replay", str(plan_path),
-                            "selftest-memory", "--quiet", "-j1"]) == 0
+        monkeypatch.setenv("REPRO_FAULT_PLAN",
+                           FaultPlan.benign(3).to_json())
+        assert runner_main(["-j1", "--quiet", "selftest-memory"]) == 0

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import NestedValidator
 from repro.errors import ChannelTimeout, DeadlineExceeded
-from repro.faults.ipc import install_lossy_router
 from repro.os import Kernel
 from repro.perf.costmodel import CHANNEL_RETRY_BACKOFF_NS
 from repro.sdk.secure_channel import (RELIABLE_MAX_ATTEMPTS,
@@ -67,7 +66,7 @@ def drop_first_requests(kernel, count):
             return "drop"
         return "deliver"
 
-    return install_lossy_router(kernel, policy)
+    kernel.ipc.policy = policy
 
 
 class TestLossyTransport:
@@ -83,8 +82,8 @@ class TestLossyTransport:
 
     def test_total_blackout_times_out_typed(self):
         machine, kernel = fresh()
-        install_lossy_router(
-            kernel, lambda n, port, message:
+        kernel.ipc.policy = (
+            lambda n, port, message:
             "drop" if port.endswith(":req") else "deliver")
         link, responder, calls = make_pair(machine, kernel)
         before = machine.cost.breakdown.get("channel_backoff", 0.0)
@@ -97,8 +96,8 @@ class TestLossyTransport:
 
     def test_duplicated_request_served_once(self):
         machine, kernel = fresh()
-        install_lossy_router(
-            kernel, lambda n, port, message:
+        kernel.ipc.policy = (
+            lambda n, port, message:
             "dup" if port.endswith(":req") else "deliver")
         link, responder, calls = make_pair(machine, kernel)
         assert link.call(b"ping", pump=responder.pump) == b"echo:ping"
@@ -110,8 +109,8 @@ class TestLossyTransport:
 
     def test_stale_response_discarded_by_id(self):
         machine, kernel = fresh()
-        install_lossy_router(
-            kernel, lambda n, port, message:
+        kernel.ipc.policy = (
+            lambda n, port, message:
             "dup" if port.endswith(":resp") else "deliver")
         link, responder, calls = make_pair(machine, kernel)
         assert link.call(b"one", pump=responder.pump) == b"echo:one"
@@ -132,7 +131,7 @@ class TestLossyTransport:
                 return "drop"
             return "deliver"
 
-        install_lossy_router(kernel, policy)
+        kernel.ipc.policy = policy
         link, responder, calls = make_pair(machine, kernel)
         assert link.call(b"ping", pump=responder.pump) == b"echo:ping"
         assert calls == [b"ping"]  # handler did NOT run twice
@@ -169,8 +168,8 @@ class TestBackoffSchedule:
 
     def test_link_charges_the_policy_schedule(self):
         machine, kernel = fresh()
-        install_lossy_router(
-            kernel, lambda n, port, message:
+        kernel.ipc.policy = (
+            lambda n, port, message:
             "drop" if port.endswith(":req") else "deliver")
         policy = BackoffPolicy(base_ns=CHANNEL_RETRY_BACKOFF_NS, seed=5)
         link, responder = reliable_pair(
@@ -238,8 +237,8 @@ class TestDeadline:
 
     def test_deadline_fires_between_attempts_never_hangs(self):
         machine, kernel = fresh()
-        install_lossy_router(
-            kernel, lambda n, port, message:
+        kernel.ipc.policy = (
+            lambda n, port, message:
             "drop" if port.endswith(":req") else "deliver")
         link, responder, calls = make_pair(machine, kernel)
         deadline = machine.clock.now_ns + 1.0  # < one backoff wait
@@ -270,8 +269,8 @@ class TestDupTransparency:
         baseline = self._cost_state(baseline_machine)
 
         machine, kernel = fresh()
-        install_lossy_router(
-            kernel, lambda n, port, message:
+        kernel.ipc.policy = (
+            lambda n, port, message:
             "dup" if port.endswith(":req") else "deliver")
         link, responder, _ = make_pair(machine, kernel)
         link.call(b"ping", pump=responder.pump)
@@ -285,8 +284,8 @@ class TestDupTransparency:
         baseline = self._cost_state(baseline_machine)
 
         machine, kernel = fresh()
-        install_lossy_router(
-            kernel, lambda n, port, message:
+        kernel.ipc.policy = (
+            lambda n, port, message:
             "dup" if port.endswith(":resp") else "deliver")
         link, responder, _ = make_pair(machine, kernel)
         link.call(b"one", pump=responder.pump)

@@ -4,8 +4,7 @@ import pytest
 
 from repro.errors import ChannelError, CryptoError
 from repro.os import Kernel
-from repro.os.malicious import (DroppingIpcRouter, ForgingIpcRouter,
-                                ReplayingIpcRouter, install_router)
+from repro.faults.ipc import dropping_policy
 from repro.sdk.secure_channel import (REORDER_WINDOW, GcmChannel,
                                       paired_channels)
 from repro.sgx.constants import SmallMachineConfig
@@ -63,25 +62,29 @@ class TestAttackers:
     def test_forged_message_rejected(self, world):
         """Sealing defeats forgery: attacker-crafted bytes fail the tag."""
         machine, kernel = world
-        router = ForgingIpcRouter(kernel)
-        install_router(kernel, router)
         kernel.ipc.create_port("p")
         rx = GcmChannel(machine, kernel.ipc, "p", bytes(16))
-        router.forge("p", bytes(8) + b"X" * 32)
+        # The OS is the router: forging is delivering its own bytes.
+        kernel.ipc.deliver("p", bytes(8) + b"X" * 32)
         with pytest.raises(CryptoError):
             rx.recv()
 
     def test_replayed_message_rejected(self, world):
         """Sealing + sequence numbers defeat replay."""
         machine, kernel = world
-        router = ReplayingIpcRouter(kernel)
-        install_router(kernel, router)
+        recorded = []
+
+        def record(n, port, message):
+            recorded.append((port, bytes(message)))
+            return "deliver"
+
+        kernel.ipc.policy = record
         kernel.ipc.create_port("p")
         tx = GcmChannel(machine, kernel.ipc, "p", bytes(16))
         rx = GcmChannel(machine, kernel.ipc, "p", bytes(16))
         tx.send(b"pay me $1")
         assert rx.recv() == b"pay me $1"
-        router.replay(0)
+        kernel.ipc.deliver(*recorded[0])
         with pytest.raises(ChannelError):
             rx.recv()  # sequence number already consumed
 
@@ -117,13 +120,12 @@ class TestAttackers:
         follows is undetectable at the channel layer — the receiver just
         sees an empty queue, identical to 'never sent'."""
         machine, kernel = world
-        router = DroppingIpcRouter(kernel, lambda port, msg: True)
-        install_router(kernel, router)
+        kernel.ipc.policy = dropping_policy(lambda port, msg: True)
         kernel.ipc.create_port("p")
         tx = GcmChannel(machine, kernel.ipc, "p", bytes(16))
         rx = GcmChannel(machine, kernel.ipc, "p", bytes(16))
         tx.send(b"initialise the certificate check!")
-        assert router.dropped == 1
+        assert kernel.ipc.dropped == 1
         assert rx.try_recv() is None  # looks exactly like silence
 
     def test_interior_drop_detected_by_gap(self, world):
@@ -135,8 +137,7 @@ class TestAttackers:
             drop_second["n"] += 1
             return drop_second["n"] == 2
 
-        router = DroppingIpcRouter(kernel, should_drop)
-        install_router(kernel, router)
+        kernel.ipc.policy = dropping_policy(should_drop)
         kernel.ipc.create_port("p")
         tx = GcmChannel(machine, kernel.ipc, "p", bytes(16))
         rx = GcmChannel(machine, kernel.ipc, "p", bytes(16))

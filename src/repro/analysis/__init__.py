@@ -19,13 +19,13 @@ Occlum for SFI: validate at build time, don't trust convention):
   outside :mod:`repro.perf.costmodel`, host time on fault paths, and
   per-access validator calls outside the translation leaf.
 * :mod:`repro.analysis.flow` — the whole-repo dataflow engine
-  (``--only flow``, rules ``FLOW001``–``FLOW004``) over one call graph
+  (``python -m repro.analysis flow``, rules ``FLOW001``–``FLOW004``) over one call graph
   of the tree: key material must never reach an ocall argument or a
   transition-log payload, memory-touch entry points must charge the
   cost model, host clocks must not reach fingerprint code, and only the
   ISA modules may assign Tcs/Secs lifecycle fields.
 * :mod:`repro.analysis.orderliness` — replays recorded transition logs
-  through the Fig. 6 entry/exit automaton (``--only orderliness``,
+  through the Fig. 6 entry/exit automaton (``orderliness``,
   rules ``ORD001``–``ORD005``).
 * :mod:`repro.analysis.difffuzz` — a differential schedule fuzzer
   (``python -m repro.analysis.difffuzz``, rules ``DIFF001``/``DIFF002``)

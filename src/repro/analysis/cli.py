@@ -4,13 +4,13 @@ Examples::
 
     python -m repro.analysis                      # default passes, text
     python -m repro.analysis edl sim flow         # the CI gate's set
-    python -m repro.analysis --only simlint       # exactly one pass
-    python -m repro.analysis --only orderliness   # transition-log replay
+    python -m repro.analysis sim                  # exactly one pass
+    python -m repro.analysis orderliness          # transition-log replay
     python -m repro.analysis modelcheck           # bounded model checker
     python -m repro.analysis modelcheck --scope deep
-    python -m repro.analysis --only flow          # interprocedural dataflow
+    python -m repro.analysis flow                 # interprocedural dataflow
     python -m repro.analysis --mutate all         # model-checker kill-list
-    python -m repro.analysis --only flow --mutate all  # flow-engine kill-list
+    python -m repro.analysis flow --mutate all    # flow-engine kill-list
     python -m repro.analysis --format json        # machine-readable
     python -m repro.analysis --sarif out.sarif    # code-scanning upload
     python -m repro.analysis --baseline base.json # ignore grandfathered
@@ -33,18 +33,6 @@ from repro.analysis.findings import (AnalysisError, load_baseline,
 from repro.analysis.runner import EXTRA_CHECKS, PASSES, run_repo_analysis
 from repro.analysis.sarif import render_sarif
 
-#: ``--only`` accepts the user-facing pass names (and the short internal
-#: ones) and maps each to its runner pass.
-ONLY_ALIASES = {
-    "edl": "edl",
-    "sim": "sim",
-    "simlint": "sim",
-    "modelcheck": "modelcheck",
-    "orderliness": "orderliness",
-    "flow": "flow",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -57,11 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="passes to run "
                              f"({', '.join(PASSES + EXTRA_CHECKS)}; "
                              f"default: {' '.join(PASSES)})")
-    parser.add_argument("--only", default=None, metavar="NAME",
-                        choices=sorted(ONLY_ALIASES),
-                        help="run exactly one pass or check "
-                             f"({', '.join(sorted(ONLY_ALIASES))}); "
-                             "mutually exclusive with positional passes")
     parser.add_argument("--scope", default="default",
                         choices=("tiny", "default", "deep"),
                         help="bounded scope for the model checker "
@@ -70,8 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="self-validation: apply the named mutation "
                              "('all' or a comma-separated list) and "
                              "require the analysis to kill it; targets "
-                             "the model checker by default, the dataflow "
-                             "engine under --only flow")
+                             "the model checker (no pass, or "
+                             "'modelcheck') or the dataflow engine "
+                             "('flow')")
     parser.add_argument("--root", default=None,
                         help="repo root (directory containing src/); "
                              "default: auto-detected")
@@ -115,8 +99,13 @@ def _run_flow_mutate(args) -> int:
 
 
 def _run_mutate(args) -> int:
-    if args.only == "flow":
+    target = tuple(args.passes)
+    if target == ("flow",):
         return _run_flow_mutate(args)
+    if target not in ((), ("modelcheck",)):
+        print(f"error: --mutate targets 'modelcheck' or 'flow', not "
+              f"{' '.join(target)!r}", file=sys.stderr)
+        return 2
     from repro.analysis.modelcheck import MUTATIONS, run_mutation_kill
 
     if args.mutate == "all":
@@ -150,14 +139,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.mutate is not None:
         return _run_mutate(args)
-    if args.only is not None:
-        if args.passes:
-            print("error: --only is mutually exclusive with positional "
-                  "passes", file=sys.stderr)
-            return 2
-        passes = (ONLY_ALIASES[args.only],)
-    else:
-        passes = tuple(args.passes) or PASSES
+    passes = tuple(args.passes) or PASSES
     try:
         baseline = load_baseline(args.baseline)
         report = run_repo_analysis(args.root, passes,

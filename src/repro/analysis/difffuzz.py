@@ -35,9 +35,10 @@ single-op deletion keeping the same divergence rules) before being
 reported and written as a JSON artifact, so a nightly failure hands the
 developer a replayable minimal reproducer, not a 200-schedule haystack.
 
-Schedules may also carry a benign fault plan (threaded to the machines
-via ``REPRO_FAULT_PLAN``, like the chaos runner): benign injections are
-transparency bubbles, so they must not perturb either oracle.
+Schedules may also carry a benign fault plan, attached to each run's
+machine before its kernel exists (so the plan's IPC policy is set and
+every access is counted): benign injections are transparency bubbles,
+so they must not perturb either oracle.
 
 CLI::
 
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass, field
@@ -149,23 +149,21 @@ class RunOutcome:
 def run_schedule(schedule: Schedule, *,
                  reference: bool = False) -> RunOutcome:
     """Execute ``schedule`` on a fresh nested_pair constellation."""
+    from repro.core import NestedValidator
+    from repro.faults.engine import attach_engine
     from repro.faults.plan import FaultPlan
     from repro.perf.fingerprint import (machine_fingerprint, nested_pair,
                                         transition_digest)
-    from repro.sgx.constants import PAGE_SIZE
+    from repro.sgx.constants import PAGE_SIZE, MachineConfig
+    from repro.sgx.machine import Machine
 
-    saved = os.environ.get("REPRO_FAULT_PLAN")
+    machine = Machine(MachineConfig(mee_encrypt_bytes=True,
+                                    reference_paths=reference),
+                      validator_cls=NestedValidator)
     if schedule.fault_seed is not None:
-        os.environ["REPRO_FAULT_PLAN"] = \
-            FaultPlan.benign(schedule.fault_seed).to_json()
-    try:
-        host, outer, inner = nested_pair(reference_paths=reference)
-    finally:
-        if schedule.fault_seed is not None:
-            if saved is None:
-                del os.environ["REPRO_FAULT_PLAN"]
-            else:
-                os.environ["REPRO_FAULT_PLAN"] = saved
+        attach_engine(machine,
+                      FaultPlan.benign(schedule.fault_seed).to_json())
+    host, outer, inner = nested_pair(machine)
     driver = host.kernel.driver
     heap_page0 = outer.heap.base & ~(PAGE_SIZE - 1)
     bulk_base = None  # mapped lazily by the first bulk_storm op

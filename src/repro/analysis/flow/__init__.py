@@ -13,8 +13,8 @@ checks through the shared findings/baseline/SARIF pipeline:
   allowlist, with the driver call chain when helpers smuggle the write.
 
 The engine self-validates via a named mutation corpus
-(:mod:`repro.analysis.flow.mutations`): ``--mutate all`` under
-``--only flow`` must kill every defect with a call-path witness.
+(:mod:`repro.analysis.flow.mutations`): ``flow --mutate all`` must
+kill every defect with a call-path witness.
 """
 
 from repro.analysis.flow.config import DEFAULT_CONFIG, FlowConfig

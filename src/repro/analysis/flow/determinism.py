@@ -21,18 +21,27 @@ import ast
 
 from repro.analysis.findings import Finding
 from repro.analysis.flow.graph import CallGraph, FunctionInfo
-from repro.analysis.simlint import (_RNG_CTORS, _WALLCLOCK,
-                                    _WALLCLOCK_ARGLESS)
+from repro.analysis.simlint import (LEGACY_RNG, SHARED_RNG, UNSEEDED_RNG,
+                                    WALLCLOCK, nondet_effect)
 
 RULE = "FLOW003"
+
+#: FLOW003's wording for each effect kind simlint classifies.
+_DESCRIBE = {
+    WALLCLOCK: "host-clock call",
+    SHARED_RNG: "unseeded RNG call",
+    UNSEEDED_RNG: "unseeded RNG constructor",
+    LEGACY_RNG: "legacy numpy RNG call",
+}
 
 
 def _nondet_effects(info: FunctionInfo, graph: CallGraph) -> list:
     """(line, description) of every host-clock / unseeded-RNG effect
-    this function performs directly.  Mirrors SIM002/SIM003 call
-    classification, plus strong-resolved calls into sanctioned modules
-    made *from unsanctioned ones* are effects at the caller (the
-    wallclock helpers read host time by design)."""
+    this function performs directly: SIM002/SIM003's call
+    classification (:func:`repro.analysis.simlint.nondet_effect`), plus
+    strong-resolved calls into sanctioned modules made *from
+    unsanctioned ones* are effects at the caller (the wallclock helpers
+    read host time by design)."""
     table = graph.imports[info.module.name]
     effects: list = []
     for node in ast.walk(info.node):
@@ -41,26 +50,10 @@ def _nondet_effects(info: FunctionInfo, graph: CallGraph) -> list:
         dotted = table.resolve(node.func)
         if dotted is None:
             continue
-        if dotted in _WALLCLOCK or (
-                dotted in _WALLCLOCK_ARGLESS and not node.args
-                and not node.keywords):
-            effects.append((node.lineno, f"host-clock call {dotted}()"))
-            continue
-        parts = dotted.split(".")
-        if parts[0] == "random" and len(parts) == 2 \
-                and parts[1] not in _RNG_CTORS:
+        effect = nondet_effect(dotted, node)
+        if effect is not None:
             effects.append(
-                (node.lineno, f"unseeded RNG call {dotted}()"))
-            continue
-        if parts[-1] in _RNG_CTORS and not node.args and not node.keywords \
-                and parts[0] in ("random", "numpy"):
-            effects.append(
-                (node.lineno, f"unseeded RNG constructor {dotted}()"))
-            continue
-        if len(parts) >= 3 and parts[0] == "numpy" \
-                and parts[1] == "random" and parts[-1] not in _RNG_CTORS:
-            effects.append(
-                (node.lineno, f"legacy numpy RNG call {dotted}()"))
+                (node.lineno, f"{_DESCRIBE[effect]} {dotted}()"))
             continue
         # Calls into the blessed wallclock module count as effects at
         # the call site, so reachability sees through the helper.

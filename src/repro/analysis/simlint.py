@@ -93,6 +93,35 @@ _WALLCLOCK_ARGLESS = frozenset({"datetime.datetime.now"})
 _RNG_CTORS = frozenset({"Random", "SystemRandom", "Generator",
                         "default_rng", "RandomState"})
 
+#: Effect kinds :func:`nondet_effect` classifies a call into.
+WALLCLOCK = "wallclock"
+SHARED_RNG = "shared-rng"
+UNSEEDED_RNG = "unseeded-rng"
+LEGACY_RNG = "legacy-rng"
+
+
+def nondet_effect(name: str, node: ast.Call) -> str | None:
+    """Classify a call of the resolved dotted ``name``: a host-clock
+    read (:data:`WALLCLOCK`), a module-level ``random.X`` on the shared
+    unseeded RNG (:data:`SHARED_RNG`), a generator constructed without
+    a seed (:data:`UNSEEDED_RNG`), numpy's legacy global RNG
+    (:data:`LEGACY_RNG`), or None for a deterministic call.  SIM002,
+    SIM003 and FLOW003 all classify through here."""
+    argless = not node.args and not node.keywords
+    if name in _WALLCLOCK or (name in _WALLCLOCK_ARGLESS and argless):
+        return WALLCLOCK
+    parts = name.split(".")
+    if parts[0] == "random":
+        if parts[-1] not in _RNG_CTORS:
+            return SHARED_RNG if len(parts) == 2 else None
+        return UNSEEDED_RNG if argless else None
+    if parts[:2] == ["numpy", "random"] and len(parts) >= 3:
+        if parts[2] not in _RNG_CTORS:
+            return LEGACY_RNG
+        return UNSEEDED_RNG if argless else None
+    return None
+
+
 _LATENCY_NAME_RE = re.compile(
     r".*(_ns|_us|_ms|_cycles|_latency)$", re.IGNORECASE)
 
@@ -237,44 +266,36 @@ class _SimlintVisitor(ast.NodeVisitor):
         self._check_validator_call(node)
         name = self.imports.resolve(node.func)
         if name is not None:
-            self._check_wallclock(node, name)
-            self._check_random(node, name)
+            effect = nondet_effect(name, node)
+            self._check_wallclock(node, name, effect)
+            self._check_random(node, name, effect)
             self._check_fault_path(node, name)
         self.generic_visit(node)
 
-    def _check_wallclock(self, node: ast.Call, name: str) -> None:
-        if self.module.name in self.config.sim002_allowed:
-            return
-        argless = not node.args and not node.keywords
-        if name in _WALLCLOCK or (name in _WALLCLOCK_ARGLESS and argless):
+    def _check_wallclock(self, node: ast.Call, name: str,
+                         effect: str | None) -> None:
+        if effect == WALLCLOCK \
+                and self.module.name not in self.config.sim002_allowed:
             self._flag(node, "SIM002",
                        f"wall-clock read '{name}' breaks determinism; go "
                        "through repro.perf.wallclock", symbol=name)
 
-    def _check_random(self, node: ast.Call, name: str) -> None:
-        parts = name.split(".")
-        if parts[0] == "random":
-            tail = parts[-1]
-            if tail not in _RNG_CTORS and len(parts) == 2:
-                self._flag(node, "SIM003",
-                           f"module-level '{name}()' uses the shared "
-                           "unseeded RNG; construct random.Random(seed)",
-                           symbol=name)
-            elif tail in _RNG_CTORS and not node.args and not node.keywords:
-                self._flag(node, "SIM003",
-                           f"'{name}()' without a seed is nondeterministic",
-                           symbol=name)
-        elif parts[:2] == ["numpy", "random"] and len(parts) >= 3:
-            tail = parts[2]
-            if tail not in _RNG_CTORS:
-                self._flag(node, "SIM003",
-                           f"legacy 'np.random.{tail}()' uses the global "
-                           "unseeded RNG; use np.random.default_rng(seed)",
-                           symbol=name)
-            elif not node.args and not node.keywords:
-                self._flag(node, "SIM003",
-                           f"'{name}()' without a seed is nondeterministic",
-                           symbol=name)
+    def _check_random(self, node: ast.Call, name: str,
+                      effect: str | None) -> None:
+        if effect == SHARED_RNG:
+            self._flag(node, "SIM003",
+                       f"module-level '{name}()' uses the shared "
+                       "unseeded RNG; construct random.Random(seed)",
+                       symbol=name)
+        elif effect == UNSEEDED_RNG:
+            self._flag(node, "SIM003",
+                       f"'{name}()' without a seed is nondeterministic",
+                       symbol=name)
+        elif effect == LEGACY_RNG:
+            self._flag(node, "SIM003",
+                       f"legacy 'np.random.{name.split('.')[2]}()' uses "
+                       "the global unseeded RNG; use "
+                       "np.random.default_rng(seed)", symbol=name)
     # -- SIM006 -------------------------------------------------------------
     def _check_fault_path(self, node: ast.Call, name: str) -> None:
         module = self.module.name

@@ -69,35 +69,21 @@ def _verify_certificate(cert: bytes) -> bool:
     return fields.get(b"signer") in VALID_SIGNERS
 
 
-class CertManagerProtocol:
-    """The application-side protocol state machine, transport-agnostic.
+def _await_verdict(try_recv, executed: int) -> CertCheckOutcome:
+    """The application side, transport-agnostic: poll briefly for a
+    verdict after the fire-and-forget registration.
 
-    Mirrors the attacked OpenSSL pattern: registration is fire-and-
-    forget; only an *explicit* failure response stops the application.
+    Mirrors the attacked OpenSSL pattern: silence is (mis)interpreted as
+    "no objection", and only an *explicit* failure response stops the
+    application.  ``executed`` is how many checks the manager ran.
     """
-
-    def __init__(self, send, try_recv):
-        self._send = send
-        self._try_recv = try_recv
-
-    def request_check(self, cert: bytes) -> CertCheckOutcome:
-        self._send(b"INIT-CHECK:" + cert)
-        # The application polls briefly for a verdict; silence is
-        # (mis)interpreted as "no objection" — the flawed-but-common
-        # pattern the paper describes.
-        explicit_failure = False
-        executed = False
-        for _ in range(4):
-            response = self._try_recv()
-            if response is None:
-                continue
-            executed = True
-            if response == b"CHECK-FAILED":
-                explicit_failure = True
-        return CertCheckOutcome(
-            check_executed=executed,
-            app_accepted=not explicit_failure,
-            explicit_failure_seen=explicit_failure)
+    explicit_failure = False
+    for _ in range(4):
+        if try_recv() == b"CHECK-FAILED":
+            explicit_failure = True
+    return CertCheckOutcome(check_executed=executed > 0,
+                            app_accepted=not explicit_failure,
+                            explicit_failure_seen=explicit_failure)
 
 
 def _manager_service(recv, send) -> int:
@@ -128,18 +114,10 @@ def run_over_os_ipc(machine, kernel, *, os_drops: bool) -> CertCheckOutcome:
     mgr_rx = GcmChannel(machine, kernel.ipc, "cert:to-mgr", key)
     mgr_tx = GcmChannel(machine, kernel.ipc, "cert:to-app", key)
 
-    protocol = CertManagerProtocol(app_tx.send, app_rx.try_recv)
     # Interleave: app sends, manager drains, app polls.
-    protocol._send(b"INIT-CHECK:" + BOGUS_CERT)
+    app_tx.send(b"INIT-CHECK:" + BOGUS_CERT)
     executed = _manager_service(mgr_rx.try_recv, mgr_tx.send)
-    explicit_failure = False
-    for _ in range(4):
-        response = app_rx.try_recv()
-        if response == b"CHECK-FAILED":
-            explicit_failure = True
-    return CertCheckOutcome(check_executed=executed > 0,
-                            app_accepted=not explicit_failure,
-                            explicit_failure_seen=explicit_failure)
+    return _await_verdict(app_rx.try_recv, executed)
 
 
 def run_over_reliable_link(machine, kernel, *, drop_first: int = 0,
@@ -202,11 +180,4 @@ def run_over_nested_ring(machine, app_core, mgr_core,
     executed = _manager_service(
         lambda: ring_to_mgr.try_recv(mgr_core),
         lambda verdict: ring_to_app.send(mgr_core, verdict))
-    explicit_failure = False
-    for _ in range(4):
-        response = ring_to_app.try_recv(app_core)
-        if response == b"CHECK-FAILED":
-            explicit_failure = True
-    return CertCheckOutcome(check_executed=executed > 0,
-                            app_accepted=not explicit_failure,
-                            explicit_failure_seen=explicit_failure)
+    return _await_verdict(lambda: ring_to_app.try_recv(app_core), executed)

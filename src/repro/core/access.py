@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.perf import counters as ctr
 from repro.sgx.access import ABORT, BaselineValidator, Decision, INSERT, PAGE_FAULT
 from repro.sgx.constants import PAGE_SIZE, PERM_X
 from repro.sgx.paging import Pte
@@ -80,7 +79,6 @@ class NestedValidator(BaselineValidator):
 
     def _charge_check(self, core: "Core") -> None:
         self.machine.cost.charge_event("nested_check")
-        self.machine.counters.bump(ctr.NESTED_CHECK)
 
     def _va_matches(self, entry, vaddr: int) -> bool:
         """Step 5's VA comparison, split out so the model checker's

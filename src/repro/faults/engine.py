@@ -15,8 +15,10 @@ Benign injections run *real* protocol sequences — a genuine ``isa.aex`` +
 the driver — and then restore every piece of state the sequence perturbed
 that a fault-free run would not have perturbed:
 
-* simulated clock, counter slots and cost breakdown (snapshotted as plain
-  values, restored in place so the machine's hot-path aliases stay valid);
+* simulated clock, counter slots (the one record of every counted event,
+  from which the cost breakdown derives its time) and the uncounted cost
+  breakdown (snapshotted as plain values, restored in place so the
+  machine's hot-path aliases stay valid);
 * each core's TLB contents **and** ``flush_count`` (restoring contents
   without rewinding the count would let a later EWB epoch-check pass while
   restored translations exist — since the contents are back, the flush
@@ -25,9 +27,9 @@ that a fault-free run would not have perturbed:
   no memory traffic).
 
 The TLB restore rebuilds the same translations in the same LRU order, so
-the next access hits exactly the entry a fault-free run would hit and
-charges the same ``tlb_hit`` cost and counter — simulated time is
-unchanged.  What deliberately *persists* is the
+the next access hits exactly the entry a fault-free run would hit,
+bumps the same ``tlb_hit`` counter and advances the clock by the same
+time — simulated time is unchanged.  What deliberately *persists* is the
 architectural bookkeeping a real fault leaves behind: ``Tcs.aex_count``
 and MEE version/ciphertext churn (neither is folded into any experiment's
 ``result_fingerprint``).  After every injection the engine audits
@@ -142,18 +144,15 @@ class FaultEngine:
     # -- perf snapshot/restore ------------------------------------------------
     def _perf_capture(self) -> tuple:
         machine = self.machine
-        counters = machine.counters
-        return (machine.clock._now_ns, counters.slots[:],
-                dict(counters._extra), dict(machine.cost.breakdown))
+        return (machine.clock._now_ns, machine.counters.slots[:],
+                dict(machine.cost.breakdown))
 
     def _perf_restore(self, snapshot: tuple) -> None:
         machine = self.machine
-        now_ns, slots, extra, breakdown = snapshot
+        now_ns, slots, breakdown = snapshot
         machine.clock._now_ns = now_ns
         # In-place: cores and the machine alias these containers.
         machine.counters.slots[:] = slots
-        machine.counters._extra.clear()
-        machine.counters._extra.update(extra)
         machine.cost.breakdown.clear()
         machine.cost.breakdown.update(breakdown)
 

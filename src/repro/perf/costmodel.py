@@ -12,11 +12,20 @@ All latencies are expressed in nanoseconds of simulated time.  The model is
 purely additive: no pipelining or overlap is modelled, which is adequate
 because every result the paper reports is either a ratio between two runs
 on the *same* model or a count.
+
+Each simulated event is booked once.  An event that has a counter
+(:data:`COUNTED_EVENTS`, and the memory path's LLC and MEE lines) lives
+only in its :class:`~repro.perf.counters.Counters` slot, and
+:meth:`CostModel.snapshot` derives its time as count × latency; every
+other charge accumulates in :attr:`CostModel.breakdown` by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from repro.perf import counters as ctr
+from repro.perf.counters import Counters
 
 
 @dataclass
@@ -151,32 +160,69 @@ class SimClock:
         self._now_ns += delta_ns
 
 
+#: The fixed-latency events that have a counter (event -> counter slot).
+#: ``charge_event`` books them in the counter alone; ``snapshot`` derives
+#: their time as count × ``CostParams.<event>_ns``.
+COUNTED_EVENTS = {
+    "ecall": ctr.SLOT_ECALL,
+    "ocall": ctr.SLOT_OCALL,
+    "n_ecall": ctr.SLOT_N_ECALL,
+    "n_ocall": ctr.SLOT_N_OCALL,
+    "aex": ctr.SLOT_AEX,
+    "tlb_flush": ctr.SLOT_TLB_FLUSH,
+    "nested_check": ctr.SLOT_NESTED_CHECK,
+    "ipi": ctr.SLOT_IPI,
+    "ewb_page": ctr.SLOT_EWB,
+    "eldb_page": ctr.SLOT_ELDB,
+    "tlb_miss_walk": ctr.SLOT_TLB_MISS,
+    "tlb_hit": ctr.SLOT_TLB_HIT,
+}
+
+#: The memory path's per-line buckets, derived the same way:
+#: (bucket, CostParams field, slots whose sum is the line count).
+LINE_BUCKETS = (
+    ("cache_hit", "cache_hit_ns", (ctr.SLOT_LLC_HIT,)),
+    ("dram", "dram_access_ns", (ctr.SLOT_LLC_MISS,)),
+    ("mee", "mee_line_ns", (ctr.SLOT_MEE_LINE_ENC, ctr.SLOT_MEE_LINE_DEC)),
+)
+
+
 class CostModel:
     """Charges calibrated event costs to a :class:`SimClock`.
 
-    The machine owns one instance; components call ``charge(event)`` or the
-    typed helpers.  Charging is recorded per event type so ablation benches
-    can report where simulated time went.
+    The machine owns one instance and hands it the machine's
+    :class:`~repro.perf.counters.Counters` (a bare model makes its own);
+    components call ``charge(event, ns)`` or the typed helpers.  Counted
+    events bump their counter, everything else is recorded per event
+    name in :attr:`breakdown`, and :meth:`snapshot` reports where
+    simulated time went.
     """
 
     def __init__(self, clock: SimClock | None = None,
-                 params: CostParams | None = None) -> None:
+                 params: CostParams | None = None,
+                 counters: Counters | None = None) -> None:
         self.clock = clock or SimClock()
         self.params = params or CostParams()
-        # The four memory-system buckets are preseeded (and re-seeded by
-        # reset_breakdown) so the per-access hot paths can use a plain
-        # ``breakdown[k] += ns`` instead of the get-with-default dance.
-        self.breakdown: dict[str, float] = {
-            "tlb_hit": 0.0, "cache_hit": 0.0, "dram": 0.0, "mee": 0.0}
-        # Lazily filled event -> latency table so the hot path resolves
-        # an event name with one dict probe instead of getattr+concat.
-        self._event_ns: dict[str, float] = {}
+        self.counters = counters or Counters()
+        #: Time of the uncounted charges, per event name.
+        self.breakdown: dict[str, float] = {}
+        self._slots = self.counters.slots
+        # Lazily filled event -> (latency, counter slot or None) table so
+        # the hot path resolves an event name with one dict probe.
+        self._event: dict[str, tuple] = {}
+        # Every derived bucket as (name, latency, counter slots).
+        params = self.params
+        self._derived = tuple(
+            [(event, getattr(params, event + "_ns"), (slot,))
+             for event, slot in COUNTED_EVENTS.items()]
+            + [(bucket, getattr(params, name), slots)
+               for bucket, name, slots in LINE_BUCKETS])
         # Memory-system unit costs, hoisted once (CostParams is never
         # mutated after construction).
-        self._cache_hit_ns = self.params.cache_hit_ns
-        self._dram_access_ns = self.params.dram_access_ns
-        self._mee_line_ns = self.params.mee_line_ns
-        self._tlb_hit_ns = self.params.tlb_hit_ns
+        self._cache_hit_ns = params.cache_hit_ns
+        self._dram_access_ns = params.dram_access_ns
+        self._mee_line_ns = params.mee_line_ns
+        self._tlb_hit_ns = params.tlb_hit_ns
 
     # -- generic charging ---------------------------------------------------
     # The hot paths below advance the clock by writing ``_now_ns``
@@ -190,15 +236,22 @@ class CostModel:
         self.breakdown[event] = self.breakdown.get(event, 0.0) + ns
 
     def charge_event(self, event: str) -> None:
-        """Charge an event whose latency is the CostParams field ``<event>_ns``."""
-        ns = self._event_ns.get(event)
-        if ns is None:
-            ns = getattr(self.params, event + "_ns")
-            self._event_ns[event] = ns
+        """Charge an event whose latency is the CostParams field
+        ``<event>_ns``; a counted event bumps its counter instead of a
+        breakdown entry."""
+        entry = self._event.get(event)
+        if entry is None:
+            entry = (getattr(self.params, event + "_ns"),
+                     COUNTED_EVENTS.get(event))
+            self._event[event] = entry
+        ns, slot = entry
         clock = self.clock
         clock._now_ns = clock._now_ns + ns
-        breakdown = self.breakdown
-        breakdown[event] = breakdown.get(event, 0.0) + ns
+        if slot is None:
+            breakdown = self.breakdown
+            breakdown[event] = breakdown.get(event, 0.0) + ns
+        else:
+            self._slots[slot] += 1
 
     # -- typed helpers ------------------------------------------------------
     def charge_bytes(self, event: str, nbytes: int, ns_per_byte: float,
@@ -216,11 +269,18 @@ class CostModel:
 
     # -- reporting ----------------------------------------------------------
     def snapshot(self) -> dict[str, float]:
-        # Preseeded-but-never-charged buckets are an implementation
-        # detail of the hot path; a report only shows charged events.
-        return {k: v for k, v in self.breakdown.items() if v}
+        """Simulated time per event, charged events only.
 
-    def reset_breakdown(self) -> None:
-        self.breakdown.clear()
-        self.breakdown.update(
-            tlb_hit=0.0, cache_hit=0.0, dram=0.0, mee=0.0)
+        A counted bucket is count × latency.  That equals the sum of
+        its individual charges bit for bit: every CostParams latency is
+        a multiple of 0.5 ns, so each product and partial sum is an
+        exactly representable dyadic float (see DESIGN.md, "Charging
+        and FP exactness").
+        """
+        out = {k: v for k, v in self.breakdown.items() if v}
+        slots = self._slots
+        for bucket, ns, slot_ids in self._derived:
+            total = sum(slots[i] for i in slot_ids) * ns
+            if total:
+                out[bucket] = total
+        return out

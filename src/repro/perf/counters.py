@@ -2,14 +2,18 @@
 
 The paper's figures report not only throughput but also *counts* — Fig. 7
 overlays the number of ecalls/ocalls per run.  A :class:`Counters` instance
-hangs off the machine and is incremented by the ISA, runtime, TLB, and MEE;
-benchmarks snapshot it before/after a workload.
+hangs off the machine; the cost model's ``charge_event`` bumps the counted
+transition, paging and TLB events, the memory path bumps the TLB-hit, LLC
+and MEE-line slots, and benchmarks snapshot it before/after a workload.
+Counters are the one record of a counted event: the cost breakdown derives
+such an event's simulated time from its count
+(:meth:`repro.perf.costmodel.CostModel.snapshot`).
 
-The canonical counters live in fixed list slots (``Counters.slots`` indexed
-by the ``SLOT_*`` constants) so the memory-system hot path can bump them
-with one list-index add instead of a dict hash; ``bump``/``get`` accept any
-name and transparently spill non-canonical names to a dict, so ad-hoc
-counters in tests and apps keep working unchanged.
+The counters live in fixed list slots (``Counters.slots`` indexed by the
+``SLOT_*`` constants) so the memory-system hot path can bump them with one
+list-index add instead of a dict hash; ``bump``/``get`` take only the
+canonical names and raise :class:`KeyError` on any other, so a typo never
+turns into a silent zero.
 """
 
 from __future__ import annotations
@@ -51,41 +55,28 @@ _SLOT_INDEX = {name: i for i, name in enumerate(_SLOT_NAMES)}
 
 
 class Counters:
-    """Slot-backed counters with a dict spill for non-canonical names."""
+    """Slot-backed counters over the canonical names."""
 
-    __slots__ = ("slots", "_extra")
+    __slots__ = ("slots",)
 
     def __init__(self) -> None:
         #: Canonical counts, indexed by the ``SLOT_*`` constants.
         self.slots: list[int] = [0] * len(_SLOT_NAMES)
-        self._extra: dict[str, int] = {}
 
     def bump(self, name: str, by: int = 1) -> None:
-        slot = _SLOT_INDEX.get(name)
-        if slot is not None:
-            self.slots[slot] += by
-        else:
-            self._extra[name] = self._extra.get(name, 0) + by
+        self.slots[_SLOT_INDEX[name]] += by
 
     def get(self, name: str) -> int:
-        slot = _SLOT_INDEX.get(name)
-        if slot is not None:
-            return self.slots[slot]
-        return self._extra.get(name, 0)
+        return self.slots[_SLOT_INDEX[name]]
 
     def snapshot(self) -> dict[str, int]:
-        out = {name: count
-               for name, count in zip(_SLOT_NAMES, self.slots) if count}
-        for name, count in self._extra.items():
-            if count:
-                out[name] = count
-        return out
+        return {name: count
+                for name, count in zip(_SLOT_NAMES, self.slots) if count}
 
     def reset(self) -> None:
         # In place, never rebinding ``slots``: hot-path callers (machine,
-        # cores) hold a direct reference to the list.
+        # cores, cost model) hold a direct reference to the list.
         self.slots[:] = [0] * len(_SLOT_NAMES)
-        self._extra.clear()
 
     def delta_since(self, snapshot: dict[str, int]) -> dict[str, int]:
         """Counts accumulated since ``snapshot`` (zero entries omitted)."""

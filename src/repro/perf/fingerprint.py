@@ -5,7 +5,8 @@ memory-side cost charging, the inline TLB-hit serve, bulk transfers)
 are only legal if they change *host* wall-clock and nothing else.  This module
 pins that down: a handful of fixed workloads run on fresh machines, and
 everything an optimization could corrupt — the simulated clock, every
-event counter, the per-event cost breakdown, the MEE integrity-tree
+event counter, the per-event cost breakdown (whose counted buckets the
+cost model derives from those counters), the MEE integrity-tree
 root, and the exact ciphertext a physical DRAM attacker would read — is
 folded into one SHA-256 hex fingerprint per workload.
 ``tests/perf/test_fingerprint.py`` asserts the checked-in golden values
@@ -115,7 +116,9 @@ def machine_fingerprint(machine: Machine) -> str:
     """SHA-256 over every simulated-time observable of ``machine``.
 
     Folded in, in order: the simulated clock (exact ``float.hex``), all
-    event counters, the per-event cost breakdown, the DRAM image digest
+    event counters, the per-event cost breakdown
+    (:meth:`~repro.perf.costmodel.CostModel.snapshot`: uncounted charges
+    plus the buckets derived from the counters), the DRAM image digest
     (ciphertext for MEE-protected lines) and the MEE root MAC.
     """
     h = hashlib.sha256()
@@ -159,18 +162,22 @@ def _wl_gcm_channel() -> Machine:
     return host.machine
 
 
-def nested_pair(**config_overrides):
+def nested_pair(machine: Machine | None = None, **config_overrides):
     """An outer enclave with one associated inner, with entries that
     exercise heap traffic, every nested call kind, and AEX/ERESUME.
 
     Public because the differential fuzzer
     (:mod:`repro.analysis.difffuzz`) drives the same constellation under
-    random schedules — ``config_overrides`` pass through to
-    :class:`~repro.sgx.constants.MachineConfig` (e.g.
-    ``reference_paths=True`` for the reference replay).
-    Returns ``(host, outer, inner)``.
+    random schedules.  The pair loads into ``machine`` when given (a
+    fresh nested machine with MEE bytes on and no kernel yet, so a fault
+    engine attached to it sees the kernel and every access); otherwise
+    into a fresh nested host whose
+    :class:`~repro.sgx.constants.MachineConfig` takes
+    ``config_overrides``.  Returns ``(host, outer, inner)``.
     """
     from repro.experiments.common import nested_host
+    from repro.os import Kernel
+    from repro.sdk import EnclaveHost
     from repro.sdk import EnclaveBuilder, parse_edl
     from repro.sdk.builder import developer_key
     from repro.sgx import isa
@@ -212,7 +219,8 @@ def nested_pair(**config_overrides):
         isa.eresume(machine, ctx.core, secs, tcs)
         return peek(ctx, offset)
 
-    host = nested_host(mee_bytes=True, **config_overrides)
+    host = (nested_host(mee_bytes=True, **config_overrides)
+            if machine is None else EnclaveHost(machine, Kernel(machine)))
     key = developer_key("fingerprint")
     outer_builder = EnclaveBuilder(
         "fp-outer", parse_edl(_OUTER_EDL, name="fp-outer"),

@@ -42,7 +42,6 @@ from repro.core import nested_isa
 from repro.errors import (AccessViolation, PageFault, SdkError, TcsBusy,
                           UnknownInterfaceError)
 from repro.os.kernel import Kernel, Process
-from repro.perf import counters as ctr
 from repro.perf.costmodel import ECALL_RETRY_BACKOFF_NS
 from repro.sdk.builder import EnclaveImage
 from repro.sdk.heap import EnclaveHeap
@@ -114,7 +113,6 @@ class EnclaveContext:
         finally:
             isa.eenter(machine, self.core,
                        machine.enclave(saved_stack[-1]), saved_tcs[-1])
-        machine.counters.bump(ctr.OCALL)
         machine.cost.charge_event("ocall")
         return result
 
@@ -132,7 +130,6 @@ class EnclaveContext:
             result = inner.image.entry(name)(inner_ctx, *args)
         finally:
             nested_isa.neexit(machine, self.core)
-        machine.counters.bump(ctr.N_ECALL)
         machine.cost.charge_event("n_ecall")
         return result
 
@@ -178,7 +175,6 @@ class EnclaveContext:
                 result = outer.image.entry(name)(outer_ctx, *args)
             finally:
                 nested_isa.neexit_return(machine, self.core)
-        machine.counters.bump(ctr.N_OCALL)
         machine.cost.charge_event("n_ocall")
         return result
 
@@ -273,7 +269,6 @@ class EnclaveHandle:
                 self._unwind(machine, core, tcs_vaddr)
                 raise
             isa.eexit(machine, core)
-            machine.counters.bump(ctr.ECALL)
             machine.cost.charge_event("ecall")
             return result
 

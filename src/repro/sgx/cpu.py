@@ -91,7 +91,6 @@ class Core:
         self._llc_nsets = llc.num_sets
         self._llc_assoc = llc.ways
         cost = machine.cost
-        self._breakdown = cost.breakdown
         self._clock = cost.clock
         self._tlb_hit_ns = cost._tlb_hit_ns
         self._cache_hit_ns = cost._cache_hit_ns
@@ -123,7 +122,6 @@ class Core:
     def flush_tlb(self) -> None:
         self.tlb.flush()
         self.machine.cost.charge_event("tlb_flush")
-        self.machine.counters.bump(ctr.TLB_FLUSH)
 
     # -- the memory pipeline ------------------------------------------------------
     def _translate(self, vaddr: int, write: bool) -> TlbEntry:
@@ -133,10 +131,8 @@ class Core:
         machine = self.machine
         entry = tlb.lookup(vpn)
         if entry is not None:
-            self._slots[ctr.SLOT_TLB_HIT] += 1
             self._cost.charge_event("tlb_hit")
         else:
-            self._slots[ctr.SLOT_TLB_MISS] += 1
             self._cost.charge_event("tlb_miss_walk")
             if self.address_space is None:
                 raise PageFault("core has no address space", vaddr)
@@ -174,7 +170,8 @@ class Core:
 
         A single-page access whose page is in the TLB with the needed
         permission is served inline: the LRU promotion ``Tlb.lookup``
-        would perform, one fused charge (FP-exact, see
+        would perform, the counter bumps (the cost breakdown derives
+        their time), one fused clock advance (FP-exact, see
         Machine._charge_lines) and the memside byte move.  The TLB only
         ever holds validated translations (every event that can change a
         validation outcome flushes or invalidates it), so a hit needs no
@@ -204,7 +201,6 @@ class Core:
                     paddr = base | off
                     slots = self._slots
                     slots[_SLOT_TLB_HIT] += 1
-                    breakdown = self._breakdown
                     clock = self._clock
                     lb = CACHELINE_SIZE
                     first = paddr - (paddr % lb)
@@ -221,9 +217,6 @@ class Core:
                             lru[first] = None
                             llc.hits += 1
                             slots[_SLOT_LLC_HIT] += 1
-                            breakdown["tlb_hit"] += self._tlb_hit_ns
-                            breakdown["cache_hit"] += \
-                                self._cache_hit_ns
                             clock._now_ns = (clock._now_ns
                                              + self._chg_hit)
                         else:
@@ -233,14 +226,9 @@ class Core:
                                 llc.evictions += 1
                             lru[first] = None
                             slots[_SLOT_LLC_MISS] += 1
-                            breakdown["tlb_hit"] += self._tlb_hit_ns
-                            breakdown["dram"] += \
-                                self._dram_access_ns
                             if prm:
                                 slots[_SLOT_MEE_LINE_ENC if write
                                       else _SLOT_MEE_LINE_DEC] += 1
-                                breakdown["mee"] += \
-                                    self._mee_line_ns
                                 clock._now_ns = (
                                     clock._now_ns
                                     + self._chg_miss_mee)
@@ -256,24 +244,17 @@ class Core:
                         # multi-line serves are a quarter of its
                         # validated accesses.
                         total = self._tlb_hit_ns
-                        breakdown["tlb_hit"] += total
                         hits, misses = self._llc_range(paddr, size)
                         if hits:
                             slots[_SLOT_LLC_HIT] += hits
-                            ns = hits * self._cache_hit_ns
-                            breakdown["cache_hit"] += ns
-                            total += ns
+                            total += hits * self._cache_hit_ns
                         if misses:
                             slots[_SLOT_LLC_MISS] += misses
-                            ns = misses * self._dram_access_ns
-                            breakdown["dram"] += ns
-                            total += ns
+                            total += misses * self._dram_access_ns
                             if prm:
                                 slots[_SLOT_MEE_LINE_ENC if write
                                       else _SLOT_MEE_LINE_DEC] += misses
-                                ns = misses * self._mee_line_ns
-                                breakdown["mee"] += ns
-                                total += ns
+                                total += misses * self._mee_line_ns
                         clock._now_ns = clock._now_ns + total
                     if write:
                         if prm and self._mee_bytes:

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 from repro.crypto.kdf import hkdf, hkdf_stream, mac, mac_verify
 from repro.errors import EvictionConflict, SgxFault
-from repro.perf import counters as ctr
 from repro.sgx.constants import PAGE_SIZE, PT_VA
 from repro.sgx.machine import Machine
 from repro.sgx.secs import Secs
@@ -181,7 +180,6 @@ def ewb(machine: Machine, frame: int, va: VersionArray,
     machine.epc_alloc.free(frame)
     machine.mee.forget_page(frame)
     machine.phys.drop_frame(frame >> 12)
-    machine.counters.bump(ctr.EWB)
     machine.cost.charge_event("ewb_page")
     # The payload is page *identity* (eid/vaddr integers), not key
     # bytes; the record constructor makes the whole EvictedPage carry
@@ -211,7 +209,6 @@ def eldb(machine: Machine, evicted: EvictedPage,
                      vaddr=evicted.vaddr, perms=evicted.perms)
     machine.epc_write(frame, plaintext)
     va.slots[evicted.va_slot] = None  # consume: anti-replay
-    machine.counters.bump(ctr.ELDB)
     machine.cost.charge_event("eldb_page")
     machine.log_transition("ELDB", eid=evicted.eid, vaddr=evicted.vaddr)
     return frame

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from repro.crypto.kdf import hkdf, mac, mac_verify
 from repro.errors import (EnclaveStateError, GeneralProtectionFault,
                           SigstructInvalid, TcsBusy)
-from repro.perf import counters as ctr
 from repro.sgx.constants import (PAGE_SIZE, PERM_RWX, PT_REG, PT_SECS,
                                  PT_TCS, ST_DESTROYED, ST_INITIALIZED,
                                  ST_UNINITIALIZED, TCS_ACTIVE, TCS_IDLE)
@@ -218,7 +217,6 @@ def aex(machine: Machine, core: Core) -> None:
     core.tcs_stack.clear()
     core.scrub_registers()
     core.flush_tlb()
-    machine.counters.bump(ctr.AEX)
     machine.cost.charge_event("aex")
     machine.log_transition("AEX", core.core_id, eid=root_eid,
                            tcs=root_tcs_vaddr, depth=0, parked=parked)

@@ -6,7 +6,8 @@ A :class:`Machine` owns
 * the EPCM, the MEE and the LLC model,
 * the enclave registry (EID → SECS) and TCS registry,
 * one access validator (baseline Fig. 2 or nested Fig. 6),
-* the cost model, simulated clock and event counters,
+* the simulated clock, the event counters and the cost model (which
+  derives the time of every counted event from those counters),
 * ``num_cores`` :class:`~repro.sgx.cpu.Core` objects.
 
 Memory-side path
@@ -66,15 +67,14 @@ class Machine:
         self.mee = Mee(self.config)
         self.llc = LlcModel(self.config.llc_bytes)
         self.clock = SimClock()
-        self.cost = CostModel(self.clock, cost_params)
         self.counters = Counters()
+        self.cost = CostModel(self.clock, cost_params, self.counters)
         # Hot-path aliases.  ``llc``/``cost``/``counters`` are never
-        # rebound after construction, ``Counters.reset`` clears the slot
-        # list in place, and ``reset_breakdown`` clears the dict in place,
-        # so these references stay valid for the machine's lifetime.
+        # rebound after construction and ``Counters.reset`` clears the
+        # slot list in place, so these references stay valid for the
+        # machine's lifetime.
         self._llc_range = self.llc.access_range
         self._slots = self.counters.slots
-        self._breakdown = self.cost.breakdown
         self._cache_hit_ns = self.cost._cache_hit_ns
         self._dram_access_ns = self.cost._dram_access_ns
         self._mee_line_ns = self.cost._mee_line_ns
@@ -141,32 +141,27 @@ class Machine:
         traffic) all charge here; only the inline TLB-hit serve in
         ``Core._access`` inlines a copy.  Aggregated: one counter add per
         event kind and a single clock advance per access instead of per
-        line.  The regrouping is bit-identical: every CostParams latency
-        is a multiple of 0.5 ns, so each ``count * latency`` addend and
-        every partial sum is an exactly representable dyadic float, and
-        float addition of such values is associative.
+        line.  The counters are the only record: the cost breakdown
+        derives ``cache_hit``/``dram``/``mee`` from them.  The regrouping
+        is bit-identical: every CostParams latency is a multiple of
+        0.5 ns, so each ``count * latency`` addend and every partial sum
+        is an exactly representable dyadic float, and float addition of
+        such values is associative.
         """
         hits, misses = self._llc_range(paddr, size)
         slots = self._slots
-        breakdown = self._breakdown
         total = 0.0
         if hits:
             slots[ctr.SLOT_LLC_HIT] += hits
-            ns = hits * self._cache_hit_ns
-            breakdown["cache_hit"] += ns
-            total = ns
+            total = hits * self._cache_hit_ns
         if misses:
             slots[ctr.SLOT_LLC_MISS] += misses
-            ns = misses * self._dram_access_ns
-            breakdown["dram"] += ns
-            total += ns
+            total += misses * self._dram_access_ns
             if self._prm_lo <= paddr < self._prm_hi:
                 which = (ctr.SLOT_MEE_LINE_ENC if writeback
                          else ctr.SLOT_MEE_LINE_DEC)
                 slots[which] += misses
-                ns = misses * self._mee_line_ns
-                breakdown["mee"] += ns
-                total += ns
+                total += misses * self._mee_line_ns
         clock = self.clock
         clock._now_ns = clock._now_ns + total
 
@@ -243,7 +238,6 @@ class Machine:
         # flow: charged — each iteration charges one IPI; a machine with
         # zero cores has no TLBs to shoot down.
         for core in self.cores:  # flow: charged
-            self.counters.bump(ctr.IPI)
             self.cost.charge_event("ipi")
             core.flush_tlb()
 

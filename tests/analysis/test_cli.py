@@ -100,28 +100,36 @@ class TestPassSelection:
 class TestOnly:
     def test_only_runs_exactly_one_pass(self, dirty_repo, capsys):
         assert main(["--root", str(dirty_repo), "--format", "json",
-                     "--only", "simlint"]) == 1
+                     "sim"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["passes"] == ["simlint"]
         assert {f["rule"] for f in payload["findings"]} == {"SIM002"}
 
     def test_only_is_exclusive_with_positional_passes(self, capsys):
-        assert main(["--only", "simlint", "edl"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        """Positional passes are the one selector: the retired
+        ``--only`` is an unknown option."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--only", "simlint", "edl"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --only" in capsys.readouterr().err
 
     def test_only_is_exclusive_with_check(self, capsys):
-        assert main(["--only", "simlint", "modelcheck"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        """``--mutate`` targets the model checker or the flow engine;
+        any other positional pass is a usage error."""
+        assert main(["sim", "--mutate", "all"]) == 2
+        assert "--mutate targets" in capsys.readouterr().err
 
     def test_only_orderliness_replays_workload_logs(self, capsys):
         """The CI job's exact invocation: replay every fingerprint
         workload's transition log through the automaton."""
-        assert main(["--only", "orderliness", "--format", "json"]) == 0
+        assert main(["orderliness", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["passes"] == ["orderliness"]
         assert payload["findings"] == []
 
     def test_unknown_only_name_is_usage_error(self, capsys):
+        assert main(["bogus"]) == 2
+        assert "unknown pass" in capsys.readouterr().err
         with pytest.raises(SystemExit) as excinfo:
             main(["--only", "bogus"])
         assert excinfo.value.code == 2

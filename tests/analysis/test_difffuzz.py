@@ -90,6 +90,33 @@ class TestRealOracles:
         report = fuzz(5, with_faults=True)
         assert report.findings == []
 
+    def test_fault_plan_never_touches_the_process_environment(
+            self, monkeypatch):
+        """The benign plan is attached to the run's own machine: no
+        other machine built meanwhile could inherit it."""
+        import os
+
+        class RecordingEnviron(dict):
+            def __init__(self, base):
+                super().__init__(base)
+                self.writes = []
+
+            def __setitem__(self, key, value):
+                self.writes.append(("set", key))
+                super().__setitem__(key, value)
+
+            def __delitem__(self, key):
+                self.writes.append(("del", key))
+                super().__delitem__(key)
+
+        environ = RecordingEnviron(os.environ)
+        monkeypatch.setattr(os, "environ", environ)
+        schedule = generate_schedule(0, with_faults=True)
+        assert schedule.fault_seed is not None
+        run_schedule(schedule)
+        assert environ.writes == []
+        assert "REPRO_FAULT_PLAN" not in environ
+
     def test_bulk_storm_bursts_agree_across_paths(self):
         """A schedule of back-to-back multi-page bursts interleaved
         with evictions: the hardest shape for plan-cache invalidation,

@@ -53,7 +53,7 @@ def run_workload(plan=None, rounds=700):
 def observables(machine):
     return (machine.clock.now_ns,
             dict(machine.counters.snapshot()),
-            dict(machine.cost.breakdown))
+            machine.cost.snapshot())
 
 
 class TestBenignTransparency:

@@ -25,7 +25,7 @@ class TestCostModel:
         model = CostModel(params=CostParams(ecall_ns=123.0))
         model.charge_event("ecall")
         assert model.clock.now_ns == 123.0
-        assert model.breakdown["ecall"] == 123.0
+        assert model.snapshot()["ecall"] == 123.0
 
     def test_charge_gcm_includes_setup(self):
         model = CostModel(params=CostParams(gcm_byte_ns=2.0,
@@ -39,10 +39,16 @@ class TestCostModel:
         model.charge("x", 2.0)
         model.charge("y", 5.0)
         assert model.snapshot() == {"x": 3.0, "y": 5.0}
-        model.reset_breakdown()
-        assert model.snapshot() == {}
-        # resetting the breakdown must NOT rewind the clock
         assert model.clock.now_ns == 8.0
+
+    def test_counted_event_books_the_counter(self):
+        """A counted event lives in its counter slot alone; the
+        breakdown derives its time as count x latency."""
+        model = CostModel(params=CostParams(ecall_ns=123.0))
+        model.charge_event("ecall")
+        assert model.counters.get("ecall") == 1
+        assert "ecall" not in model.breakdown
+        assert model.snapshot()["ecall"] == 123.0
 
     def test_unknown_event_raises(self):
         with pytest.raises(AttributeError):
@@ -122,27 +128,64 @@ class TestLlc:
 class TestCounters:
     def test_bump_get(self):
         counters = Counters()
-        counters.bump("x")
-        counters.bump("x", 4)
-        assert counters.get("x") == 5
-        assert counters.get("missing") == 0
+        counters.bump("ecall")
+        counters.bump("ecall", 4)
+        assert counters.get("ecall") == 5
+        assert counters.get("ocall") == 0
+
+    def test_non_canonical_name_raises(self):
+        with pytest.raises(KeyError):
+            Counters().bump("x")
 
     def test_delta_since(self):
         counters = Counters()
-        counters.bump("a", 2)
+        counters.bump("ecall", 2)
         snap = counters.snapshot()
-        counters.bump("a")
-        counters.bump("b", 3)
-        assert counters.delta_since(snap) == {"a": 1, "b": 3}
+        counters.bump("ecall")
+        counters.bump("ocall", 3)
+        assert counters.delta_since(snap) == {"ecall": 1, "ocall": 3}
 
     def test_delta_omits_zeros(self):
         counters = Counters()
-        counters.bump("a")
+        counters.bump("ecall")
         snap = counters.snapshot()
         assert counters.delta_since(snap) == {}
 
     def test_reset(self):
         counters = Counters()
-        counters.bump("a")
+        counters.bump("ecall")
         counters.reset()
         assert counters.snapshot() == {}
+
+
+class TestDerivedBreakdown:
+    def test_counted_buckets_are_derived_not_stored(self):
+        """After a real nested workload the breakdown dict holds none of
+        the derived buckets, and the snapshot reports each non-zero one
+        as its count x latency."""
+        from repro.perf.costmodel import COUNTED_EVENTS, LINE_BUCKETS
+        from repro.perf.fingerprint import nested_pair
+
+        host, outer, _inner = nested_pair()
+        outer.ecall("poke", 0, 7)
+        outer.ecall("storm", 3)
+        outer.ecall("interrupted", 0)
+        machine = host.machine
+        cost = machine.cost
+        derived = set(COUNTED_EVENTS) | {b for b, _, _ in LINE_BUCKETS}
+        assert len(derived) == 15
+        assert not derived & set(cost.breakdown)
+        snapshot = cost.snapshot()
+        slots = machine.counters.slots
+        expected = {}
+        for event, slot in COUNTED_EVENTS.items():
+            expected[event] = slots[slot] * getattr(cost.params,
+                                                    event + "_ns")
+        for bucket, field, bucket_slots in LINE_BUCKETS:
+            expected[bucket] = (sum(slots[i] for i in bucket_slots)
+                                * getattr(cost.params, field))
+        assert {k: v for k, v in snapshot.items() if k in derived} == \
+            {k: v for k, v in expected.items() if v}
+        for bucket in ("ecall", "ocall", "n_ecall", "n_ocall", "aex",
+                       "tlb_hit", "cache_hit", "dram", "mee"):
+            assert snapshot[bucket] > 0, bucket

@@ -149,7 +149,7 @@ class TestTier1Gate:
         orderliness = _load("ci.yml")["jobs"]["orderliness"]
         assert orderliness["env"]["PYTHONPATH"] == "src"
         assert any(
-            "python -m repro.analysis --only orderliness" in run
+            "python -m repro.analysis orderliness" in run
             for step in orderliness["steps"]
             for run in [step.get("run", "")])
 
@@ -216,7 +216,7 @@ class TestNightlyPipeline:
         runs = _runs(_load("nightly.yml"))
         assert any("repro.analysis modelcheck" in run and "--scope deep" in run
                    for run in runs)
-        assert any("--mutate all" in run and "--only flow" not in run
+        assert any("--mutate all" in run and "flow --mutate" not in run
                    for run in runs)
 
     def test_flow_mutate_job_kills_the_corpus_and_uploads_log(self):
@@ -225,7 +225,7 @@ class TestNightlyPipeline:
         runs = [run for step in flow["steps"]
                 for run in [step.get("run", "")]]
         mutate_runs = [run for run in runs
-                       if "--only flow --mutate all" in run]
+                       if "flow --mutate all" in run]
         assert mutate_runs
         # The kill-list output is tee'd to the artifact; a pipe must
         # not swallow a survivor's exit code.

@@ -20,7 +20,8 @@ two:
 ``DIFF001``
     observable divergence — an op returned a different value, or the
     machine fingerprint (clock, counters, cost breakdown, DRAM image,
-    MEE root) differs between fast and reference.
+    MEE root) differs between fast and reference, or the two runs fired
+    a different number of faults.
 ``DIFF002``
     transition divergence — the canonical transition-log digests differ,
     i.e. the two runs performed different lifecycle/transition/AEX/
@@ -35,10 +36,14 @@ single-op deletion keeping the same divergence rules) before being
 reported and written as a JSON artifact, so a nightly failure hands the
 developer a replayable minimal reproducer, not a 200-schedule haystack.
 
-Schedules may also carry a benign fault plan, attached to each run's
-machine before its kernel exists (so the plan's IPC policy is set and
-every access is counted): benign injections are transparency bubbles,
-so they must not perturb either oracle.
+Schedules may also carry a fault seed.  From it :func:`run_schedule`
+draws a benign plan of AEX and eviction triggers inside the schedule's
+own core-access count (a fault-free counting run measures it), so the
+faults fire; the plan has no IPC faults, since ``nested_pair`` sends no
+OS IPC.  The plan is attached to each run's machine before its kernel
+exists.  Benign injections are transparency bubbles, so they must not
+perturb either oracle; the CLI exits 2 if a ``--with-faults`` corpus
+injected none.
 
 CLI::
 
@@ -50,6 +55,7 @@ CLI::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -84,6 +90,10 @@ _BULK_PAGES = 4
 _SLOTS = 24
 
 _MIN_OPS, _MAX_OPS = 4, 10
+
+#: Benign memory faults a schedule's plan draws (fewer if the schedule
+#: makes fewer core accesses).
+_PLAN_FAULTS = 4
 
 
 @dataclass(frozen=True)
@@ -144,14 +154,44 @@ class RunOutcome:
     fingerprint: str       # machine_fingerprint of the final machine
     digest: str            # transition-log digest of the final machine
     events: tuple          # the raw transition events (for ORD replay)
+    injected: int = 0      # faults the run's plan actually fired
 
 
 def run_schedule(schedule: Schedule, *,
                  reference: bool = False) -> RunOutcome:
-    """Execute ``schedule`` on a fresh nested_pair constellation."""
+    """Execute ``schedule`` on a fresh nested_pair constellation, under
+    its benign fault plan when it has a fault seed."""
+    plan_json = (None if schedule.fault_seed is None
+                 else _fault_plan(schedule.ops, schedule.fault_seed))
+    outcome, _accesses = _execute(schedule.ops, reference, plan_json)
+    return outcome
+
+
+@functools.lru_cache(maxsize=64)
+def _fault_plan(ops: tuple, fault_seed: int) -> str:
+    """The benign plan of a schedule, as JSON: up to ``_PLAN_FAULTS``
+    AEX/evict triggers drawn from ``fault_seed`` inside the core-access
+    count of a fault-free run of ``ops``.  Cached, so the fast and the
+    reference run of one schedule pay for one counting run."""
+    from repro.faults.plan import FaultPlan, FaultSpec
+    _outcome, accesses = _execute(ops, False, FaultPlan(seed=0).to_json())
+    rng = random.Random(fault_seed)
+    points = sorted(rng.sample(range(1, accesses + 1),
+                               min(_PLAN_FAULTS, accesses)))
+    faults = tuple(FaultSpec(kind=rng.choice(("aex", "evict")), at=at)
+                   for at in points)
+    return FaultPlan(seed=fault_seed, faults=faults,
+                     note=f"difffuzz plan (seed {fault_seed}, "
+                          f"{accesses} accesses)").to_json()
+
+
+def _execute(ops: tuple, reference: bool,
+             plan_json: str | None) -> tuple[RunOutcome, int]:
+    """Run ``ops`` on a fresh machine under ``plan_json`` (if any);
+    return the outcome and the number of core accesses the plan's
+    engine counted (0 without a plan)."""
     from repro.core import NestedValidator
     from repro.faults.engine import attach_engine
-    from repro.faults.plan import FaultPlan
     from repro.perf.fingerprint import (machine_fingerprint, nested_pair,
                                         transition_digest)
     from repro.sgx.constants import PAGE_SIZE, MachineConfig
@@ -160,15 +200,14 @@ def run_schedule(schedule: Schedule, *,
     machine = Machine(MachineConfig(mee_encrypt_bytes=True,
                                     reference_paths=reference),
                       validator_cls=NestedValidator)
-    if schedule.fault_seed is not None:
-        attach_engine(machine,
-                      FaultPlan.benign(schedule.fault_seed).to_json())
+    engine = (None if plan_json is None
+              else attach_engine(machine, plan_json))
     host, outer, inner = nested_pair(machine)
     driver = host.kernel.driver
     heap_page0 = outer.heap.base & ~(PAGE_SIZE - 1)
     bulk_base = None  # mapped lazily by the first bulk_storm op
     values = []
-    for op in schedule.ops:
+    for op in ops:
         kind, args = op[0], op[1:]
         if kind == "bulk_storm":
             # Contiguous multi-page bursts across invalidation
@@ -203,10 +242,12 @@ def run_schedule(schedule: Schedule, *,
         else:
             values.append(outer.ecall(kind, *args))
     machine = host.machine
-    return RunOutcome(values=tuple(values),
-                      fingerprint=machine_fingerprint(machine),
-                      digest=transition_digest(machine),
-                      events=tuple(machine.transitions.events))
+    outcome = RunOutcome(
+        values=tuple(values), fingerprint=machine_fingerprint(machine),
+        digest=transition_digest(machine),
+        events=tuple(machine.transitions.events),
+        injected=len(engine.injected) if engine is not None else 0)
+    return outcome, engine.access_count if engine is not None else 0
 
 
 #: Signature the diff/minimize helpers accept, so tests can substitute a
@@ -221,7 +262,8 @@ def diff_schedule(schedule: Schedule, *,
     fast = runner(schedule, reference=False)
     ref = runner(schedule, reference=True)
     rules = []
-    if fast.values != ref.values or fast.fingerprint != ref.fingerprint:
+    if (fast.values != ref.values or fast.fingerprint != ref.fingerprint
+            or fast.injected != ref.injected):
         rules.append("DIFF001")
     if fast.digest != ref.digest:
         rules.append("DIFF002")
@@ -256,10 +298,18 @@ def _schedule_label(schedule: Schedule) -> str:
     return f"schedule-{schedule.seed}"
 
 
+@dataclass
+class FuzzReport(Report):
+    """A fuzz run's findings plus the faults its fast runs injected."""
+
+    faults_injected: int = 0
+
+
 def fuzz(count: int, *, base_seed: int = 0, with_faults: bool = False,
          artifacts: str | Path | None = None,
-         runner: Runner = run_schedule) -> Report:
-    """Fuzz ``count`` seeded schedules; return merged findings.
+         runner: Runner = run_schedule) -> FuzzReport:
+    """Fuzz ``count`` seeded schedules; return merged findings and the
+    number of faults the fast runs injected.
 
     Each divergence yields one finding per fired rule, with the
     1-minimal schedule in the message; when ``artifacts`` names a
@@ -271,11 +321,12 @@ def fuzz(count: int, *, base_seed: int = 0, with_faults: bool = False,
     artifacts_dir = Path(artifacts) if artifacts is not None else None
     if artifacts_dir is not None:
         artifacts_dir.mkdir(parents=True, exist_ok=True)
-    report = Report(passes=["difffuzz"])
+    report = FuzzReport(passes=["difffuzz"])
     for i in range(count):
         schedule = generate_schedule(base_seed + i,
                                      with_faults=with_faults)
         rules, fast, ref = diff_schedule(schedule, runner=runner)
+        report.faults_injected += fast.injected
         report.extend(orderliness.check_events_report(
             fast.events, symbol=_schedule_label(schedule)))
         if not rules:
@@ -319,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base seed; schedule i uses seed S+i")
     parser.add_argument("--with-faults", action="store_true",
                         help="also thread a benign fault plan through "
-                             "each schedule's machines")
+                             "each schedule's machines (exit 2 if no "
+                             "fault fires)")
     parser.add_argument("--artifacts", default=None, metavar="DIR",
                         help="write a JSON reproducer per divergence")
     return parser
@@ -330,10 +382,17 @@ def main(argv: list[str] | None = None) -> int:
     report = fuzz(args.schedules, base_seed=args.seed,
                   with_faults=args.with_faults, artifacts=args.artifacts)
     print(report.render_text())
+    faults = (f"faults on, {report.faults_injected} injected"
+              if args.with_faults else "faults off")
     print(f"{args.schedules} schedule(s) fuzzed "
-          f"(base seed {args.seed}, "
-          f"faults {'on' if args.with_faults else 'off'})")
-    return 1 if report.findings else 0
+          f"(base seed {args.seed}, {faults})")
+    if report.findings:
+        return 1
+    if args.with_faults and not report.faults_injected:
+        # A fault corpus that fired nothing checked no bubble at all.
+        print("error: --with-faults injected no fault", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

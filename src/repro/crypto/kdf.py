@@ -29,6 +29,11 @@ import hmac
 #: The length prefix of a 4-byte counter label.
 _COUNTER_LEN = (4).to_bytes(4, "little")
 
+#: The length-prefixed counter labels of one page of keystream (128
+#: blocks of 32 B), built once instead of per block.
+_PAGE_COUNTERS = tuple(_COUNTER_LEN + counter.to_bytes(4, "little")
+                       for counter in range(4096 // 32))
+
 
 #: RFC 2104 pad translations of a zero-padded 64-byte key.
 _IPAD = bytes(x ^ 0x36 for x in range(256))
@@ -64,14 +69,22 @@ def hkdf_stream(key: bytes, label: bytes, nbytes: int) -> bytes:
     The pad states are built once, the inner one over the fixed
     ``label`` prefix, and both are copied per 32-byte block, so a 4 KiB
     page costs 128 HMAC finalisations rather than 128 full derivations.
+    The counter labels of the first page are precomputed
+    (``_PAGE_COUNTERS``) and the two ``copy`` methods are bound once:
+    per block that leaves the five hashlib calls of the HMAC itself.
     """
     inner, outer = hmac_pads(key)
     inner.update(_info(label))
+    inner_copy, outer_copy = inner.copy, outer.copy
+    nblocks = (nbytes + 31) // 32
+    counters = (_PAGE_COUNTERS[:nblocks] if nblocks <= len(_PAGE_COUNTERS)
+                else [_COUNTER_LEN + counter.to_bytes(4, "little")
+                      for counter in range(nblocks)])
     blocks = []
-    for counter in range((nbytes + 31) // 32):
-        i = inner.copy()
-        i.update(_COUNTER_LEN + counter.to_bytes(4, "little"))
-        o = outer.copy()
+    for label_bytes in counters:
+        i = inner_copy()
+        i.update(label_bytes)
+        o = outer_copy()
         o.update(i.digest())
         blocks.append(o.digest())
     return b"".join(blocks)[:nbytes]

@@ -110,6 +110,10 @@ class SgxDriver:
             raise SgxFault("enclave not loaded by this driver")
         for vaddr in entry.resident:
             entry.proc.space.unmap_page(vaddr)
+        for blob in entry.evicted.values():
+            # The blob goes with the enclave, so no ELDB will take the
+            # page keystream its EWB kept.
+            self._vas[blob.va_frame].streams.pop(blob.va_slot, None)
         isa.eremove(self.machine, secs)
 
     # -- eviction service --------------------------------------------------------

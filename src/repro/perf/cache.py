@@ -25,8 +25,7 @@ CACHELINE_SIZE = 64
 class LlcModel:
     """Set-associative, true-LRU, physically indexed cache of line tags."""
 
-    __slots__ = ("ways", "num_sets", "_sets", "hits", "misses",
-                 "evictions")
+    __slots__ = ("ways", "num_sets", "_sets")
 
     def __init__(self, size_bytes: int, ways: int = 16) -> None:
         if size_bytes % (ways * CACHELINE_SIZE):
@@ -40,9 +39,6 @@ class LlcModel:
         # promotion are O(1) instead of O(ways).
         self._sets: list[dict[int, None]] = [
             {} for _ in range(self.num_sets)]
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def _set_index(self, line_addr: int) -> int:
         return (line_addr // CACHELINE_SIZE) % self.num_sets
@@ -75,12 +71,9 @@ class LlcModel:
                     misses += 1
                     if len(lru) >= ways:
                         del lru[next(iter(lru))]
-                        self.evictions += 1
                     lru[line_addr] = None
-            self.hits += hits
-            self.misses += misses
             return (hits, misses)
-        hits = misses = evictions = 0
+        hits = misses = 0
         index = (first // line_bytes) % num_sets
         for line_addr in range(first, last + 1, line_bytes):
             lru = sets[index]
@@ -95,11 +88,7 @@ class LlcModel:
                 misses += 1
                 if len(lru) >= ways:
                     del lru[next(iter(lru))]
-                    evictions += 1
                 lru[line_addr] = None
-        self.hits += hits
-        self.misses += misses
-        self.evictions += evictions
         return (hits, misses)
 
     def contains(self, paddr: int) -> bool:
@@ -119,14 +108,12 @@ class LlcModel:
             line_addr, 1) is None
 
     # -- snapshot / restore (fault-injection perf bubbles) -------------------
-    def capture(self) -> tuple:
-        """Full replacement state + hit/miss counters, as plain values."""
-        return ([dict(lru) for lru in self._sets],
-                self.hits, self.misses, self.evictions)
+    def capture(self) -> list:
+        """Full replacement state, as plain values."""
+        return [dict(lru) for lru in self._sets]
 
-    def restore(self, snapshot: tuple) -> None:
-        sets, self.hits, self.misses, self.evictions = snapshot
-        for lru, saved in zip(self._sets, sets):
+    def restore(self, snapshot: list) -> None:
+        for lru, saved in zip(self._sets, snapshot):
             lru.clear()
             lru.update(saved)
 

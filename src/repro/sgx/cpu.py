@@ -86,7 +86,6 @@ class Core:
         # (tlb, then +llc, then +mee — each partial sum is an exact
         # dyadic float, see Machine._charge_lines).
         llc = machine.llc
-        self._llc = llc
         self._llc_sets = llc._sets
         self._llc_nsets = llc.num_sets
         self._llc_assoc = llc.ways
@@ -209,21 +208,17 @@ class Core:
                         # charge inlined (same state transitions
                         # and charge association as LlcModel.
                         # access_range + the generic branch below).
-                        llc = self._llc
                         lru = self._llc_sets[
                             (first // lb) % self._llc_nsets]
                         if first in lru:
                             del lru[first]
                             lru[first] = None
-                            llc.hits += 1
                             slots[_SLOT_LLC_HIT] += 1
                             clock._now_ns = (clock._now_ns
                                              + self._chg_hit)
                         else:
-                            llc.misses += 1
                             if len(lru) >= self._llc_assoc:
                                 del lru[next(iter(lru))]
-                                llc.evictions += 1
                             lru[first] = None
                             slots[_SLOT_LLC_MISS] += 1
                             if prm:

@@ -13,9 +13,15 @@ memory.  The protocol must defeat two OS attacks: *stale translations*
    MAC + version stored in a Version Array slot), frees the frame.
    The page cipher XORs the whole page, as one wide integer, with
    :func:`~repro.crypto.kdf.hkdf_stream` under the seal key, labelled
-   by the slot's version; ELDB runs the same XOR to decrypt.
+   by the slot's version; ELDB runs the same XOR to decrypt.  The
+   keystream is a pure function of (seal key, version), so EWB keeps
+   it on the version array next to the slot it fills.
 5. ``ELDB``     — verifies MAC + version, restores the page into a new
-   frame, consumes the VA slot (anti-replay).
+   frame, consumes the VA slot (anti-replay).  Only after those checks
+   does it take the slot's kept keystream, and only if it was kept for
+   this very version; otherwise (a slot restored by the model checker,
+   say) it derives the keystream again.  Consuming the slot drops the
+   keystream, so the array holds at most one per slot.
 
 Nested extension (paper §IV-E): when the victim belongs to an **outer**
 enclave, inner-enclave threads can also hold translations for it, so the
@@ -28,7 +34,7 @@ compared in the D2 ablation bench.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.kdf import hkdf, hkdf_stream, mac, mac_verify
 from repro.errors import EvictionConflict, SgxFault
@@ -45,6 +51,10 @@ class VersionArray:
 
     frame: int
     slots: list[bytes | None]
+    #: slot -> (version, page keystream) kept by the EWB that filled
+    #: the slot, for the ELDB that consumes it.
+    streams: dict[int, tuple[bytes, bytes]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def free_slot(self) -> int:
         for i, slot in enumerate(self.slots):
@@ -133,10 +143,10 @@ def _seal_key(machine: Machine) -> bytes:
     return hkdf(machine.root_secret, b"ewb-seal")
 
 
-def _xor_page(page: bytes, key: bytes, version: bytes) -> bytes:
-    """EWB/ELDB page cipher: XOR with the ``hkdf_stream`` keystream
-    labelled by the VA-slot version, as one wide integer."""
-    stream = hkdf_stream(key, version, PAGE_SIZE)
+def _xor_page(page: bytes, stream: bytes) -> bytes:
+    """EWB/ELDB page cipher: XOR with the page keystream (the
+    ``hkdf_stream`` labelled by the VA-slot version), as one wide
+    integer."""
     return (int.from_bytes(page, "little")
             ^ int.from_bytes(stream, "little")).to_bytes(PAGE_SIZE, "little")
 
@@ -167,7 +177,9 @@ def ewb(machine: Machine, frame: int, va: VersionArray,
     va.slots[slot] = version
     key = _seal_key(machine)
     # Keystream encryption + MAC binding identity, layout and version.
-    ciphertext = _xor_page(plaintext, key, version)
+    stream = hkdf_stream(key, version, PAGE_SIZE)
+    va.streams[slot] = (version, stream)
+    ciphertext = _xor_page(plaintext, stream)
     meta = (entry.eid.to_bytes(8, "little")
             + entry.vaddr.to_bytes(8, "little")
             + entry.page_type.encode() + bytes([entry.perms]) + version)
@@ -203,7 +215,10 @@ def eldb(machine: Machine, evicted: EvictedPage,
             + evicted.page_type.encode() + bytes([evicted.perms]) + version)
     if not mac_verify(key, meta + evicted.ciphertext, evicted.mac_tag):
         raise SgxFault("ELDB MAC verification failed (tampered blob)")
-    plaintext = _xor_page(evicted.ciphertext, key, version)
+    kept = va.streams.pop(evicted.va_slot, None)
+    stream = (kept[1] if kept is not None and kept[0] == version
+              else hkdf_stream(key, version, PAGE_SIZE))
+    plaintext = _xor_page(evicted.ciphertext, stream)
     frame = machine.epc_alloc.alloc()
     machine.epcm.set(frame, eid=evicted.eid, page_type=evicted.page_type,
                      vaddr=evicted.vaddr, perms=evicted.perms)

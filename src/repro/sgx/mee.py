@@ -35,11 +35,19 @@ per-line MAC check, version bump and keystream; the span is then XORed
 as one wide integer instead of one byte at a time.  Three SHA-256
 states are built once per MEE and copied per line: the keystream state
 over the key, and the RFC 2104 inner and outer pad states of the MAC key
-(:func:`~repro.crypto.kdf.hmac_pads`).  The span loops run both SHA-256
-keystream blocks and the HMAC (inner copy, update, outer copy, update
-with the inner digest) inline, with no ``hmac.HMAC`` object or Python
-call per line.  :meth:`Mee.encrypt_line`/:meth:`Mee.decrypt_line` are
-one-line spans.
+(:func:`~repro.crypto.kdf.hmac_pads`).  The span loops run the HMAC
+(inner copy, update, outer copy, update with the inner digest) inline,
+with no ``hmac.HMAC`` object or Python call per line.
+
+Each keystream is derived once.  A line's keystream is a pure function
+of (address, version), and only :meth:`Mee.encrypt_lines` sets a
+version: it derives the two SHA-256 blocks for the new version and
+records them next to the line's MAC and version.  A fill
+(:meth:`Mee.decrypt_lines`) checks the line's MAC first and only then
+XORs with the recorded keystream, so it hashes only the MAC.  Every
+line with a MAC has a recorded keystream: ``encrypt_lines`` is the only
+writer of all three records, and :meth:`Mee.forget_page` drops them
+together (after which the line reads as never written).
 """
 
 from __future__ import annotations
@@ -69,8 +77,9 @@ class Mee:
         self._line_macs: dict[int, bytes] = {}
         # line -> monotonically bumped version (anti-replay counter).
         self._versions: dict[int, int] = {}
-        self.lines_encrypted = 0
-        self.lines_decrypted = 0
+        # line -> its 64 B keystream for the current version, recorded
+        # by the writeback that set the version.
+        self._streams: dict[int, bytes] = {}
 
     # -- span operations ------------------------------------------------------
     def encrypt_lines(self, first_line_addr: int, plaintext: bytes) -> bytes:
@@ -80,6 +89,7 @@ class Mee:
         if size % CACHELINE_SIZE:
             raise ValueError("MEE operates on whole cachelines")
         versions = self._versions
+        streams = self._streams
         stream_copy = self._stream_base.copy
         sha256 = hashlib.sha256
         stream = []
@@ -91,8 +101,9 @@ class Mee:
             h.update(addr.to_bytes(8, "little")
                      + version.to_bytes(8, "little"))
             block = h.digest()
-            stream.append(block)
-            stream.append(sha256(block).digest())
+            line_stream = block + sha256(block).digest()
+            streams[addr] = line_stream
+            stream.append(line_stream)
         ciphertext = (int.from_bytes(plaintext, "little")
                       ^ int.from_bytes(b"".join(stream), "little")
                       ).to_bytes(size, "little")
@@ -107,7 +118,6 @@ class Mee:
             o = outer_copy()
             o.update(i.digest())
             macs[addr] = o.digest()
-        self.lines_encrypted += size // CACHELINE_SIZE
         return ciphertext
 
     def decrypt_lines(self, first_line_addr: int, ciphertext: bytes) -> bytes:
@@ -119,9 +129,7 @@ class Mee:
         if size % CACHELINE_SIZE:
             raise ValueError("MEE operates on whole cachelines")
         macs = self._line_macs
-        versions = self._versions
-        stream_copy = self._stream_base.copy
-        sha256 = hashlib.sha256
+        streams = self._streams
         inner_copy = self._mac_inner.copy
         outer_copy = self._mac_outer.copy
         stream = []
@@ -147,29 +155,10 @@ class Mee:
             if not hmac.compare_digest(expected, o.digest()):
                 raise IntegrityViolation(
                     f"DRAM tampering detected on line {addr:#x}")
-            h = stream_copy()
-            h.update(addr_bytes
-                     + versions.get(addr, 0).to_bytes(8, "little"))
-            block = h.digest()
-            stream.append(block)
-            stream.append(sha256(block).digest())
-        self.lines_decrypted += size // CACHELINE_SIZE
+            stream.append(streams[addr])
         return (int.from_bytes(ciphertext, "little")
                 ^ int.from_bytes(b"".join(stream), "little")
                 ).to_bytes(size, "little")
-
-    # -- line operations ------------------------------------------------------
-    def encrypt_line(self, line_addr: int, plaintext: bytes) -> bytes:
-        """Encrypt a 64 B line on LLC→DRAM eviction; records its MAC."""
-        if len(plaintext) != CACHELINE_SIZE:
-            raise ValueError("MEE operates on whole cachelines")
-        return self.encrypt_lines(line_addr, plaintext)
-
-    def decrypt_line(self, line_addr: int, ciphertext: bytes) -> bytes:
-        """Decrypt + integrity-check a line on DRAM→LLC fill."""
-        if len(ciphertext) != CACHELINE_SIZE:
-            raise ValueError("MEE operates on whole cachelines")
-        return self.decrypt_lines(line_addr, ciphertext)
 
     def root_mac(self) -> bytes:
         """MAC over all line MACs — the on-chip integrity-tree root."""
@@ -186,3 +175,4 @@ class Mee:
         for off in range(0, PAGE_SIZE, CACHELINE_SIZE):
             self._line_macs.pop(page_addr + off, None)
             self._versions.pop(page_addr + off, None)
+            self._streams.pop(page_addr + off, None)

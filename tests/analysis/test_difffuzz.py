@@ -86,9 +86,36 @@ class TestRealOracles:
 
     def test_fault_plans_are_oracle_transparent(self):
         """Benign fault plans are transparency bubbles: threading one
-        through both runs must not perturb either oracle."""
+        through both runs must not perturb either oracle.  The plans
+        fire inside the schedules' own access counts, so faults are
+        really injected."""
         report = fuzz(5, with_faults=True)
         assert report.findings == []
+        assert report.faults_injected > 0
+
+    def test_fault_plan_fires_aex_and_evict_inside_the_schedule(self):
+        """Every drawn trigger lies inside the schedule's access count,
+        the plan has no IPC faults, and the fast and reference runs
+        fire the same faults."""
+        import repro.analysis.difffuzz as difffuzz
+        from repro.faults.plan import FaultPlan
+        injected = 0
+        kinds = set()
+        for seed in range(6):
+            schedule = generate_schedule(seed, with_faults=True)
+            plan = FaultPlan.from_json(difffuzz._fault_plan(
+                schedule.ops, schedule.fault_seed))
+            assert plan.faults and not plan.ipc_faults()
+            _outcome, accesses = difffuzz._execute(
+                schedule.ops, False, FaultPlan(seed=0).to_json())
+            assert all(1 <= f.at <= accesses for f in plan.faults)
+            kinds.update(f.kind for f in plan.faults)
+            rules, fast, ref = diff_schedule(schedule)
+            assert rules == []
+            assert fast.injected == ref.injected
+            injected += fast.injected
+        assert kinds == {"aex", "evict"}
+        assert injected > 0
 
     def test_fault_plan_never_touches_the_process_environment(
             self, monkeypatch):
@@ -213,3 +240,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0 finding(s)" in out
         assert "2 schedule(s) fuzzed" in out
+
+    def test_fault_run_reports_injected_faults(self, capsys):
+        assert main(["--schedules", "2", "--with-faults"]) == 0
+        out = capsys.readouterr().out
+        assert "2 schedule(s) fuzzed (base seed 0, faults on, " in out
+        injected = int(out.split("faults on, ")[1].split()[0])
+        assert injected > 0
+
+    def test_fault_run_that_injects_nothing_exits_two(self, monkeypatch,
+                                                      capsys):
+        """A --with-faults corpus whose plans fire nothing cannot pass
+        vacuously."""
+        import repro.analysis.difffuzz as difffuzz
+        from repro.faults.plan import FaultPlan
+        monkeypatch.setattr(difffuzz, "_fault_plan",
+                            lambda ops, seed: FaultPlan(seed=seed).to_json())
+        assert main(["--schedules", "1", "--with-faults"]) == 2
+        captured = capsys.readouterr()
+        assert "faults on, 0 injected" in captured.out
+        assert "injected no fault" in captured.err

@@ -44,30 +44,30 @@ class TestCallGraph:
         """Drift tripwire: adding/removing functions or changing the
         resolver shows up here first.  Update deliberately."""
         # Last re-pin, by what moved:
-        # - functions -1: the dead cert-manager protocol class's two
-        #   methods and the cost model's test-only breakdown reset gone;
-        #   simlint.nondet_effect and ipc_drop._await_verdict new.
-        # - call_edges +6: both ipc_drop runners -> _await_verdict, the
-        #   SIM and FLOW003 visitors -> nondet_effect, run_schedule ->
-        #   Machine.__init__/attach_engine, CostModel.__init__ ->
-        #   Counters.__init__; run_over_os_ipc no longer constructs the
-        #   protocol class.
-        # - weak_edges -23: gone are the ten paired Counters.bump calls,
-        #   the by-name fan-out of Counters' spill-dict .get/.clear (5),
-        #   the breakdown reset's .clear, the protocol class's
-        #   constructor-shaped edges (6), run_over_os_ipc's three
-        #   .try_recv and run_schedule's two os.environ.get (-27); new
-        #   are run_over_os_ipc's three .send and nested_pair's
-        #   Machine(...) (+4).
-        # - secret_summaries +2: nondet_effect, and nested_pair, whose
-        #   new machine parameter flows into its returned host.
+        # - functions 0: Mee.encrypt_line/decrypt_line gone;
+        #   difffuzz._execute and _fault_plan new.
+        # - call_edges +2: run_schedule's five callees (attach_engine,
+        #   Machine.__init__, nested_pair, machine_fingerprint,
+        #   transition_digest) move to _execute, which _fault_plan and
+        #   run_schedule call (+2), and run_schedule -> _fault_plan
+        #   (+1); ewb and eldb call hkdf_stream where _xor_page did
+        #   (+1); the two line wrappers' span calls are gone (-2).
+        # - weak_edges 0: run_schedule's twelve by-name edges move to
+        #   _execute and its FaultPlan.to_json to _fault_plan; eldb's
+        #   va.streams.pop resolves by name to AdmissionQueue.pop (+1);
+        #   hkdf_stream's .copy edge to MeasurementLog.copy is gone
+        #   now that it binds the copy methods once (-1).
+        # - secret_summaries -2: the two line wrappers and
+        #   LlcModel.capture (it now returns only the set copies) drop out;
+        #   _fault_plan (its seed flows into the plan) is new.
+        # - always_charging +2: _execute and _fault_plan run schedules.
         assert repo_result.stats == {
             "modules": 138,
             "functions": 970,
-            "call_edges": 889,
+            "call_edges": 891,
             "weak_edges": 2251,
-            "secret_summaries": 451,
-            "always_charging": 139,
+            "secret_summaries": 449,
+            "always_charging": 141,
         }
 
     def test_strong_edge_import_resolved(self, repo_result):

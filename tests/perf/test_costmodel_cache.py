@@ -68,7 +68,7 @@ class TestLlc:
         assert llc.access_range(0x100, 1) == (0, 1)
         assert llc.access_range(0x100, 1) == (1, 0)
         assert llc.access_range(0x13F, 1) == (1, 0)  # same line
-        assert llc.hits == 2 and llc.misses == 1
+        assert llc.contains(0x100)
 
     def test_set_conflict_eviction(self):
         llc = LlcModel(size_bytes=256, ways=2)
@@ -76,8 +76,9 @@ class TestLlc:
         llc.access_range(0, 1)
         llc.access_range(128, 1)
         llc.access_range(256, 1)   # evicts line 0 (LRU)
+        assert not llc.contains(0)
+        assert llc.contains(128) and llc.contains(256)
         assert llc.access_range(0, 1) == (0, 1)
-        assert llc.evictions >= 1
 
     def test_lru_order(self):
         llc = LlcModel(size_bytes=256, ways=2)
@@ -118,11 +119,14 @@ class TestLlc:
     @settings(max_examples=30, deadline=None)
     def test_capacity_bound_property(self, addrs):
         llc = LlcModel(size_bytes=1024, ways=2)
+        touched = 0
         for addr in addrs:
-            llc.access_range(addr, 1)
+            hits, misses = llc.access_range(addr, 1)
+            touched += hits + misses
+            assert llc.contains(addr)
         resident = sum(len(s) for s in llc._sets)
         assert resident <= llc.capacity_lines
-        assert llc.hits + llc.misses == len(addrs)
+        assert touched == len(addrs)
 
 
 class TestCounters:

@@ -235,3 +235,90 @@ class TestVersionArray:
             blob = idle_evict(machine, secs, frame, va)
             slots.add(blob.va_slot)
         assert len(slots) == 8
+
+
+class TestPageStreamHandoff:
+    """EWB keeps the page keystream on the version array for the ELDB
+    that consumes the slot; without it ELDB derives the stream again."""
+
+    def test_eldb_takes_the_kept_stream(self, world):
+        machine, core, space, secs, frame, va = world
+        blob = idle_evict(machine, secs, frame, va)
+        version, stream = va.streams[blob.va_slot]
+        assert version == va.slots[blob.va_slot]
+        assert len(stream) == PAGE_SIZE
+        eviction.eldb(machine, blob, va)
+        assert va.streams == {}
+
+    def test_eldb_without_the_kept_stream_reloads_the_same_page(self,
+                                                               world):
+        machine, core, space, secs, frame, va = world
+        page = bytes(range(256)) * (PAGE_SIZE // 256)
+        machine.epc_write(frame, page)
+        blob = idle_evict(machine, secs, frame, va)
+        va.streams.clear()
+        new_frame = eviction.eldb(machine, blob, va)
+        assert machine.epc_read(new_frame, PAGE_SIZE) == page
+
+    def test_restored_slot_does_not_take_another_versions_stream(
+            self, world):
+        """The model checker restores ``va.slots`` in place: the slot
+        holds the first blob's version again while the stream kept for
+        it belongs to a later EWB into the same slot.  ELDB derives the
+        first blob's stream instead of using the kept one."""
+        machine, core, space, secs, frame, va = world
+        first = b"\x11" * PAGE_SIZE
+        machine.epc_write(frame, first)
+        blob1 = idle_evict(machine, secs, frame, va)
+        saved = list(va.slots)
+        frame2 = eviction.eldb(machine, blob1, va)
+        machine.epc_write(frame2, b"\x22" * PAGE_SIZE)
+        blob2 = idle_evict(machine, secs, frame2, va)
+        assert blob2.va_slot == blob1.va_slot
+        va.slots[:] = saved
+        frame3 = eviction.eldb(machine, blob1, va)
+        assert machine.epc_read(frame3, PAGE_SIZE) == first
+        assert va.streams == {}
+
+    def test_failed_eldb_keeps_the_stream_for_the_real_blob(self, world):
+        machine, core, space, secs, frame, va = world
+        blob = idle_evict(machine, secs, frame, va)
+        bad = type(blob)(**{**blob.__dict__,
+                            "ciphertext": bytes(PAGE_SIZE)})
+        with pytest.raises(SgxFault):
+            eviction.eldb(machine, bad, va)
+        assert blob.va_slot in va.streams
+        eviction.eldb(machine, blob, va)
+        assert va.streams == {}
+
+    def test_evict_reload_cycles_keep_at_most_one_stream(self, world):
+        machine, core, space, secs, frame, va = world
+        machine.epc_write(frame, b"cycle" + bytes(59))
+        for _ in range(1000):
+            blob = idle_evict(machine, secs, frame, va)
+            assert len(va.streams) == 1
+            frame = eviction.eldb(machine, blob, va)
+        assert va.streams == {}
+        assert machine.epc_read(frame, 5) == b"cycle"
+
+
+def test_unload_drops_per_page_state():
+    """EREMOVE (through the driver's unload) leaves no MEE line state
+    for the enclave's frames, and the keystreams kept for its evicted
+    pages go with their blobs."""
+    from repro.perf.fingerprint import nested_pair
+    host, outer, inner = nested_pair()
+    machine, driver = host.machine, host.kernel.driver
+    outer.ecall("storm", 2)
+    heap_page = outer.heap.base & ~(PAGE_SIZE - 1)
+    driver.evict_page(outer.secs, heap_page + PAGE_SIZE)
+    assert any(va.streams for va in driver._vas.values())
+    mee = machine.mee
+    for handle in (inner, outer):
+        frames = set(machine.epcm.pages_of(handle.secs.eid))
+        frames.add(handle.secs.eid)
+        host.unload(handle)
+        for table in (mee._line_macs, mee._versions, mee._streams):
+            assert not [addr for addr in table
+                        if addr & ~(PAGE_SIZE - 1) in frames]
+    assert not any(va.streams for va in driver._vas.values())

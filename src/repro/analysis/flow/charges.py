@@ -17,8 +17,8 @@ the canonical spellings:
   and ``*.clock.advance(…)`` calls (the hot paths write the clock
   attribute directly, see ``CostModel.charge``);
 
-or through the call graph: a statement calling a function whose own
-summary proves it always charges.  ``counters.*`` bumps are *not*
+or through the call graph: a statement calling a strong callee whose
+own summary proves it always charges.  ``counters.*`` bumps are *not*
 seams: counter increments are conditional bookkeeping, only the clock
 is the property.  Intentionally charge-free paths carry a
 ``# flow: charged`` declared-intent annotation (zero-length accesses,
@@ -27,9 +27,11 @@ satisfies the obligation at that line and is itself grep-able intent
 documentation.
 
 The per-function summary (does it always charge before completing?) is
-computed to fixpoint over the call graph, path-sensitively inside each
-function: branches fork the charged-state, loops contribute their
-zero-iteration fallthrough, raises exit without obligation.
+computed to fixpoint over the call graph's strong edges
+(:meth:`CallGraph.solve`), path-sensitively inside each function:
+branches fork the charged-state, loops contribute their zero-iteration
+fallthrough, raises exit without obligation, and lambda bodies and
+nested defs do not run.
 """
 
 from __future__ import annotations
@@ -111,21 +113,24 @@ class _ChargeAnalysis:
         return stmt.lineno in self.info.module.charged
 
     def _bump(self, states: frozenset, node) -> frozenset:
-        """Push one (non-compound) statement or expression through."""
-        for sub in ast.walk(node):
+        """Push one (non-compound) statement or expression through.
+
+        Nested defs, classes and lambda bodies do not run here; only a
+        strong callee's summary counts, never a by-name match.
+        """
+        pending = [node]
+        while pending:
+            sub = pending.pop()
             if isinstance(sub, _SKIP):
                 continue
             if _is_seam(sub):
                 return frozenset({True})
             if isinstance(sub, ast.Call):
-                strong, weak = self.graph.resolve_call(self.info, sub)
-                target = strong
-                if target is None and len(weak) == 1:
-                    # Unambiguous name match may contribute charge.
-                    target = next(iter(weak))
+                target, _weak = self.graph.resolve_call(self.info, sub)
                 summary = self.summaries.get(target)
                 if summary is not None and summary.always_charges:
                     return frozenset({True})
+            pending.extend(ast.iter_child_nodes(sub))
         return states
 
     def _block(self, stmts, states: frozenset) -> frozenset:
@@ -199,25 +204,16 @@ class _ChargeAnalysis:
                              uncharged_exits=uncharged)
 
 
-def check_charge_coverage(graph: CallGraph, entry_points,
-                          max_rounds: int = 6):
-    """Fixpoint summaries, then findings for entry-point violations.
+def check_charge_coverage(graph: CallGraph, entry_points):
+    """Summaries to their fixpoint, then findings for entry-point
+    violations.
 
     Returns ``(findings, summaries)``.
     """
-    summaries: dict = {fid: ChargeSummary() for fid in graph.functions}
-    for _ in range(max_rounds):
-        changed = False
-        for fid, info in graph.functions.items():
-            summary = _ChargeAnalysis(info, graph, summaries).run()
-            if (summary.always_charges,
-                    summary.uncharged_exits) != \
-                    (summaries[fid].always_charges,
-                     summaries[fid].uncharged_exits):
-                changed = True
-            summaries[fid] = summary
-        if not changed:
-            break
+    summaries = graph.solve(
+        lambda info, summaries: _ChargeAnalysis(info, graph,
+                                                summaries).run(),
+        ChargeSummary)
     findings: list = []
     for fid in entry_points:
         info = graph.functions.get(fid)

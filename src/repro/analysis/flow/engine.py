@@ -53,10 +53,14 @@ def analyze_graph(graph: CallGraph,
     return FlowResult(report=report, graph=graph, stats=stats)
 
 
-def run_flow(root: Path, config: FlowConfig = DEFAULT_CONFIG) -> FlowResult:
-    """Analyze the ``src/repro`` tree under repo root ``root``."""
+def load_tree(root: Path) -> list:
+    """Every parsed module of the ``src/repro`` tree under ``root``."""
     package = root / "src" / "repro"
     if not package.is_dir():
         raise AnalysisError(f"no src/repro package under {root}")
-    graph = build_graph(iter_modules(package, root / "src"))
-    return analyze_graph(graph, config)
+    return list(iter_modules(package, root / "src"))
+
+
+def run_flow(root: Path, config: FlowConfig = DEFAULT_CONFIG) -> FlowResult:
+    """Analyze the ``src/repro`` tree under repo root ``root``."""
+    return analyze_graph(build_graph(load_tree(root)), config)

@@ -12,8 +12,10 @@ strong edges
     class in the same module), an import-resolved dotted call
     (``isa.eenter(…)`` → ``repro.sgx.isa:eenter``), or a
     ``self.method(…)`` call against a method the enclosing class
-    defines.  Summary-based dataflow (FLOW001/FLOW002) only trusts
-    strong edges.
+    defines.  A function that calls itself has a strong edge to
+    itself.  Summary-based dataflow (FLOW001/FLOW002) only trusts
+    strong edges, and :meth:`CallGraph.solve` re-analyses a function
+    only when a strong callee's summary changed.
 
 weak edges
     Over-approximations used for reachability closures (FLOW003 and
@@ -35,10 +37,17 @@ import ast
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.analysis.findings import AnalysisError
 from repro.analysis.pysource import Module
 from repro.analysis.simlint import _ImportTable
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: Passes :meth:`CallGraph.solve` may take.  An analysis that is a pure
+#: function of its strong callees' summaries needs one pass per
+#: function on the longest chain of callers defined before their
+#: callees, plus one; the real tree converges in five.
+_MAX_PASSES = 1000
 
 
 @dataclass
@@ -107,6 +116,40 @@ class CallGraph:
             chain.append(self.functions[cursor].qualname)
             cursor = parent[cursor]
         return " → ".join(reversed(chain))
+
+    # -- summaries (FLOW001, FLOW002) ------------------------------------------
+    def solve(self, analyse, initial) -> dict:
+        """Every function's summary at the fixpoint of ``analyse``.
+
+        ``analyse(info, summaries)`` returns ``info``'s summary and must
+        be a pure function of the summaries of ``info``'s strong
+        callees; ``initial()`` is the summary before any analysis.  Each
+        pass walks ``functions`` in order and re-analyses only the
+        functions one of whose strong callees' summaries changed since
+        their last analysis, so the result is what analysing every
+        function on every pass would reach.  An analysis that has not
+        converged after ``_MAX_PASSES`` raises :class:`AnalysisError`.
+        """
+        callers: dict = {fid: [] for fid in self.functions}
+        for fid, callees in self.strong.items():
+            for callee in callees:
+                callers[callee].append(fid)
+        summaries = {fid: initial() for fid in self.functions}
+        dirty = set(self.functions)
+        for _ in range(_MAX_PASSES):
+            if not dirty:
+                return summaries
+            for fid, info in self.functions.items():
+                if fid not in dirty:
+                    continue
+                dirty.discard(fid)
+                summary = analyse(info, summaries)
+                if summary != summaries[fid]:
+                    dirty.update(callers[fid])
+                summaries[fid] = summary
+        raise AnalysisError(
+            f"call-graph summaries did not converge in {_MAX_PASSES} "
+            f"passes; still changing: {', '.join(sorted(dirty)[:5])}")
 
     # -- resolution ---------------------------------------------------------
     def in_module(self, name: str):
@@ -252,11 +295,18 @@ class _EdgeVisitor(ast.NodeVisitor):
             self.strong.add(strong)
         else:
             self.weak |= weak
-        # Arguments (and the receiver chain) may take addresses.
-        for child in ast.iter_child_nodes(node):
-            if child is not node.func or not isinstance(
-                    child, (ast.Name, ast.Attribute)):
-                self.visit(child)
+        # The receiver runs too: ``f().m()`` calls ``f``.  A plain
+        # dotted receiver (``mod.f()``, ``self.x.m()``) takes no address.
+        receiver = node.func
+        while isinstance(receiver, ast.Attribute):
+            receiver = receiver.value
+        if not isinstance(receiver, ast.Name):
+            self.visit(receiver)
+        # Arguments may take addresses.
+        for arg in node.args:
+            self.visit(arg)
+        for keyword in node.keywords:
+            self.visit(keyword)
 
     def visit_Name(self, node: ast.Name) -> None:
         if isinstance(node.ctx, ast.Load):
@@ -277,7 +327,6 @@ def build_graph(modules) -> CallGraph:
     for info in graph.functions.values():
         visitor = _EdgeVisitor(graph, info)
         visitor.visit(info.node)
-        visitor.strong.discard(info.fid)
         strong = {fid for fid in visitor.strong if fid in graph.functions}
         weak = {fid for fid in visitor.weak
                 if fid in graph.functions} - strong

@@ -3,10 +3,11 @@
 Each :class:`FlowMutation` is one named, surgical defect — a dropped
 charge, a key laundered through fresh helpers, a host-clock read above
 a fingerprint fold, a lifecycle write smuggled into the driver —
-applied to a throwaway copy of ``src/repro`` (the mutant is only ever
-*analyzed*, never imported or executed).  A mutation is **killed** when
-the engine reports a *new* finding of the expected rule whose message
-carries a call-path witness (the ``→`` chain).  ``--mutate all`` must
+applied to a throwaway copy of the one file it edits, which is parsed
+in place of the original next to the tree's other modules (the mutant
+is only ever *analyzed*, never imported or executed).  A mutation is
+**killed** when the engine reports a *new* finding of the expected rule
+whose message carries a call-path witness (the ``→`` chain).  ``--mutate all`` must
 kill 100% — a surviving mutant means a soundness regression in the
 graph or a summary rule, and the kill list is pinned by the test suite.
 """
@@ -20,7 +21,9 @@ from pathlib import Path
 
 from repro.analysis.findings import AnalysisError
 from repro.analysis.flow.config import DEFAULT_CONFIG
-from repro.analysis.flow.engine import run_flow
+from repro.analysis.flow.engine import analyze_graph, load_tree
+from repro.analysis.flow.graph import build_graph
+from repro.analysis.pysource import load_module
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,20 @@ MUTATIONS: tuple = (
                "    time.time()\n"
                "    tag = mac(key, meta + ciphertext)\n")),
     FlowMutation(
+        name="clock-behind-chained-call",
+        path="src/repro/sgx/eviction.py",
+        expected_rule="FLOW003",
+        description="read the host clock in a helper whose only call "
+                    "is the receiver of a method call in eldb() "
+                    "(``_host_stamp().hex()``)",
+        before="    kept = va.streams.pop(evicted.va_slot, None)\n",
+        after=("    _host_stamp().hex()\n"
+               "    kept = va.streams.pop(evicted.va_slot, None)\n"),
+        append=("\n\n"
+                "def _host_stamp():\n"
+                "    import time\n"
+                "    return int(time.time()).to_bytes(8, \"little\")\n")),
+    FlowMutation(
         name="clock-under-attested-handshake",
         path="src/repro/sdk/attest.py",
         expected_rule="FLOW003",
@@ -150,15 +167,20 @@ def _apply(mutation: FlowMutation, root: Path) -> None:
     target.write_text(text)
 
 
-def run_mutation(mutation: FlowMutation, repo_root: Path,
+def run_mutation(mutation: FlowMutation, repo_root: Path, modules: list,
                  baseline: frozenset) -> MutationOutcome:
-    """Copy the tree, apply one defect, analyze, judge the kill."""
+    """Apply one defect to a copy of its file, analyze it with the
+    tree's other ``modules``, judge the kill."""
     with tempfile.TemporaryDirectory(prefix="flow-mutate-") as tmp:
         scratch = Path(tmp)
-        shutil.copytree(repo_root / "src" / "repro",
-                        scratch / "src" / "repro")
+        target = scratch / mutation.path
+        target.parent.mkdir(parents=True)
+        shutil.copyfile(repo_root / mutation.path, target)
         _apply(mutation, scratch)
-        result = run_flow(scratch, DEFAULT_CONFIG)
+        mutant = load_module(target, scratch / "src")
+    graph = build_graph([mutant if module.name == mutant.name else module
+                         for module in modules])
+    result = analyze_graph(graph, DEFAULT_CONFIG)
     for finding in result.report.findings:
         if finding.rule != mutation.expected_rule:
             continue
@@ -184,6 +206,8 @@ def run_flow_mutations(repo_root: Path, names=None) -> list:
             raise AnalysisError(
                 f"unknown flow mutation(s): {', '.join(sorted(unknown))}; "
                 f"known: {', '.join(sorted(known))}")
-    pristine = run_flow(repo_root, DEFAULT_CONFIG)
+    modules = load_tree(repo_root)
+    pristine = analyze_graph(build_graph(modules), DEFAULT_CONFIG)
     baseline = frozenset(f.fingerprint for f in pristine.report.findings)
-    return [run_mutation(m, repo_root, baseline) for m in selected]
+    return [run_mutation(m, repo_root, modules, baseline)
+            for m in selected]

@@ -32,9 +32,11 @@ Cross-function flow facts: which parameters reach the return value,
 whether the return is tainted regardless of arguments, and which
 parameters reach a sink — the last carrying the *call chain*, so a
 caller several hops above the sink reports ``via helper → shipper →
-sink``.  Call arguments bind to the callee's parameters by position
-(after the implicit ``self``/``cls`` of a bound-method, classmethod or
-constructor call) and by keyword name.
+sink``.  A function never lifts a sink fact whose chain already passes
+through it, so under recursion a witness visits each function at most
+once and the summaries converge.  Call arguments bind to the callee's
+parameters by position (after the implicit ``self``/``cls`` of a
+bound-method, classmethod or constructor call) and by keyword name.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class SinkFact:
 
     line: int                    # call/sink line in *this* function
     kind: str                    # "ocall" | "transition-log"
-    chain: tuple = ()            # callee qualnames walked to the sink
+    chain: tuple = ()            # callee fids walked to the sink
     sink_line: int = 0           # line of the innermost sink
 
 
@@ -114,11 +116,6 @@ class Summary:
     param_to_return: set = field(default_factory=set)
     return_labels: Labels = frozenset()
     param_to_sink: dict = field(default_factory=dict)  # index -> SinkFact
-
-    def merge_key(self):
-        return (frozenset(self.param_to_return), self.return_labels,
-                tuple(sorted((i, f.line, f.kind, f.chain, f.sink_line)
-                             for i, f in self.param_to_sink.items())))
 
     def nontrivial(self) -> bool:
         return bool(self.param_to_return or self.return_labels
@@ -196,17 +193,20 @@ class _FunctionTaint(ast.NodeVisitor):
                     continue
                 lifted = SinkFact(
                     line=node.lineno, kind=fact.kind,
-                    chain=(callee.qualname,) + fact.chain,
+                    chain=(target,) + fact.chain,
                     sink_line=fact.sink_line)
                 arg_labels = self.taint_of(arg)
                 # Only *secret* labels indict this caller; a plain param
                 # label means a further caller's value reaches the sink,
                 # which is that caller's report — so lift the fact into
-                # our own summary with the callee prepended.
+                # our own summary with the callee prepended, unless the
+                # chain re-enters this function (recursion).
                 secret = frozenset(label for label in arg_labels
                                    if not label.startswith("param:"))
                 if secret:
                     self._report(node.lineno, secret, lifted)
+                if self.info.fid in lifted.chain:
+                    continue
                 for label in arg_labels:
                     pindex = self._param_index(label)
                     if pindex is not None:
@@ -313,8 +313,9 @@ class _FunctionTaint(ast.NodeVisitor):
 
     def _report(self, line: int, labels: Labels, fact: SinkFact) -> None:
         path = " → ".join(
-            (self.info.qualname,) + fact.chain
-            + (f"{fact.kind} sink at line {fact.sink_line}",))
+            [self.info.qualname]
+            + [self.graph.functions[fid].qualname for fid in fact.chain]
+            + [f"{fact.kind} sink at line {fact.sink_line}"])
         origin = ", ".join(sorted(labels))
         message = (f"key material ({origin}) reaches a {fact.kind} "
                    f"payload outside enclave trust: {path}")
@@ -331,21 +332,16 @@ class _FunctionTaint(ast.NodeVisitor):
                 self.visit(stmt)
 
 
-def check_secret_flow(graph: CallGraph, max_rounds: int = 8):
-    """Fixpoint over all function summaries → (findings, summaries)."""
-    summaries: dict = {fid: Summary() for fid in graph.functions}
-    findings: list = []
-    for _ in range(max_rounds):
-        changed = False
-        round_findings: list = []
-        for fid, info in graph.functions.items():
-            analysis = _FunctionTaint(info, graph, summaries)
-            analysis.run()
-            if summaries[fid].merge_key() != analysis.summary.merge_key():
-                changed = True
-            summaries[fid] = analysis.summary
-            round_findings.extend(analysis.findings)
-        findings = round_findings
-        if not changed:
-            break
-    return sorted(set(findings)), summaries
+def check_secret_flow(graph: CallGraph):
+    """Summaries to their fixpoint → (findings, summaries)."""
+    findings: dict = {}
+
+    def analyse(info: FunctionInfo, summaries: dict) -> Summary:
+        analysis = _FunctionTaint(info, graph, summaries)
+        analysis.run()
+        findings[info.fid] = analysis.findings
+        return analysis.summary
+
+    summaries = graph.solve(analyse, Summary)
+    return sorted({finding for found in findings.values()
+                   for finding in found}), summaries

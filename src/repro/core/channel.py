@@ -48,41 +48,13 @@ class SharedRing:
         core.write_u64(self.base + _TAIL_OFF, 0)
         core.write_u64(self.base + _CAP_OFF, self.capacity)
 
-    # -- internals ----------------------------------------------------------
-    def _load(self, core: Core) -> tuple[int, int]:
-        # head and tail share the ring's header cacheline; load both with
-        # one 16-byte access instead of two u64 reads.
-        raw = core.read(self.base + _HEAD_OFF, 16)
-        return (int.from_bytes(raw[:8], "little"),
-                int.from_bytes(raw[8:], "little"))
-
-    def _used(self, head: int, tail: int) -> int:
-        return tail - head
-
-    def _write_wrapped(self, core: Core, pos: int, data: bytes) -> None:
-        off = pos % self.capacity
-        first = min(len(data), self.capacity - off)
-        core.write(self.base + _DATA_OFF + off, data[:first])
-        if first < len(data):
-            core.write(self.base + _DATA_OFF, data[first:])
-
-    def _read_wrapped(self, core: Core, pos: int, size: int) -> bytes:
-        off = pos % self.capacity
-        first = min(size, self.capacity - off)
-        data = core.read(self.base + _DATA_OFF + off, first)
-        if first < size:
-            data += core.read(self.base + _DATA_OFF, size - first)
-        return data
-
     # -- API -----------------------------------------------------------------
     def try_send(self, core: Core, message: bytes) -> bool:
         """Append one framed message; False if the ring lacks space.
 
-        The body inlines :meth:`_load` and :meth:`_write_wrapped` — the
-        Fig. 11 sweep sends hundreds of thousands of messages through
-        here, and the hoisted method dispatch is pure overhead.  The
-        access sequence is exactly the helpers': one 16-byte header
-        read, the (possibly wrap-split) frame write, one tail update.
+        The access sequence is one 16-byte read of the head and tail
+        (they share the header cacheline), the frame write (split in
+        two where it wraps), and one tail update.
         """
         mlen = len(message)
         need = _FRAME_HDR + mlen
@@ -116,9 +88,9 @@ class SharedRing:
     def try_recv(self, core: Core) -> bytes | None:
         """Pop one message; None if the ring is empty.
 
-        Inlined like :meth:`try_send`; the access sequence is exactly
-        the :meth:`_load` + 2× :meth:`_read_wrapped` + head-update the
-        helpers would issue.
+        The access sequence is one 16-byte read of the head and tail,
+        the frame header read, the payload read (each split in two
+        where it wraps), and one head update.
         """
         base = self.base
         cap = self.capacity

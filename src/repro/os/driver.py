@@ -115,6 +115,16 @@ class SgxDriver:
             # page keystream its EWB kept.
             self._vas[blob.va_frame].streams.pop(blob.va_slot, None)
         isa.eremove(self.machine, secs)
+        # EREMOVE every version array left holding no blob of a loaded
+        # enclave: no ELDB can consume its slots any more.
+        live = {blob.va_frame for loaded in self.loaded.values()
+                for blob in loaded.evicted.values()}
+        for frame in [f for f in self._vas if f not in live]:
+            del self._vas[frame]
+            self.machine.epcm.clear(frame)
+            self.machine.epc_alloc.free(frame)
+            if self._va is not None and self._va.frame == frame:
+                self._va = None
 
     # -- eviction service --------------------------------------------------------
     def _version_array(self) -> eviction.VersionArray:

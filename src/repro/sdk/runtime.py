@@ -184,11 +184,6 @@ class EnclaveContext:
         return isa.ereport(self.host.machine, self.core, target_mrenclave,
                            report_data)
 
-    def nested_report(self, target_mrenclave: bytes,
-                      report_data: bytes = b"") -> nested_isa.NestedReport:
-        return nested_isa.nereport(self.host.machine, self.core,
-                                   target_mrenclave, report_data)
-
     def get_key(self, key_type: str) -> bytes:
         return isa.egetkey(self.host.machine, self.core, key_type)
 

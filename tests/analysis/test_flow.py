@@ -7,9 +7,11 @@ import textwrap
 import pytest
 
 from repro.analysis.cli import main
+from repro.analysis.findings import AnalysisError
 from repro.analysis.flow import (DEFAULT_CONFIG, MUTATIONS, FlowConfig,
                                  run_flow, run_flow_mutations)
 from repro.analysis.flow.charges import check_charge_coverage
+from repro.analysis.flow.determinism import check_determinism_reachability
 from repro.analysis.flow.graph import build_graph
 from repro.analysis.flow.lifecycle import check_lifecycle_escape
 from repro.analysis.flow.secret import check_secret_flow
@@ -44,30 +46,40 @@ class TestCallGraph:
         """Drift tripwire: adding/removing functions or changing the
         resolver shows up here first.  Update deliberately."""
         # Last re-pin, by what moved:
-        # - functions 0: Mee.encrypt_line/decrypt_line gone;
-        #   difffuzz._execute and _fault_plan new.
-        # - call_edges +2: run_schedule's five callees (attach_engine,
-        #   Machine.__init__, nested_pair, machine_fingerprint,
-        #   transition_digest) move to _execute, which _fault_plan and
-        #   run_schedule call (+2), and run_schedule -> _fault_plan
-        #   (+1); ewb and eldb call hkdf_stream where _xor_page did
-        #   (+1); the two line wrappers' span calls are gone (-2).
-        # - weak_edges 0: run_schedule's twelve by-name edges move to
-        #   _execute and its FaultPlan.to_json to _fault_plan; eldb's
-        #   va.streams.pop resolves by name to AdmissionQueue.pop (+1);
-        #   hkdf_stream's .copy edge to MeasurementLog.copy is gone
-        #   now that it binds the copy methods once (-1).
-        # - secret_summaries -2: the two line wrappers and
-        #   LlcModel.capture (it now returns only the set copies) drop out;
-        #   _fault_plan (its seed flows into the plan) is new.
-        # - always_charging +2: _execute and _fault_plan run schedules.
+        # - functions -3: SharedRing._load/_used/_write_wrapped/
+        #   _read_wrapped and EnclaveContext.nested_report gone (-5);
+        #   CallGraph.solve and engine.load_tree new (+2).
+        # - call_edges +29: a method call's receiver is now visited,
+        #   so f().m() is an edge to f (+22, e.g. _key_half ->
+        #   isa.egetkey, five echo entries -> _session_for); the six
+        #   self-recursive functions keep their self-edge (+6);
+        #   nested_report -> nereport gone (-1); check_secret_flow's
+        #   nested analyse and check_charge_coverage's lambda call the
+        #   analysis constructors (+2); run_flow -> load_tree, and the
+        #   mutation runner calls load_tree, build_graph, analyze_graph
+        #   and load_module instead of run_flow (+5).
+        # - weak_edges +30: untyped method calls inside receivers are
+        #   now matched by name (+39); unload_enclave's epcm.clear and
+        #   epc_alloc.free (+4); the four ring helpers' edges gone
+        #   (-13); the flow checks' own calls moved between functions
+        #   (0).
+        # - secret_summaries -3: the ring helpers, nested_report and
+        #   Summary.merge_key gone (-5); check_secret_flow and
+        #   check_charge_coverage return graph.solve(...), whose
+        #   untyped receiver is their graph parameter (+2).
+        # - always_charging -72: a by-name match no longer satisfies a
+        #   charge (the eight functions a never-run lambda body
+        #   satisfied, e.g. registry.specs and pool.run_suite, are among
+        #   them); the receiver edges add none; run_mutation and
+        #   run_flow_mutations now call load_module (+2), whose
+        #   parse_charged_lines docstring quotes the charged annotation.
         assert repo_result.stats == {
             "modules": 138,
-            "functions": 970,
-            "call_edges": 891,
-            "weak_edges": 2251,
-            "secret_summaries": 449,
-            "always_charging": 141,
+            "functions": 967,
+            "call_edges": 925,
+            "weak_edges": 2281,
+            "secret_summaries": 446,
+            "always_charging": 69,
         }
 
     def test_strong_edge_import_resolved(self, repo_result):
@@ -93,11 +105,56 @@ class TestCallGraph:
         fids = repo_result.graph.functions
         assert "repro.perf.fingerprint:nested_pair.<locals>.poke" in fids
 
+    def test_method_call_receiver_is_an_edge(self, repo_result):
+        """``isa.egetkey(…).hex()``-style chains: the call in the
+        receiver position is a strong edge of the caller."""
+        strong = repo_result.graph.strong
+        assert "repro.sgx.isa:egetkey" in strong["repro.sdk.attest:_key_half"]
+        assert "repro.experiments.registry:specs" \
+            in strong["repro.runner.__main__:_list_registry"]
+
+    def test_receiver_call_edge_in_a_fixture(self, tmp_path):
+        graph = _graph_of(tmp_path, """
+            import other
+
+            def f():
+                return b""
+
+            class Box:
+                def probe(self):
+                    f().hex()
+                    other.g()
+                    self.x.m()
+        """, extra={"other": "def g():\n    return 1\n"})
+        probe = "mod:Box.probe"
+        assert graph.strong[probe] == {"mod:f", "other:g"}
+        # A plain dotted receiver takes no address.
+        assert graph.weak[probe] == set()
+
+    def test_self_call_is_a_strong_edge(self, tmp_path):
+        graph = _graph_of(tmp_path, """
+            def walk(node):
+                for child in node:
+                    walk(child)
+        """)
+        assert graph.strong["mod:walk"] == {"mod:walk"}
+
 
 class TestRepoClean:
     def test_no_findings_on_the_real_tree(self, repo_result):
         assert repo_result.report.findings == []
         assert repo_result.report.passes == ["flow"]
+
+    def test_real_isa_leaves_are_clean(self, repo_result):
+        """The sweep covers the ISA leaves, whose transition-log calls
+        carry no key material."""
+        assert "repro.sgx.isa" in repo_result.graph.modules
+
+    def test_real_ports_are_clean(self, repo_result):
+        """The sweep covers the enclave ports, which ocall no key
+        material."""
+        assert [name for name in repo_result.graph.modules
+                if name.startswith("repro.apps.ports.")]
 
     def test_charge_entry_points_all_exist(self, repo_result):
         """A rename would silently drop coverage; the engine reports
@@ -422,6 +479,159 @@ class TestSuppression:
         assert table[1] == frozenset({"flow:all"})
 
 
+def _round_robin(graph, analyse, initial):
+    """The oracle: analyse every function on every round, in order,
+    until a round changes nothing."""
+    summaries = {fid: initial() for fid in graph.functions}
+    changed = True
+    while changed:
+        changed = False
+        for fid, info in graph.functions.items():
+            summary = analyse(info, summaries)
+            changed |= summary != summaries[fid]
+            summaries[fid] = summary
+    return summaries
+
+
+#: ``probe`` hands a key to ``h1``, which passes it down ten helpers
+#: defined outer-first to the ocall in ``h10``.
+_OUTER_FIRST_LEAK = (
+    "def probe(ctx, session_key):\n"
+    "    h1(ctx, session_key)\n"
+    + "".join(f"\n\ndef h{i}(ctx, blob):\n    h{i + 1}(ctx, blob)\n"
+              for i in range(1, 10))
+    + "\n\ndef h10(ctx, blob):\n    ctx.ocall(\"dump\", blob)\n")
+
+#: ``touch`` charges only through a chain of eleven calls.
+_DEEP_CHARGE = (
+    "def touch(cost):\n"
+    "    c1(cost)\n"
+    "    return 1\n"
+    + "".join(f"\n\ndef c{i}(cost):\n    c{i + 1}(cost)\n"
+              for i in range(1, 11))
+    + "\n\ndef c11(cost):\n    cost.charge_event(\"x\")\n")
+
+
+class TestSummarySolver:
+    def test_solver_matches_the_round_robin_oracle(self, repo_result,
+                                                  monkeypatch):
+        """On the real tree the solver returns the summaries and
+        findings of analysing every function on every round, with
+        fewer analyses."""
+        graph = repo_result.graph
+        entries = DEFAULT_CONFIG.charge_entry_points
+        analyses = {"solver": 0, "oracle": 0}
+
+        def counted(solve, who):
+            def run(analyse, initial):
+                def counting(info, summaries):
+                    analyses[who] += 1
+                    return analyse(info, summaries)
+                return solve(counting, initial)
+            return run
+
+        solver = counted(graph.solve, "solver")
+        monkeypatch.setattr(graph, "solve", solver)
+        secret = check_secret_flow(graph)
+        charges = check_charge_coverage(graph, entries)
+        oracle = counted(lambda analyse, initial: _round_robin(
+            graph, analyse, initial), "oracle")
+        monkeypatch.setattr(graph, "solve", oracle)
+        assert check_secret_flow(graph) == secret
+        assert check_charge_coverage(graph, entries) == charges
+        assert analyses["solver"] < analyses["oracle"] / 2
+
+    def test_ten_deep_outer_first_leak_is_reported(self, tmp_path):
+        findings, _ = check_secret_flow(
+            _graph_of(tmp_path, _OUTER_FIRST_LEAK))
+        assert _verdict(findings) == [("FLOW001", 2, "probe")]
+        chain = " → ".join(["probe"] + [f"h{i}" for i in range(1, 11)])
+        assert f"{chain} → ocall sink at line " in findings[0].message
+
+    def test_eleven_deep_charge_satisfies_the_entry_point(self, tmp_path):
+        findings, summaries = check_charge_coverage(
+            _graph_of(tmp_path, _DEEP_CHARGE), ("mod:touch",))
+        assert findings == []
+        assert summaries["mod:touch"].always_charges
+
+    def test_mutual_recursion_keeps_the_shortest_witness(self, tmp_path):
+        """A lifted sink fact never re-enters the function lifting it,
+        so ``f ↔ g`` converges with the direct path as the witness."""
+        graph = _graph_of(tmp_path, """
+            def f(ctx, blob, n):
+                g(ctx, blob, n)
+                ctx.ocall("send", blob)
+
+
+            def g(ctx, blob, n):
+                if n:
+                    f(ctx, blob, n - 1)
+
+
+            def probe(ctx, session_key):
+                f(ctx, session_key, 3)
+        """)
+        findings, summaries = check_secret_flow(graph)
+        assert _verdict(findings) == [("FLOW001", 13, "probe")]
+        assert findings[0].message.endswith(
+            ": probe → f → ocall sink at line 4")
+        assert summaries["mod:f"].param_to_sink[1].chain == ()
+        assert summaries["mod:g"].param_to_sink[1].chain == ("mod:f",)
+
+    def test_recursion_still_reports_a_key_sent_round_the_cycle(
+            self, tmp_path):
+        """Only the lift into the summary is cut: a key that reaches
+        the sink through the cycle is still reported where it starts."""
+        graph = _graph_of(tmp_path, """
+            def f(ctx, blob, n):
+                if n:
+                    g(ctx, ctx.get_key("seal"))
+                else:
+                    ctx.ocall("send", blob)
+
+
+            def g(ctx, blob):
+                f(ctx, blob, 0)
+        """)
+        findings, _ = check_secret_flow(graph)
+        assert _verdict(findings) == [("FLOW001", 4, "f")]
+        assert ": f → g → f → ocall sink at line 6" in findings[0].message
+
+    def test_analysis_that_never_converges_is_a_typed_error(self,
+                                                           tmp_path):
+        graph = _graph_of(tmp_path, "def f():\n    f()\n")
+        with pytest.raises(AnalysisError, match="did not converge"):
+            graph.solve(lambda info, summaries: not summaries[info.fid],
+                        bool)
+
+    def test_only_changed_callees_trigger_reanalysis(self, tmp_path):
+        """Callers defined first wait for their callee; an unrelated
+        function is analysed once."""
+        graph = _graph_of(tmp_path, """
+            def caller():
+                callee()
+
+
+            def callee():
+                return 1
+
+
+            def loner():
+                return 2
+        """)
+        seen = []
+
+        def analyse(info, summaries):
+            seen.append(info.qualname)
+            own = int(info.qualname == "callee")
+            return max([own] + [summaries[fid]
+                                for fid in graph.strong[info.fid]])
+
+        assert graph.solve(analyse, int) == {
+            "mod:caller": 1, "mod:callee": 1, "mod:loner": 0}
+        assert seen == ["caller", "callee", "loner", "caller"]
+
+
 class TestChargeCoverage:
     def test_uncharged_branch_is_reported(self, tmp_path):
         graph = _graph_of(tmp_path, """
@@ -468,6 +678,38 @@ class TestChargeCoverage:
         findings, _ = check_charge_coverage(graph, ("mod:touch",))
         assert len(findings) == 1
 
+    def test_charge_inside_a_lambda_does_not_satisfy(self, tmp_path):
+        """A lambda body does not run where it is defined."""
+        graph = _graph_of(tmp_path, """
+            def helper(cost):
+                cost.charge_event("x")
+
+
+            def touch(cost, schedule):
+                schedule(later=lambda: cost.charge_event("x"))
+                schedule(quick=lambda: helper(cost))
+                return 1
+        """)
+        findings, summaries = check_charge_coverage(graph, ("mod:touch",))
+        assert _verdict(findings) == [("FLOW002", 9, "touch")]
+        assert summaries["mod:helper"].always_charges
+
+    def test_method_name_match_does_not_satisfy(self, tmp_path):
+        """An untyped receiver's by-name match is not proof of a
+        charge, even when only one class defines the method."""
+        graph = _graph_of(tmp_path, """
+            class Meter:
+                def tick(self, cost):
+                    cost.charge_event("x")
+
+
+            def touch(meter, cost):
+                meter.tick(cost)
+                return 1
+        """)
+        findings, _ = check_charge_coverage(graph, ("mod:touch",))
+        assert _verdict(findings) == [("FLOW002", 9, "touch")]
+
     def test_missing_entry_point_is_loud(self, tmp_path):
         graph = _graph_of(tmp_path, "def f():\n    return 1\n")
         findings, _ = check_charge_coverage(graph, ("mod:gone",))
@@ -475,10 +717,30 @@ class TestChargeCoverage:
         assert "does not exist" in findings[0].message
 
 
+class TestDeterminismReachability:
+    def test_clock_read_behind_a_chained_call_is_reached(self, tmp_path):
+        graph = _graph_of(tmp_path, """
+            import helper
+
+            def fold(log):
+                log.append(helper.stamp().hex())
+        """, extra={"helper": """
+            import time
+
+            def stamp():
+                return int(time.time()).to_bytes(8, "little")
+        """})
+        config = FlowConfig(fingerprint_root_modules=("mod",))
+        findings = check_determinism_reachability(graph, config)
+        assert _verdict(findings) == [("FLOW003", 5, "stamp")]
+        assert "fold → stamp" in findings[0].message
+
+
 class TestMutationCorpus:
     def test_corpus_names_are_pinned(self):
         assert sorted(m.name for m in MUTATIONS) == [
             "clock-above-fingerprint-fold",
+            "clock-behind-chained-call",
             "clock-under-attested-handshake",
             "driver-helper-parks-tcs",
             "drop-charge-lines-charge",

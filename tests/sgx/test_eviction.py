@@ -322,3 +322,51 @@ def test_unload_drops_per_page_state():
             assert not [addr for addr in table
                         if addr & ~(PAGE_SIZE - 1) in frames]
     assert not any(va.streams for va in driver._vas.values())
+
+
+class TestUnloadFreesVersionArrays:
+    """Unloading the last enclave with a blob in a version array
+    EREMOVEs the array: its EPCM entry and frame go back."""
+
+    def _paged_out_pair(self):
+        from repro.perf.fingerprint import nested_pair
+        from repro.sgx.constants import MachineConfig
+        machine = Machine(MachineConfig(mee_encrypt_bytes=True),
+                          validator_cls=NestedValidator)
+        free_before = machine.epc_alloc.free_pages
+        host, outer, inner = nested_pair(machine)
+        outer.ecall("poke", 64, 0x5EED)
+        heap_page = outer.heap.base & ~(PAGE_SIZE - 1)
+        host.kernel.driver.evict_page(outer.secs, heap_page)
+        return host, outer, inner, free_before
+
+    def test_epc_free_count_returns_to_its_pre_load_value(self):
+        host, outer, inner, free_before = self._paged_out_pair()
+        driver = host.kernel.driver
+        (frame,) = driver._vas
+        host.unload(inner)
+        host.unload(outer)
+        assert host.machine.epc_alloc.free_pages == free_before
+        assert driver._vas == {} and driver._va is None
+        assert not host.machine.epcm.entry(frame).valid
+
+    def test_array_with_a_live_blob_stays(self):
+        """Unloading the inner leaves the outer's blob reloadable."""
+        host, outer, inner, _free = self._paged_out_pair()
+        driver = host.kernel.driver
+        host.unload(inner)
+        (va,) = driver._vas.values()
+        assert host.machine.epcm.entry(va.frame).valid
+        heap_page = outer.heap.base & ~(PAGE_SIZE - 1)
+        driver.reload_page(outer.secs, heap_page)
+        assert outer.ecall("peek", 64) == 0x5EED
+
+    def test_next_eviction_after_the_array_is_gone_allocates_anew(self):
+        host, outer, inner, _free = self._paged_out_pair()
+        driver = host.kernel.driver
+        host.unload(inner)
+        host.unload(outer)
+        free = host.machine.epc_alloc.free_pages
+        va = driver._version_array()
+        assert driver._vas == {va.frame: va}
+        assert host.machine.epc_alloc.free_pages == free - 1

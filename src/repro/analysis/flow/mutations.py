@@ -70,6 +70,15 @@ MUTATIONS: tuple = (
                 "def _debug_key_probe(ctx, session_key):\n"
                 "    _ship_key(ctx, session_key)\n")),
     FlowMutation(
+        name="key-through-for-target-ocall",
+        path="src/repro/perf/fingerprint.py",
+        expected_rule="FLOW001",
+        description="fold the seal key into storm's ocall via a for target",
+        before="        ctx.ocall(\"host_log\", total)\n",
+        after=("        for word in ctx.get_key(\"seal\"):\n"
+               "            total ^= word\n"
+               "        ctx.ocall(\"host_log\", total)\n")),
+    FlowMutation(
         name="egetkey-chain-transition-log",
         path="src/repro/sdk/attest.py",
         expected_rule="FLOW001",

@@ -28,6 +28,12 @@ Sinks
     folded into digests that leave the trust boundary in results
     documents and CI artifacts.
 
+Within a function the environment is flow-insensitive: a name carries
+the union of every value bound to it anywhere in the body (assignment,
+``for``, ``with … as``, walrus and comprehension targets), so branches,
+handlers and loops need no merge rules.  Each value is evaluated once,
+and that evaluation checks every sink inside it.
+
 Cross-function flow facts: which parameters reach the return value,
 whether the return is tainted regardless of arguments, and which
 parameters reach a sink — the last carrying the *call chain*, so a
@@ -88,6 +94,18 @@ def _implicit_receiver(callee: FunctionInfo, call: ast.Call) -> bool:
         and isinstance(func.value, ast.Name) and func.value.id == "self"
 
 
+def _sink_kind(func) -> str | None:
+    """The sink a call of ``func`` is, if any."""
+    attr = getattr(func, "attr", None)
+    if attr == "ocall":
+        return "ocall"
+    if attr == "log_transition" or (
+            attr == "record"
+            and getattr(func.value, "attr", None) == "transitions"):
+        return "transition-log"
+    return None
+
+
 def _bind_args(callee: FunctionInfo, call: ast.Call):
     """(parameter index, argument expression) for each bound argument."""
     offset = 1 if _implicit_receiver(callee, call) else 0
@@ -122,8 +140,21 @@ class Summary:
                     or self.param_to_sink)
 
 
-class _FunctionTaint(ast.NodeVisitor):
-    """One intraprocedural pass with call-graph-resolved summaries."""
+#: Binding forms outside expressions: node type -> (target field,
+#: value field).  ``taint_of`` binds ``NamedExpr`` targets itself.
+_BINDINGS = {
+    ast.Assign: ("targets", "value"),
+    ast.AnnAssign: ("target", "value"),
+    ast.AugAssign: ("target", "value"),
+    ast.For: ("target", "iter"),
+    ast.AsyncFor: ("target", "iter"),
+    ast.withitem: ("optional_vars", "context_expr"),
+    ast.comprehension: ("target", "iter"),
+}
+
+
+class _FunctionTaint:
+    """One intraprocedural analysis with call-graph-resolved summaries."""
 
     def __init__(self, info: FunctionInfo, graph: CallGraph,
                  summaries: dict) -> None:
@@ -131,49 +162,61 @@ class _FunctionTaint(ast.NodeVisitor):
         self.graph = graph
         self.summaries = summaries
         self.env: dict = {}
-        self.param_names = list(info.params)
-        self.param_labels: dict = {}
-        for name in self.param_names:
+        self.param_index: dict = {}        # parameter label -> index
+        for index, name in enumerate(info.params):
             labels = {f"param:{info.qualname}:{name}"}
             if _is_secret_name(name):
                 labels.add(f"secret-param:{name}")
-            self.param_labels[name] = frozenset(labels)
-        self.env.update(self.param_labels)
+            self.env[name] = frozenset(labels)
+            self.param_index.update(dict.fromkeys(labels, index))
         self.summary = Summary()
         self.findings: list = []
+        self.grew = True            # a binding grew during this walk
 
-    def _param_index(self, label: str):
-        for index, pname in enumerate(self.param_names):
-            if label in self.param_labels[pname]:
-                return index
-        return None
-
-    # -- expression taint ---------------------------------------------------
+    # -- expressions ------------------------------------------------------
     def taint_of(self, node) -> Labels:
+        """``node``'s taint, checking every sink inside it on the way."""
         if node is None:
             return frozenset()
         if isinstance(node, ast.Name):
             return self.env.get(node.id, frozenset())
         if isinstance(node, ast.Attribute):
-            labels = set(self.taint_of(node.value))
+            labels = self.taint_of(node.value)
             if _is_secret_name(node.attr):
-                labels.add(f"secret-attr:{node.attr}")
-            return frozenset(labels)
+                labels |= {f"secret-attr:{node.attr}"}
+            return labels
         if isinstance(node, ast.Call):
             return self._taint_of_call(node)
-        if isinstance(node, ast.Compare):
-            return frozenset()      # booleans declassify
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            return frozenset()      # separate nodes of the graph
+        if isinstance(node, ast.NamedExpr):
+            labels = self.taint_of(node.value)
+            self._bind(node.target, labels)
+            return labels
         out: set = set()
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
                 out |= self.taint_of(child)
+            elif isinstance(child, (ast.comprehension, ast.arguments)):
+                self._visit(child)   # a clause's binding, lambda defaults
+        if isinstance(node, (ast.Compare, ast.Lambda)):
+            # A boolean verdict declassifies; a lambda is a value whose
+            # body runs elsewhere (its sinks are still checked above).
+            return frozenset()
         return frozenset(out)
 
     def _taint_of_call(self, node: ast.Call) -> Labels:
         func = node.func
+        # The callee expression runs first: ``f().m()`` calls ``f``.
+        receiver = frozenset() if isinstance(func, ast.Name) else \
+            self.taint_of(func.value if isinstance(func, ast.Attribute)
+                          else func)
+        values = {arg: self.taint_of(arg) for arg in
+                  [*node.args, *(kw.value for kw in node.keywords)]}
+        kind = _sink_kind(func)
+        if kind is not None:
+            # The first positional argument names the event, not data.
+            fact = SinkFact(node.lineno, kind, sink_line=node.lineno)
+            for labels in list(values.values())[1 if node.args else 0:]:
+                self._reaches(labels, fact)
         bare = func.id if isinstance(func, ast.Name) else (
             func.attr if isinstance(func, ast.Attribute) else "")
         if bare in _SANITIZER_CALLS:
@@ -182,136 +225,84 @@ class _FunctionTaint(ast.NodeVisitor):
             return frozenset({f"egetkey:{self.info.qualname}"})
         target, _weak = self.graph.resolve_call(self.info, node)
         summary = self.summaries.get(target) if target else None
-        if summary is not None:
-            callee = self.graph.functions[target]
-            labels = set(summary.return_labels)
-            for index, arg in _bind_args(callee, node):
-                if index in summary.param_to_return:
-                    labels |= self.taint_of(arg)
-                fact = summary.param_to_sink.get(index)
-                if fact is None:
-                    continue
-                lifted = SinkFact(
+        if summary is None:
+            # Unknown callee: conservative, taint flows through (the
+            # receiver of a method call counts as an argument).
+            return receiver.union(*values.values())
+        labels = set(summary.return_labels)
+        for index, arg in _bind_args(self.graph.functions[target], node):
+            if index in summary.param_to_return:
+                labels |= values[arg]
+            fact = summary.param_to_sink.get(index)
+            if fact is not None:
+                self._reaches(values[arg], SinkFact(
                     line=node.lineno, kind=fact.kind,
                     chain=(target,) + fact.chain,
-                    sink_line=fact.sink_line)
-                arg_labels = self.taint_of(arg)
-                # Only *secret* labels indict this caller; a plain param
-                # label means a further caller's value reaches the sink,
-                # which is that caller's report — so lift the fact into
-                # our own summary with the callee prepended, unless the
-                # chain re-enters this function (recursion).
-                secret = frozenset(label for label in arg_labels
-                                   if not label.startswith("param:"))
-                if secret:
-                    self._report(node.lineno, secret, lifted)
-                if self.info.fid in lifted.chain:
-                    continue
-                for label in arg_labels:
-                    pindex = self._param_index(label)
-                    if pindex is not None:
-                        self.summary.param_to_sink.setdefault(
-                            pindex, lifted)
-            return frozenset(labels)
-        # Unknown callee: conservative, taint flows through (the
-        # receiver of a method call counts as an argument).
-        out: set = set()
-        for arg in list(node.args) + [k.value for k in node.keywords]:
-            out |= self.taint_of(arg)
-        if isinstance(func, ast.Attribute):
-            out |= self.taint_of(func.value)
-        return frozenset(out)
+                    sink_line=fact.sink_line))
+        return frozenset(labels)
 
-    # -- statements ---------------------------------------------------------
-    def _assign(self, target, labels: Labels) -> None:
-        if isinstance(target, ast.Name):
-            self.env[target.id] = labels
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._assign(elt, labels)
-
-    def visit_FunctionDef(self, node) -> None:
-        return None             # nested defs are their own graph nodes
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        labels = self.taint_of(node.value)
-        for target in node.targets:
-            self._assign(target, labels)
-        self._scan_expr_for_sinks(node.value)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._assign(node.target, self.taint_of(node.value))
-            self._scan_expr_for_sinks(node.value)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if isinstance(node.target, ast.Name):
-            self.env[node.target.id] = \
-                self.env.get(node.target.id, frozenset()) \
-                | self.taint_of(node.value)
-        self._scan_expr_for_sinks(node.value)
-
-    def visit_Return(self, node: ast.Return) -> None:
-        for label in self.taint_of(node.value):
-            index = self._param_index(label)
-            if index is not None:
-                self.summary.param_to_return.add(index)
-            else:
-                self.summary.return_labels |= {label}
-        self._scan_expr_for_sinks(node.value)
-
-    def visit_Expr(self, node: ast.Expr) -> None:
-        self._scan_expr_for_sinks(node.value)
-
-    def generic_visit(self, node) -> None:
-        if isinstance(node, (ast.If, ast.While)):
-            self._scan_expr_for_sinks(node.test)
-        elif isinstance(node, ast.For):
-            self._scan_expr_for_sinks(node.iter)
-        super().generic_visit(node)
-
-    # -- sinks --------------------------------------------------------------
-    def _scan_expr_for_sinks(self, expr) -> None:
-        if expr is None:
+    def _reaches(self, labels: Labels, fact: SinkFact) -> None:
+        """``labels`` reach the sink ``fact`` describes.  Only *secret*
+        labels indict this function; a parameter label is a caller's
+        report, so the fact goes into our summary, unless its chain
+        re-enters this function (recursion)."""
+        secret = frozenset(label for label in labels
+                           if not label.startswith("param:"))
+        if secret:
+            self._report(secret, fact)
+        if self.info.fid in fact.chain:
             return
-        self.taint_of(expr)     # triggers summary-based reporting
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute):
-                if node.func.attr == "ocall":
-                    self._check_sink(node, "ocall")
-                elif self._is_transition_sink(node.func):
-                    self._check_sink(node, "transition-log")
+        for label in labels:
+            index = self.param_index.get(label)
+            if index is not None:
+                self.summary.param_to_sink.setdefault(index, fact)
 
-    @staticmethod
-    def _is_transition_sink(func: ast.Attribute) -> bool:
-        if func.attr == "log_transition":
-            return True
-        return (func.attr == "record"
-                and isinstance(func.value, ast.Attribute)
-                and func.value.attr == "transitions")
+    # -- statements -------------------------------------------------------
+    def _bind(self, target, labels: Labels) -> None:
+        """Join ``labels`` into every name ``target`` binds."""
+        if isinstance(target, ast.Name):
+            have = self.env.get(target.id, frozenset())
+            if not labels <= have:
+                self.env[target.id] = have | labels
+                self.grew = True
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            self._bind(target.elts, labels)
+        elif isinstance(target, list):         # elts, or Assign.targets
+            for each in target:
+                self._bind(each, labels)
+        elif isinstance(target, ast.Starred):
+            self._bind(target.value, labels)
+        else:                    # obj.attr / obj[i]: evaluate the loads
+            self.taint_of(target)
 
-    def _check_sink(self, node: ast.Call, kind: str) -> None:
-        # First positional argument names the interface/event, not data.
-        payload = node.args[1:] + [k.value for k in node.keywords]
-        fact = SinkFact(line=node.lineno, kind=kind,
-                        sink_line=node.lineno)
-        for arg in payload:
-            labels = self.taint_of(arg)
-            if not labels:
+    def _visit(self, node) -> None:
+        """Evaluate one statement (or except handler, ``with`` item,
+        match case, comprehension clause): bind what it binds, and
+        evaluate each of its expressions once."""
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return               # nested defs are their own graph nodes
+        binding = _BINDINGS.get(type(node), ())
+        if binding:
+            self._bind(getattr(node, binding[0]),
+                       self.taint_of(getattr(node, binding[1])))
+        elif isinstance(node, ast.Return):
+            for label in self.taint_of(node.value):
+                index = self.param_index.get(label)
+                if index is None:
+                    self.summary.return_labels |= {label}
+                else:
+                    self.summary.param_to_return.add(index)
+            return
+        for name, value in ast.iter_fields(node):
+            if name in binding:
                 continue
-            secret = {label for label in labels
-                      if not label.startswith("param:")}
-            if secret:
-                self._report(node.lineno, frozenset(secret), fact)
-            for label in labels:
-                index = self._param_index(label)
-                if index is not None:
-                    self.summary.param_to_sink.setdefault(index, fact)
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.expr):
+                    self.taint_of(child)
+                elif isinstance(child, ast.AST):
+                    self._visit(child)
 
-    def _report(self, line: int, labels: Labels, fact: SinkFact) -> None:
+    def _report(self, labels: Labels, fact: SinkFact) -> None:
         path = " → ".join(
             [self.info.qualname]
             + [self.graph.functions[fid].qualname for fid in fact.chain]
@@ -319,17 +310,20 @@ class _FunctionTaint(ast.NodeVisitor):
         origin = ", ".join(sorted(labels))
         message = (f"key material ({origin}) reaches a {fact.kind} "
                    f"payload outside enclave trust: {path}")
-        if not self.info.module.suppressed(line, RULE):
+        if not self.info.module.suppressed(fact.line, RULE):
             self.findings.append(Finding(
-                path=self.info.module.path, line=line, rule=RULE,
+                path=self.info.module.path, line=fact.line, rule=RULE,
                 message=message, symbol=self.info.qualname))
 
     def run(self) -> None:
-        # Two rounds stabilise taint through loops / use-before-def.
-        for _ in range(2):
-            self.findings.clear()
+        """Walk the body until no binding grows (labels only join, over
+        a finite set); the result is the last walk's, at the fixpoint."""
+        while self.grew:
+            self.grew = False
+            self.summary = Summary()
+            self.findings = []
             for stmt in self.info.node.body:
-                self.visit(stmt)
+                self._visit(stmt)
 
 
 def check_secret_flow(graph: CallGraph):

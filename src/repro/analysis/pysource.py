@@ -2,7 +2,8 @@
 
 Wraps one parsed module per file: dotted module name (for allowlists),
 repo-relative path (for diagnostics), the AST, and the per-line
-inline-comment directives.  One scanner serves every pass:
+comment directives.  One reader serves every pass, and it reads only
+comment tokens, so a string that quotes a directive is data:
 
 * ``# simlint: disable=RULE[,RULE…]`` silences non-flow findings on
   that line (``all`` silences every non-FLOW rule);
@@ -18,16 +19,18 @@ inline-comment directives.  One scanner serves every pass:
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
 from repro.analysis.findings import AnalysisError
 
-_SUPPRESS_RE = re.compile(
-    r"#\s*(simlint|flow):\s*disable=([A-Za-z0-9_,\s]+)")
-_CHARGED_RE = re.compile(r"#\s*flow:\s*charged\b")
+_DIRECTIVE_RE = re.compile(
+    r"#\s*(?:(?P<tag>simlint|flow):\s*disable=(?P<rules>[A-Za-z0-9_,\s]+)"
+    r"|flow:\s*(?P<charged>charged)\b)")
 
 
 @dataclass
@@ -49,36 +52,31 @@ class Module:
         return scope in rules
 
 
-def parse_suppressions(source: str) -> dict[int, frozenset[str]]:
-    """Per-line disabled rule IDs, for both the simlint and flow tags.
-
-    A bare ``all`` under the ``flow:`` tag is stored as ``flow:all`` so
-    it only matches FLOW-family rules (see :meth:`Module.suppressed`);
-    the legacy ``simlint: disable=all`` keeps its unscoped spelling for
-    every other family.
-    """
-    table: dict[int, frozenset[str]] = {}
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        rules: set[str] = set()
-        for match in _SUPPRESS_RE.finditer(text):
-            tag = match.group(1)
-            for rule in match.group(2).split(","):
-                rule = rule.strip()
-                if not rule:
-                    continue
-                if rule == "all" and tag == "flow":
-                    rule = "flow:all"
-                rules.add(rule)
-        if rules:
-            table[lineno] = frozenset(rules)
-    return table
-
-
-def parse_charged_lines(source: str) -> frozenset:
-    """Lines annotated ``# flow: charged`` (FLOW002 declared intent)."""
-    return frozenset(
-        lineno for lineno, text in enumerate(source.splitlines(), start=1)
-        if _CHARGED_RE.search(text))
+def parse_directives(source: str) -> tuple:
+    """``(suppressions, charged)``: each line's disabled rule IDs under
+    either tag (a ``flow:`` ``all`` is stored as ``flow:all``, see
+    :meth:`Module.suppressed`) and the ``# flow: charged`` lines, read
+    from comment tokens only — a string quoting a directive is data."""
+    suppressions: dict[int, frozenset[str]] = {}
+    charged: set[int] = set()
+    if not _DIRECTIVE_RE.search(source):
+        return suppressions, frozenset()
+    try:
+        comments = [(token.start[0], token.string) for token in
+                    tokenize.generate_tokens(io.StringIO(source).readline)
+                    if token.type == tokenize.COMMENT]
+    except (tokenize.TokenError, SyntaxError) as exc:
+        raise AnalysisError(f"cannot tokenize: {exc}") from exc
+    for line, comment in comments:
+        for match in _DIRECTIVE_RE.finditer(comment):
+            if match["charged"]:
+                charged.add(line)
+                continue
+            rules = {rule.strip() for rule in match["rules"].split(",")} - {""}
+            if match["tag"] == "flow" and "all" in rules:
+                rules = rules - {"all"} | {"flow:all"}
+            suppressions[line] = suppressions.get(line, frozenset()) | rules
+    return suppressions, frozenset(charged)
 
 
 def load_module(file: Path, root: Path) -> Module:
@@ -88,15 +86,15 @@ def load_module(file: Path, root: Path) -> Module:
     try:
         source = file.read_text()
         tree = ast.parse(source, filename=str(file))
-    except (OSError, SyntaxError) as exc:
+        suppressions, charged = parse_directives(source)
+    except (OSError, SyntaxError, AnalysisError) as exc:
         raise AnalysisError(f"cannot parse {file}: {exc}") from exc
     rel = file.relative_to(root)
     parts = list(rel.with_suffix("").parts)
     if parts[-1] == "__init__":
         parts.pop()
     return Module(path=rel.as_posix(), name=".".join(parts), tree=tree,
-                  suppressions=parse_suppressions(source),
-                  charged=parse_charged_lines(source))
+                  suppressions=suppressions, charged=charged)
 
 
 def iter_modules(package_dir: Path, root: Path) -> Iterator[Module]:

@@ -66,18 +66,6 @@ class Tlb:
         self._entries.clear()
         self.flush_count += 1
 
-    def invalidate_pfn(self, pfn: int) -> int:
-        """Drop every entry mapping to ``pfn``. Returns #dropped.
-
-        Real x86 cannot do this (no reverse index), which is exactly why
-        SGX eviction uses full flushes via IPIs; the method exists so tests
-        can prove that *partial* invalidation would be insufficient.
-        """
-        victims = [vpn for vpn, e in self._entries.items() if e.pfn == pfn]
-        for vpn in victims:
-            del self._entries[vpn]
-        return len(victims)
-
     def entries(self) -> list[TlbEntry]:
         return list(self._entries.values())
 

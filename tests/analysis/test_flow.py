@@ -46,40 +46,36 @@ class TestCallGraph:
         """Drift tripwire: adding/removing functions or changing the
         resolver shows up here first.  Update deliberately."""
         # Last re-pin, by what moved:
-        # - functions -3: SharedRing._load/_used/_write_wrapped/
-        #   _read_wrapped and EnclaveContext.nested_report gone (-5);
-        #   CallGraph.solve and engine.load_tree new (+2).
-        # - call_edges +29: a method call's receiver is now visited,
-        #   so f().m() is an edge to f (+22, e.g. _key_half ->
-        #   isa.egetkey, five echo entries -> _session_for); the six
-        #   self-recursive functions keep their self-edge (+6);
-        #   nested_report -> nereport gone (-1); check_secret_flow's
-        #   nested analyse and check_charge_coverage's lambda call the
-        #   analysis constructors (+2); run_flow -> load_tree, and the
-        #   mutation runner calls load_tree, build_graph, analyze_graph
-        #   and load_module instead of run_flow (+5).
-        # - weak_edges +30: untyped method calls inside receivers are
-        #   now matched by name (+39); unload_enclave's epcm.clear and
-        #   epc_alloc.free (+4); the four ring helpers' edges gone
-        #   (-13); the flow checks' own calls moved between functions
-        #   (0).
-        # - secret_summaries -3: the ring helpers, nested_report and
-        #   Summary.merge_key gone (-5); check_secret_flow and
-        #   check_charge_coverage return graph.solve(...), whose
-        #   untyped receiver is their graph parameter (+2).
-        # - always_charging -72: a by-name match no longer satisfies a
-        #   charge (the eight functions a never-run lambda body
-        #   satisfied, e.g. registry.specs and pool.run_suite, are among
-        #   them); the receiver edges add none; run_mutation and
-        #   run_flow_mutations now call load_module (+2), whose
-        #   parse_charged_lines docstring quotes the charged annotation.
+        # - functions -10: FLOW001's evaluator is two walkers, _reaches
+        #   and _sink_kind instead of eight visitor methods,
+        #   _scan_expr_for_sinks, _check_sink, _is_transition_sink and
+        #   _param_index (-8); pysource reads both directive kinds in
+        #   one parse_directives (-1); the uncalled Tlb.invalidate_pfn
+        #   is gone (-1).
+        # - call_edges -12: the evaluator's own edges, with one call
+        #   per job in the two walkers (-11); load_module calls one
+        #   directive reader, not two (-1).
+        # - weak_edges -7: no class defines generic_visit any more, so
+        #   the other visitors' generic_visit calls match nothing (-9);
+        #   the evaluator no longer calls ast.walk (-2, matched by name
+        #   to the two walk methods) or findings.clear (-1); .get and
+        #   .add calls, matched by name, moved between functions and
+        #   now sit in more of them (+5).
+        # - secret_summaries +43: a name now carries every value bound
+        #   to it, through for/with/walrus/comprehension targets too,
+        #   so 44 functions gain their first fact and none loses one;
+        #   the deleted _is_transition_sink had one (-1).
+        # - always_charging -4: a quoted "# flow: charged" no longer
+        #   charges, so parse_charged_lines (its docstring), and
+        #   load_module, run_mutation and run_flow_mutations through
+        #   it, drop out.
         assert repo_result.stats == {
             "modules": 138,
-            "functions": 967,
-            "call_edges": 925,
-            "weak_edges": 2281,
-            "secret_summaries": 446,
-            "always_charging": 69,
+            "functions": 957,
+            "call_edges": 913,
+            "weak_edges": 2274,
+            "secret_summaries": 489,
+            "always_charging": 65,
         }
 
     def test_strong_edge_import_resolved(self, repo_result):
@@ -260,6 +256,117 @@ SECRET_FLOW_CASES = {
         """, []),
 }
 
+#: Decided meaning: within one function a name carries the union of
+#: everything bound to it anywhere in the body (branches, handlers and
+#: loop iterations alike), through every binding form, and a sink is
+#: checked wherever a statement evaluates an expression.  Rebinding a
+#: key's name to its ciphertext does not clear it; a fresh name does.
+UNION_CASES = {
+    "rebinding_a_name_keeps_its_key": ("""
+        def export(ctx, gcm):
+            x = ctx.get_key("seal")
+            x = gcm.seal(b"n", x)
+            ctx.ocall("send", x)
+        """, [("FLOW001", 5, "export")]),
+    "fresh_name_for_the_ciphertext_is_clean": ("""
+        def export(ctx, gcm):
+            x = ctx.get_key("seal")
+            sealed = gcm.seal(b"n", x)
+            ctx.ocall("send", sealed)
+        """, []),
+    "if_else_merge": ("""
+        def export(ctx, flag):
+            if flag:
+                blob = ctx.get_key("seal")
+            else:
+                blob = b""
+            ctx.ocall("send", blob)
+        """, [("FLOW001", 7, "export")]),
+    "try_except_merge": ("""
+        def export(ctx):
+            try:
+                blob = ctx.get_key("seal")
+            except KeyError:
+                blob = b""
+            ctx.ocall("send", blob)
+        """, [("FLOW001", 7, "export")]),
+    "loop_carried_after_initialiser": ("""
+        def export(ctx, n):
+            blob = b""
+            while n:
+                ctx.ocall("send", blob)
+                blob = ctx.get_key("seal")
+        """, [("FLOW001", 5, "export")]),
+    "loop_carried_two_deep_after_initialiser": ("""
+        def export(ctx, n):
+            blob = b""
+            prev = b""
+            while n:
+                ctx.ocall("send", blob)
+                blob = prev
+                prev = ctx.get_key("seal")
+        """, [("FLOW001", 6, "export")]),
+    "augmented_assignment": ("""
+        def export(ctx):
+            blob = b"hdr:"
+            blob += ctx.get_key("seal")
+            ctx.ocall("send", blob)
+        """, [("FLOW001", 5, "export")]),
+    "for_target": ("""
+        def export(ctx):
+            for part in ctx.get_key("seal"):
+                ctx.ocall("send", part)
+        """, [("FLOW001", 4, "export")]),
+    "tuple_and_starred_targets": ("""
+        def export(ctx):
+            head, *rest = ctx.get_key("seal")
+            ctx.ocall("send", rest)
+        """, [("FLOW001", 4, "export")]),
+    "with_as_name": ("""
+        def export(ctx, vault):
+            with vault.opened(ctx.get_key("seal")) as handle:
+                ctx.ocall("send", handle)
+        """, [("FLOW001", 4, "export")]),
+    "walrus": ("""
+        def export(ctx):
+            if (blob := ctx.get_key("seal")):
+                ctx.ocall("send", blob)
+        """, [("FLOW001", 4, "export")]),
+    "comprehension_iterable": ("""
+        def export(ctx):
+            ctx.ocall("send", [b ^ 0x5C for b in ctx.get_key("seal")])
+        """, [("FLOW001", 3, "export")]),
+    "sink_in_a_with_item": ("""
+        def export(ctx, session_key):
+            with ctx.ocall("open", session_key):
+                pass
+        """, [("FLOW001", 3, "export")]),
+    "sink_in_a_raise": ("""
+        def export(ctx, session_key):
+            raise ValueError(ctx.ocall("send", session_key))
+        """, [("FLOW001", 3, "export")]),
+    "sink_in_an_assert": ("""
+        def export(ctx, session_key):
+            assert ctx.ocall("send", session_key)
+        """, [("FLOW001", 3, "export")]),
+    "sink_inside_a_comparison": ("""
+        def export(ctx, session_key):
+            return ctx.ocall("send", session_key) == 0
+        """, [("FLOW001", 3, "export")]),
+    "sink_in_a_lambda_body": ("""
+        def export(ctx, session_key, schedule):
+            schedule(lambda: ctx.ocall("send", session_key))
+        """, [("FLOW001", 3, "export")]),
+    "sink_in_a_return": ("""
+        def export(ctx, session_key):
+            return ctx.ocall("send", session_key)
+        """, [("FLOW001", 3, "export")]),
+    "sink_in_a_call_receiver": ("""
+        def export(ctx, session_key):
+            ctx.ocall("send", session_key).hex()
+        """, [("FLOW001", 3, "export")]),
+}
+
 #: Call-argument binding: positional arguments skip the implicit
 #: receiver of bound-method and constructor calls (never that of
 #: staticmethod or unbound ``Cls.method(obj, …)`` calls), and keyword
@@ -358,6 +465,12 @@ class TestSecretFlow:
     @pytest.mark.parametrize("case", sorted(SECRET_FLOW_CASES))
     def test_verdict(self, tmp_path, case):
         source, expected = SECRET_FLOW_CASES[case]
+        findings, _ = check_secret_flow(_graph_of(tmp_path, source))
+        assert _verdict(findings) == expected
+
+    @pytest.mark.parametrize("case", sorted(UNION_CASES))
+    def test_union_of_bindings(self, tmp_path, case):
+        source, expected = UNION_CASES[case]
         findings, _ = check_secret_flow(_graph_of(tmp_path, source))
         assert _verdict(findings) == expected
 
@@ -474,9 +587,20 @@ class TestSuppression:
         assert len(findings) == 1
 
     def test_flow_disable_all_keeps_simlint_rules(self, tmp_path):
-        from repro.analysis.pysource import parse_suppressions
-        table = parse_suppressions("x = 1  # flow: disable=all\n")
+        from repro.analysis.pysource import parse_directives
+        table, _charged = parse_directives("x = 1  # flow: disable=all\n")
         assert table[1] == frozenset({"flow:all"})
+
+    def test_quoted_directive_does_not_silence(self, tmp_path):
+        findings = self._findings(
+            tmp_path, '\n    note = "# flow: disable=FLOW001"')
+        assert len(findings) == 1
+        graph = _graph_of(tmp_path, """
+            def export(ctx, session_key):
+                ctx.ocall("dbg", session_key, f"{1} # flow: disable=all")
+        """)
+        assert _verdict(check_secret_flow(graph)[0]) == [
+            ("FLOW001", 3, "export")]
 
 
 def _round_robin(graph, analyse, initial):
@@ -655,6 +779,19 @@ class TestChargeCoverage:
         findings, _ = check_charge_coverage(graph, ("mod:touch",))
         assert findings == []
 
+    @pytest.mark.parametrize("quoted", [
+        'return n, "# flow: charged"',
+        'return f"{n} # flow: charged"',
+        '"""Return n.  # flow: charged"""\n    return n'])
+    def test_quoted_charged_annotation_declares_nothing(self, tmp_path,
+                                                        quoted):
+        graph = _graph_of(tmp_path, f"""
+def touch(cost, n):
+    {quoted}
+""")
+        findings, _ = check_charge_coverage(graph, ("mod:touch",))
+        assert [f.rule for f in findings] == ["FLOW002"]
+
     def test_always_charging_callee_satisfies(self, tmp_path):
         graph = _graph_of(tmp_path, """
             def helper(cost):
@@ -747,6 +884,7 @@ class TestMutationCorpus:
             "drop-inline-multiline-charge",
             "egetkey-chain-transition-log",
             "helper-chain-key-ocall",
+            "key-through-for-target-ocall",
         ]
 
     def test_every_mutation_is_killed_with_a_witness(self):

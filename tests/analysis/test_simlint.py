@@ -4,7 +4,10 @@ suppression syntax, allowlists, and the JSON report shape."""
 import json
 import textwrap
 
-from repro.analysis.pysource import load_module, parse_suppressions
+import pytest
+
+from repro.analysis.findings import AnalysisError
+from repro.analysis.pysource import load_module, parse_directives
 from repro.analysis.simlint import (DEFAULT_CONFIG, SimlintConfig,
                                     lint_module, lint_tree)
 
@@ -398,9 +401,49 @@ class TestSuppression:
         assert result.suppressed == 2
 
     def test_parse_suppressions_table(self):
-        table = parse_suppressions(
+        table, _charged = parse_directives(
             "x = 1\ny = 2  # simlint: disable=SIM004, SIM005\n")
         assert table == {2: frozenset({"SIM004", "SIM005"})}
+
+    def test_quoted_directive_does_not_suppress(self, tmp_path):
+        result = _lint(tmp_path, """
+        import time
+
+        T = time.time(), "# simlint: disable=SIM002"
+        """)
+        assert [f.rule for f in result.findings] == ["SIM002"]
+        assert result.suppressed == 0
+
+
+#: A directive quoted in a string, a docstring or an f-string is data.
+_QUOTED = {
+    "string": 'note = "{directive}"\n',
+    "docstring": 'def f():\n    """{directive}"""\n',
+    "fstring": 'note = f"{{1}} {directive}"\n',
+}
+_DIRECTIVES = ("# simlint: disable=SIM002", "# flow: disable=FLOW001",
+               "# flow: charged")
+
+
+class TestDirectivesAreComments:
+    @pytest.mark.parametrize("form", sorted(_QUOTED))
+    @pytest.mark.parametrize("directive", _DIRECTIVES)
+    def test_quoted_directive_is_ignored(self, form, directive):
+        source = _QUOTED[form].format(directive=directive)
+        assert parse_directives(source) == ({}, frozenset())
+
+    def test_trailing_comments_are_read(self):
+        table, charged = parse_directives(
+            'x = "#"  # simlint: disable=SIM002\n'
+            'y = f"{x}"  # flow: disable=all\n'
+            'z = x  # flow: charged\n')
+        assert table == {1: frozenset({"SIM002"}),
+                         2: frozenset({"flow:all"})}
+        assert charged == frozenset({3})
+
+    def test_tokenize_error_is_typed(self):
+        with pytest.raises(AnalysisError, match="cannot tokenize"):
+            parse_directives('x = """\n# flow: charged\n')
 
 
 class TestTreeAndReport:

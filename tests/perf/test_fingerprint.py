@@ -54,10 +54,11 @@ def test_fingerprints_are_reproducible_within_process():
 
 
 def test_bulk_copy_compiled_matches_reference_paths():
-    """The access-plan compiler's hot shape must be byte-identical to
-    the per-line reference replay (``MachineConfig.reference_paths``
-    keeps the compiler dead), including the transition-log digest —
-    plan compilation records no transitions."""
+    """The bulk-copy shape served inline from the TLB must be
+    byte-identical to the per-page reference path
+    (``MachineConfig.reference_paths`` turns the inline serve off),
+    including the transition-log digest — the inline serve records no
+    transitions."""
     from repro.perf.fingerprint import bulk_pair, transition_digest
     from repro.sgx.constants import PAGE_SIZE
 

@@ -37,14 +37,6 @@ class TestTlb:
         assert len(tlb) == 0
         assert tlb.flush_count == before + 1
 
-    def test_invalidate_pfn(self):
-        tlb = Tlb(8)
-        tlb.insert(entry(1, pfn=7))
-        tlb.insert(entry(2, pfn=7))
-        tlb.insert(entry(3, pfn=8))
-        assert tlb.invalidate_pfn(7) == 2
-        assert 3 in tlb and 1 not in tlb
-
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             Tlb(0)

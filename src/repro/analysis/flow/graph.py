@@ -59,7 +59,6 @@ class FunctionInfo:
     node: ast.AST                # FunctionDef | AsyncFunctionDef
     qualname: str                # "Core.read", "f.<locals>.g", …
     class_name: str | None       # enclosing class, for self.-resolution
-    scope: str                   # lexical prefix for nested-def lookup
     params: tuple = ()           # positional-only, regular, keyword-only
     posonly: int = 0             # leading params bound by position only
     positional: int = 0          # leading params a position can bind
@@ -234,33 +233,33 @@ def _collect_functions(graph: CallGraph, module: Module) -> None:
     module_funcs: dict = {}
     classes: dict = {}
 
-    def add(node, qualname, class_name, scope):
+    def add(node, qualname, class_name):
         args = node.args
         positional = args.posonlyargs + args.args
         info = FunctionInfo(
             fid=f"{module.name}:{qualname}", module=module, node=node,
-            qualname=qualname, class_name=class_name, scope=scope,
+            qualname=qualname, class_name=class_name,
             params=tuple(a.arg for a in positional + args.kwonlyargs),
             posonly=len(args.posonlyargs), positional=len(positional))
         graph.functions[info.fid] = info
         return info
 
-    def walk(body, prefix, class_name, scope):
+    def walk(body, prefix, class_name):
         for node in body:
             if isinstance(node, _FUNC_NODES):
                 qual = prefix + node.name
-                info = add(node, qual, class_name, scope)
+                info = add(node, qual, class_name)
                 if not prefix:
                     module_funcs[node.name] = info.fid
                 elif prefix.endswith(".") and class_name is not None \
                         and prefix == class_name + ".":
                     classes.setdefault(class_name, {})[node.name] = info.fid
                     graph.methods.setdefault(node.name, set()).add(info.fid)
-                walk(node.body, qual + ".<locals>.", class_name, qual)
+                walk(node.body, qual + ".<locals>.", class_name)
             elif isinstance(node, ast.ClassDef):
-                walk(node.body, node.name + ".", node.name, scope)
+                walk(node.body, node.name + ".", node.name)
 
-    walk(module.tree.body, "", None, "")
+    walk(module.tree.body, "", None)
     graph.module_funcs[module.name] = module_funcs
     graph.classes[module.name] = classes
 

@@ -191,6 +191,10 @@ class _FunctionTaint:
             labels = self.taint_of(node.value)
             self._bind(node.target, labels)
             return labels
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            labels = self.taint_of(node.value)
+            self._returns(labels)    # what the caller's iteration sees
+            return labels
         out: set = set()
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
@@ -275,6 +279,16 @@ class _FunctionTaint:
         else:                    # obj.attr / obj[i]: evaluate the loads
             self.taint_of(target)
 
+    def _returns(self, labels: Labels) -> None:
+        """``labels`` leave this function as its result (``return``, or
+        a value ``yield``-ed to whoever iterates it)."""
+        for label in labels:
+            index = self.param_index.get(label)
+            if index is None:
+                self.summary.return_labels |= {label}
+            else:
+                self.summary.param_to_return.add(index)
+
     def _visit(self, node) -> None:
         """Evaluate one statement (or except handler, ``with`` item,
         match case, comprehension clause): bind what it binds, and
@@ -286,12 +300,7 @@ class _FunctionTaint:
             self._bind(getattr(node, binding[0]),
                        self.taint_of(getattr(node, binding[1])))
         elif isinstance(node, ast.Return):
-            for label in self.taint_of(node.value):
-                index = self.param_index.get(label)
-                if index is None:
-                    self.summary.return_labels |= {label}
-                else:
-                    self.summary.param_to_return.add(index)
+            self._returns(self.taint_of(node.value))
             return
         for name, value in ast.iter_fields(node):
             if name in binding:

@@ -26,8 +26,10 @@ that is not a plain literal is a :class:`SqlError`.
 from __future__ import annotations
 
 import base64
+import hashlib
 import re
 from ast import literal_eval
+from collections import OrderedDict
 
 from repro.apps.minidb import Database, SqlError, parse
 from repro.apps.minidb import ast_nodes as ast
@@ -144,19 +146,59 @@ class _TenantConfig:
 _TENANTS: dict[int, _TenantConfig] = {}
 
 
+#: Entries kept by each value memo below.  A YCSB tenant revisits its
+#: record keys and reads back values it updated a few hundred requests
+#: earlier; every UPDATE brings a fresh value, so the memos must be
+#: bounded to keep memory flat under sustained load.
+_MEMO_SIZE = 1024
+
+#: Value-crypto memos, least recently used first: ``(key, repr(literal))
+#: -> sealed cell`` and ``(key, cell) -> the str it opens to``.  Both
+#: helpers are pure functions of the tenant's key and their text (the
+#: seal nonce is a hash of the literal), so a hit returns what the
+#: crypto would.  Keying by key bytes means a cell sealed under another
+#: tenant's key, or a tampered cell, never hits: it takes the real
+#: ``open`` and stays opaque.  Only successful seals and opens of str
+#: values are kept (a result the caller could mutate never is).
+_SEALED: OrderedDict = OrderedDict()
+_OPENED: OrderedDict = OrderedDict()
+
+
+def _remember(memo: OrderedDict, entry: tuple, value: str) -> None:
+    memo[entry] = value
+    if len(memo) > _MEMO_SIZE:
+        memo.popitem(last=False)
+
+
 def _seal_value(gcm: AesGcm, value) -> str:
     """Deterministically encrypt one literal so equality predicates still
     match (classic deterministic-encryption tradeoff, fine for keys)."""
-    raw = repr(value).encode()
-    import hashlib
+    text = repr(value)
+    entry = (gcm.key, text)
+    cell = _SEALED.get(entry)
+    if cell is not None:
+        _SEALED.move_to_end(entry)
+        return cell
+    raw = text.encode()
     nonce = hashlib.sha256(raw).digest()[:12]
     sealed = gcm.seal(nonce, raw)
-    return "enc:" + base64.b64encode(nonce + sealed).decode()
+    cell = "enc:" + base64.b64encode(nonce + sealed).decode()
+    _remember(_SEALED, entry, cell)
+    if type(value) is str:
+        # What opening the cell gives back: the SELECT that reads a
+        # value this tenant just wrote is a hit.
+        _remember(_OPENED, (gcm.key, cell), value)
+    return cell
 
 
 def _open_value(gcm: AesGcm, stored):
     if not isinstance(stored, str) or not stored.startswith("enc:"):
         return stored
+    entry = (gcm.key, stored)
+    value = _OPENED.get(entry)
+    if value is not None:
+        _OPENED.move_to_end(entry)
+        return value
     blob = base64.b64decode(stored[4:])
     try:
         raw = gcm.open(blob[:12], blob[12:])
@@ -164,7 +206,10 @@ def _open_value(gcm: AesGcm, stored):
         # Another tenant's ciphertext: this tenant's key cannot open
         # it, so the cell stays opaque — the isolation property.
         return stored
-    return _literal(raw.decode())
+    value = _literal(raw.decode())
+    if type(value) is str:
+        _remember(_OPENED, entry, value)
+    return value
 
 
 def _rewrite_sql(gcm: AesGcm, sql: str, machine) -> str:

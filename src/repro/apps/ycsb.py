@@ -40,9 +40,27 @@ def _key(i: int) -> str:
     return f"user{i:08d}"
 
 
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+#: ``rng.choice(_LETTERS)`` takes the top 5 bits of one 32-bit word and
+#: redraws values of 26 or more.  Indexed by a word's top byte ``b``:
+#: the letter ``b >> 3`` picks; bytes from 208 up are the rejects.
+_TOP_BYTE_LETTER = bytes(ord(_LETTERS[b >> 3]) if b < 208 else 0
+                         for b in range(256))
+_REJECTED = bytes(range(208, 256))
+
+
 def _value(rng: random.Random, nbytes: int = 100) -> str:
-    return "".join(rng.choice("abcdefghijklmnopqrstuvwxyz")
-                   for _ in range(nbytes))
+    """``nbytes`` letters of ``rng.choice(_LETTERS)``, drawn word for
+    word: ``getrandbits(32 * need)`` yields the same words, first word
+    least significant, so the same string comes out and the generator
+    ends in the same state."""
+    out = b""
+    while len(out) < nbytes:
+        need = nbytes - len(out)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        out += words[3::4].translate(_TOP_BYTE_LETTER, _REJECTED)
+    return out.decode()
 
 
 def load_statements(record_count: int, seed: int = 7) -> list[str]:

@@ -152,7 +152,13 @@ class AesGcm:
     TAG_LEN = 16
 
     def __init__(self, key: bytes) -> None:
-        self._rk, self._tables, self._rk_array = _key_state(bytes(key))
+        self._key = bytes(key)
+        self._rk, self._tables, self._rk_array = _key_state(self._key)
+
+    @property
+    def key(self) -> bytes:
+        """The key this cipher was built from."""
+        return self._key
 
     def _j0(self, nonce: bytes) -> int:
         if len(nonce) == 12:

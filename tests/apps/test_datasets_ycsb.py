@@ -1,12 +1,15 @@
 """Dataset generator (Table V) and YCSB workload generator tests."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.apps.datasets import SPECS_BY_NAME, TABLE_V, generate, \
     generate_all
 from repro.apps.minidb import Database
-from repro.apps.ycsb import MIXES, load_statements, workload
+from repro.apps.ycsb import MIXES, _LETTERS, _value, load_statements, \
+    workload
 
 
 class TestDatasets:
@@ -125,3 +128,17 @@ class TestYcsb:
                                "50% SELECT & 50% UPDATE",
                                "95% SELECT & 5% UPDATE",
                                "100% SELECT"]
+
+
+class TestValue:
+    """``_value`` against ``rng.choice`` letter by letter.  A CPython
+    change to ``choice`` or ``getrandbits`` fails here, not as drifted
+    Table VI strings."""
+
+    @pytest.mark.parametrize("nbytes", [0, 1, 7, 100])
+    def test_same_string_and_generator_state(self, nbytes):
+        for seed in range(300):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert _value(ours, nbytes) == "".join(
+                theirs.choice(_LETTERS) for _ in range(nbytes)), seed
+            assert ours.getstate() == theirs.getstate(), seed

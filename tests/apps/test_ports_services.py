@@ -3,7 +3,9 @@ library-sharing ports (case studies VI-B / VI-C)."""
 
 import gc
 import hashlib
+import random
 from ast import literal_eval
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from repro.apps.ports.mlservice import (MonolithicMlService,
 from repro.apps.ports.sharing import (baseline_combined,
                                       baseline_separate, nested_shared)
 from repro.core import NestedValidator, audit_machine
+from repro.crypto.gcm import AesGcm
 from repro.os import Kernel
 from repro.sdk import EnclaveHost
 from repro.sgx import Machine
@@ -167,6 +170,115 @@ class TestDbService:
         tenant.execute("INSERT INTO t VALUES (5, 'val')")
         assert tenant.execute("SELECT v FROM t WHERE k = 5") \
             == [("val",)]
+
+
+class TestMeasuredDbImages:
+    """MRENCLAVE of the minidb images, pinned.  The builder measures
+    each entry's source, so an edit to ``_db_execute`` or
+    ``_nested_query`` moves these (and the ycsb and serving bench
+    digests): it must fail here first, as a deliberate re-pin."""
+
+    def test_db_lib_and_tenant_mrenclave(self):
+        service = NestedDbService(fresh_host())
+        tenant = service.add_tenant(key_for(b"t"))
+        assert service.library.image.sigstruct.expected_mrenclave.hex() \
+            == ("679e78aa86722135748c5bddc4428eb9"
+                "60a6b98652be58909847045848a378c9")
+        assert tenant.handle.image.sigstruct.expected_mrenclave.hex() \
+            == ("a9b6d4054d2e2d32e33f7d7c22bc499f"
+                "3421a1a6c856426a9e7692564d0b870b")
+
+
+@pytest.fixture
+def memos(monkeypatch):
+    """Empty value memos for one test; the module's own come back."""
+    monkeypatch.setattr(dbservice, "_SEALED", OrderedDict())
+    monkeypatch.setattr(dbservice, "_OPENED", OrderedDict())
+
+
+def _bypassed(helper, *args):
+    """``helper(*args)`` with the value memos out of the way: empty, and
+    bounded at 0 so nothing the call remembers survives it."""
+    saved = dbservice._MEMO_SIZE, dbservice._SEALED, dbservice._OPENED
+    dbservice._MEMO_SIZE = 0
+    dbservice._SEALED, dbservice._OPENED = OrderedDict(), OrderedDict()
+    try:
+        return helper(*args)
+    finally:
+        dbservice._MEMO_SIZE, dbservice._SEALED, dbservice._OPENED = saved
+
+
+def _tampered(cell: str, index: int) -> str:
+    """``cell`` with the base64 character at ``index`` replaced by
+    another alphabet character."""
+    flipped = "B" if cell[index] == "A" else "A"
+    return cell[:index] + flipped + cell[index + 1:]
+
+
+@pytest.mark.usefixtures("memos")
+class TestValueMemo:
+    """``_seal_value``/``_open_value`` with their memos answer exactly
+    as without them, and remember only what this key sealed or
+    opened."""
+
+    GCMS = (AesGcm(key_for(b"a")), AesGcm(key_for(b"b")))
+    LITERALS = ("user00000001", "", "it's", "back\\slash", "\u00e9t\u00e9",
+                "x" * 100, "enc:not-a-cell", "'quoted'")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_sequences_match_the_uncached_helpers(
+            self, monkeypatch, seed):
+        monkeypatch.setattr(dbservice, "_MEMO_SIZE", 4)  # evictions too
+        rng = random.Random(seed)
+        cells = [None, 7, "plain"]
+        for _ in range(300):
+            gcm = rng.choice(self.GCMS)
+            if rng.random() < 0.5:
+                literal = rng.choice(self.LITERALS)
+                cell = dbservice._seal_value(gcm, literal)
+                assert cell == _bypassed(dbservice._seal_value, gcm,
+                                         literal)
+                cells.append(cell)
+            else:
+                cell = rng.choice(cells)
+                assert dbservice._open_value(gcm, cell) \
+                    == _bypassed(dbservice._open_value, gcm, cell)
+            assert len(dbservice._SEALED) <= 4
+            assert len(dbservice._OPENED) <= 4
+
+    def test_seal_records_what_open_returns(self):
+        mine = self.GCMS[0]
+        cell = dbservice._seal_value(mine, "v")
+        assert dbservice._OPENED[(mine.key, cell)] == "v" \
+            == _bypassed(dbservice._open_value, mine, cell)
+
+    def test_another_tenants_cell_stays_opaque(self):
+        mine, theirs = self.GCMS
+        cell = dbservice._seal_value(theirs, "their-secret")
+        before = dict(dbservice._OPENED)
+        for _ in range(2):
+            assert dbservice._open_value(mine, cell) == cell \
+                == _bypassed(dbservice._open_value, mine, cell)
+        assert dict(dbservice._OPENED) == before
+        assert (mine.key, cell) not in dbservice._OPENED
+
+    def test_tampered_cell_stays_opaque(self):
+        mine = self.GCMS[0]
+        cell = dbservice._seal_value(mine, "value")
+        before = dict(dbservice._OPENED)
+        for index in range(4, len(cell) - 4, 7):
+            bad = _tampered(cell, index)
+            assert dbservice._open_value(mine, bad) == bad \
+                == _bypassed(dbservice._open_value, mine, bad)
+        assert dict(dbservice._OPENED) == before
+
+    def test_bound_holds_past_ten_times_its_size(self):
+        mine = self.GCMS[0]
+        for i in range(10 * dbservice._MEMO_SIZE):
+            cell = dbservice._seal_value(mine, f"v{i}")
+            assert dbservice._open_value(mine, cell) == f"v{i}"
+        assert len(dbservice._SEALED) == dbservice._MEMO_SIZE
+        assert len(dbservice._OPENED) == dbservice._MEMO_SIZE
 
 
 @pytest.mark.filterwarnings("ignore:invalid escape sequence")

@@ -17,6 +17,9 @@ Sanitizers
     Authenticated encryption declassifies: the result of a ``seal`` /
     ``seal_record`` / ``seal_out`` / ``encrypt`` call is ciphertext.
     Comparisons also declassify (a boolean verdict is not the key).
+    An unresolved ``.get``/``.pop`` is a mapping lookup: its result
+    carries the receiver's and the default's taint, not the lookup
+    key's.  A subscript ``table[secret]`` keeps its index's taint.
 
 Sinks
     Arguments of any ``*.ocall(name, …)`` call, after the interface
@@ -32,7 +35,9 @@ Within a function the environment is flow-insensitive: a name carries
 the union of every value bound to it anywhere in the body (assignment,
 ``for``, ``with … as``, walrus and comprehension targets), so branches,
 handlers and loops need no merge rules.  Each value is evaluated once,
-and that evaluation checks every sink inside it.
+and that evaluation checks every sink inside it.  A name bound to a
+lambda also carries the lambda body's taint as what a call of the name
+returns.
 
 Cross-function flow facts: which parameters reach the return value,
 whether the return is tainted regardless of arguments, and which
@@ -62,6 +67,9 @@ _SECRET_NAME_RE = re.compile(
 _SOURCE_CALLS = frozenset({"get_key", "egetkey", "nereport_key"})
 _SANITIZER_CALLS = frozenset({"seal", "seal_record", "encrypt",
                               "seal_out"})
+#: Unresolved method calls that look a value up: the result is a value
+#: stored in the receiver (or the default), never the lookup key.
+_LOOKUP_CALLS = frozenset({"get", "pop"})
 
 Labels = frozenset  # of str — where the taint came from
 
@@ -162,6 +170,8 @@ class _FunctionTaint:
         self.graph = graph
         self.summaries = summaries
         self.env: dict = {}
+        self.lambdas: dict = {}            # ast.Lambda -> its body's taint
+        self.callables: dict = {}          # name -> taint a call returns
         self.param_index: dict = {}        # parameter label -> index
         for index, name in enumerate(info.params):
             labels = {f"param:{info.qualname}:{name}"}
@@ -201,10 +211,13 @@ class _FunctionTaint:
                 out |= self.taint_of(child)
             elif isinstance(child, (ast.comprehension, ast.arguments)):
                 self._visit(child)   # a clause's binding, lambda defaults
-        if isinstance(node, (ast.Compare, ast.Lambda)):
-            # A boolean verdict declassifies; a lambda is a value whose
-            # body runs elsewhere (its sinks are still checked above).
+        if isinstance(node, ast.Lambda):
+            # A lambda is a value whose body runs where it is called
+            # (its sinks are still checked above).
+            self.lambdas[node] = frozenset(out)
             return frozenset()
+        if isinstance(node, ast.Compare):
+            return frozenset()       # a boolean verdict declassifies
         return frozenset(out)
 
     def _taint_of_call(self, node: ast.Call) -> Labels:
@@ -230,9 +243,15 @@ class _FunctionTaint:
         target, _weak = self.graph.resolve_call(self.info, node)
         summary = self.summaries.get(target) if target else None
         if summary is None:
+            if bare in _LOOKUP_CALLS and isinstance(func, ast.Attribute):
+                return receiver.union(*(values[arg]
+                                        for arg in node.args[1:]))
             # Unknown callee: conservative, taint flows through (the
-            # receiver of a method call counts as an argument).
-            return receiver.union(*values.values())
+            # receiver of a method call counts as an argument), and a
+            # name bound to a lambda returns that lambda body's taint.
+            called = self.callables.get(func.id, frozenset()) \
+                if isinstance(func, ast.Name) else frozenset()
+            return called.union(receiver, *values.values())
         labels = set(summary.return_labels)
         for index, arg in _bind_args(self.graph.functions[target], node):
             if index in summary.param_to_return:
@@ -279,6 +298,15 @@ class _FunctionTaint:
         else:                    # obj.attr / obj[i]: evaluate the loads
             self.taint_of(target)
 
+    def _bind_callable(self, target, labels: Labels) -> None:
+        """A call of the name(s) ``target`` binds returns ``labels``."""
+        for name in target if isinstance(target, list) else [target]:
+            if isinstance(name, ast.Name):
+                have = self.callables.get(name.id, frozenset())
+                if not labels <= have:
+                    self.callables[name.id] = have | labels
+                    self.grew = True
+
     def _returns(self, labels: Labels) -> None:
         """``labels`` leave this function as its result (``return``, or
         a value ``yield``-ed to whoever iterates it)."""
@@ -297,8 +325,10 @@ class _FunctionTaint:
             return               # nested defs are their own graph nodes
         binding = _BINDINGS.get(type(node), ())
         if binding:
-            self._bind(getattr(node, binding[0]),
-                       self.taint_of(getattr(node, binding[1])))
+            target, value = (getattr(node, attr) for attr in binding)
+            self._bind(target, self.taint_of(value))
+            if isinstance(value, ast.Lambda):
+                self._bind_callable(target, self.lambdas[value])
         elif isinstance(node, ast.Return):
             self._returns(self.taint_of(node.value))
             return

@@ -101,7 +101,7 @@ def _specs_paper() -> list[ExperimentSpec]:
             quick=lambda: exp.run_table6(operations=500, records=200),
             full=lambda: exp.run_table6(operations=10_000,
                                         records=1000),
-            budget_s=120, full_budget_s=540, cost_hint=3.3,
+            budget_s=120, full_budget_s=540, cost_hint=1.9,
             claims=claims.TABLE6),
         ExperimentSpec(
             "table7", exp.run_table7, exp.run_table7,
@@ -112,13 +112,13 @@ def _specs_paper() -> list[ExperimentSpec]:
             quick=lambda: exp.run_fig7(chunk_sizes=(128, 2048, 16384),
                                        total_bytes=64 << 10),
             full=lambda: exp.run_fig7(total_bytes=1 << 20),
-            budget_s=60, full_budget_s=160, cost_hint=0.9,
+            budget_s=60, full_budget_s=160, cost_hint=0.56,
             claims=claims.FIG7),
         ExperimentSpec(
             "fig9",
             quick=lambda: exp.run_fig9(scales=FIG9_QUICK_SCALES),
             full=exp.run_fig9,
-            budget_s=120, full_budget_s=120, cost_hint=1.2,
+            budget_s=120, full_budget_s=120, cost_hint=0.89,
             claims=claims.FIG9),
         ExperimentSpec(
             "fig10",
@@ -134,7 +134,7 @@ def _specs_paper() -> list[ExperimentSpec]:
             "fig11",
             quick=lambda: exp.run_fig11(chunks=(64, 1024, 8192)),
             full=exp.run_fig11,
-            budget_s=120, full_budget_s=120, cost_hint=6,
+            budget_s=120, full_budget_s=120, cost_hint=6.9,
             claims=claims.FIG11),
         ExperimentSpec(
             "host-serving",
@@ -163,7 +163,7 @@ def _specs_paper() -> list[ExperimentSpec]:
         ExperimentSpec(
             "ablation-d3", exp.run_d3_flush_sensitivity,
             exp.run_d3_flush_sensitivity,
-            budget_s=60, full_budget_s=60, cost_hint=0.9,
+            budget_s=60, full_budget_s=60, cost_hint=0.53,
             claims=claims.D3),
         ExperimentSpec(
             "ablation-d4", exp.run_d4_depth, exp.run_d4_depth,

@@ -8,6 +8,7 @@ import pytest
 from repro.crypto.gcm import AesGcm
 from repro.crypto.hashaead import HashAead
 from repro.errors import CryptoError
+from tests.crypto.handoff_helpers import computed_open
 
 KEY = bytes(range(16))
 NONCE = b"\x01" * 12
@@ -18,7 +19,8 @@ class TestHashAead:
     def test_roundtrip(self):
         aead = HashAead(KEY)
         ct = aead.seal(NONCE, b"attack at dawn", AAD)
-        assert aead.open(NONCE, ct, AAD) == b"attack at dawn"
+        assert aead.open(NONCE, ct, AAD) == b"attack at dawn" \
+            == computed_open(aead, NONCE, ct, AAD)
 
     def test_ciphertext_hides_plaintext(self):
         ct = HashAead(KEY).seal(NONCE, b"secret-payload", b"")
@@ -90,7 +92,8 @@ class TestHashAead:
         sealed = aead.seal(NONCE, plaintext, AAD)
         assert len(sealed) == length + HashAead.TAG_LEN
         assert hashlib.sha256(sealed).hexdigest() == digest
-        assert aead.open(NONCE, sealed, AAD) == plaintext
+        assert aead.open(NONCE, sealed, AAD) == plaintext \
+            == computed_open(aead, NONCE, sealed, AAD)
 
     def test_deterministic(self):
         assert (HashAead(KEY).seal(NONCE, b"p", AAD)

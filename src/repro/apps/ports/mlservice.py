@@ -23,9 +23,11 @@ exposes them to library-resident code.
 
 from __future__ import annotations
 
+from collections import OrderedDict, deque
+
 import numpy as np
 
-from repro.apps.minisvm import SvcModel, svm_train
+from repro.apps.minisvm import SvcModel, SvmError, svm_train
 from repro.apps.ports import handle_state
 from repro.crypto.gcm import AesGcm
 from repro.sdk import EnclaveBuilder, EnclaveHost, parse_edl
@@ -89,8 +91,37 @@ def unpack_matrix(data: bytes) -> tuple[np.ndarray, np.ndarray | None]:
 
 # -- library-side state -------------------------------------------------------
 
+#: How many of the most recent matrices, and of the most recently used
+#: models, one library keeps.  Unbounded, both grew by an entry per
+#: train or predict for as long as the service ran.
+_LIBRARY_KEEP = 64
+
+
+class _ModelTable:
+    """``model_id -> model``, least recently used first, holding at most
+    :data:`_LIBRARY_KEEP` models.  An unknown or evicted id raises
+    :class:`SvmError`."""
+
+    def __init__(self) -> None:
+        self._models: OrderedDict[int, SvcModel] = OrderedDict()
+
+    def __setitem__(self, model_id: int, model: SvcModel) -> None:
+        self._models[model_id] = model
+        if len(self._models) > _LIBRARY_KEEP:
+            self._models.popitem(last=False)
+
+    def __getitem__(self, model_id: int) -> SvcModel:
+        try:
+            self._models.move_to_end(model_id)
+        except KeyError:
+            raise SvmError(
+                f"no model {model_id}: never trained or evicted") from None
+        return self._models[model_id]
+
+
 class _LibraryState:
-    """Models + a record of every matrix the library code observed.
+    """Models + a record of the most recent matrices the library code
+    observed.
 
     ``observed`` is the attack surface: in the monolithic layout it
     contains raw client features; in the nested layout it only ever sees
@@ -99,9 +130,9 @@ class _LibraryState:
     """
 
     def __init__(self) -> None:
-        self.models: dict[int, SvcModel] = {}
+        self.models = _ModelTable()
         self.next_id = 1
-        self.observed: list[np.ndarray] = []
+        self.observed: deque[np.ndarray] = deque(maxlen=_LIBRARY_KEEP)
 
 
 _LIBRARIES: dict[int, _LibraryState] = {}
@@ -288,10 +319,10 @@ class NestedMlService:
         return session
 
     def library_observed(self) -> list[np.ndarray]:
-        """Every matrix that reached library-domain code."""
+        """The most recent matrices that reached library-domain code."""
         if self.library is None:
             return []
-        return _library_for(self.library).observed
+        return list(_library_for(self.library).observed)
 
 
 class MonolithicMlService:

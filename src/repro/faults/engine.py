@@ -37,8 +37,8 @@ and MEE version/ciphertext churn (neither is folded into any experiment's
 :class:`~repro.errors.FaultInjectionError` on any violation.
 
 Malicious faults (DRAM bit flips) tamper the physical line right before
-the triggering read, so the MEE MAC check fails *in that access* with a
-typed :class:`~repro.errors.IntegrityViolation`.
+the triggering read, so the MEE integrity check fails *in that access*
+with a typed :class:`~repro.errors.IntegrityViolation`.
 """
 
 from __future__ import annotations
@@ -258,8 +258,8 @@ class FaultEngine:
     def _inject_bitflip(self, core: "Core", vaddr: int, is_write: bool,
                         spec) -> bool:
         """Flip bits in the DRAM line the triggering *read* is about to
-        fetch; the in-flight access then fails the MEE MAC check with a
-        typed IntegrityViolation.  Writes are skipped: a full-line write
+        fetch; the in-flight access then fails the MEE integrity check with
+        a typed IntegrityViolation.  Writes are skipped: a full-line write
         would legitimately overwrite the tampered ciphertext undetected.
         """
         if is_write or core.address_space is None:

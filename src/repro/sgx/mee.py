@@ -30,34 +30,36 @@ The cipher is defined per line — keystream
 ``SHA-256(key ‖ addr ‖ version) ‖ SHA-256(that block)``, MAC
 ``HMAC-SHA-256(mac_key, addr ‖ ciphertext)`` — but the machine hands the
 MEE whole line-aligned spans (:meth:`Mee.decrypt_lines`,
-:meth:`Mee.encrypt_lines`).  One loop over the span's lines does the
-per-line MAC check, version bump and keystream; the span is then XORed
-as one wide integer instead of one byte at a time.  Three SHA-256
-states are built once per MEE and copied per line: the keystream state
-over the key, and the RFC 2104 inner and outer pad states of the MAC key
-(:func:`~repro.crypto.kdf.hmac_pads`).  The span loops run the HMAC
-(inner copy, update, outer copy, update with the inner digest) inline,
-with no ``hmac.HMAC`` object or Python call per line.
+:meth:`Mee.encrypt_lines`).  One loop over the span's lines bumps each
+version and derives its keystream from a SHA-256 state over the key,
+built once per MEE and copied per line; the span is then XORed as one
+wide integer instead of one byte at a time.
 
-Each keystream is derived once.  A line's keystream is a pure function
-of (address, version), and only :meth:`Mee.encrypt_lines` sets a
-version: it derives the two SHA-256 blocks for the new version and
-records them next to the line's MAC and version.  A fill
-(:meth:`Mee.decrypt_lines`) checks the line's MAC first and only then
-XORs with the recorded keystream, so it hashes only the MAC.  Every
-line with a MAC has a recorded keystream: ``encrypt_lines`` is the only
-writer of all three records, and :meth:`Mee.forget_page` drops them
-together (after which the line reads as never written).
+One record per line.  Only :meth:`Mee.encrypt_lines` sets a version,
+and it records ``(version, ciphertext, plaintext)`` for each line it
+writes back.  A fill (:meth:`Mee.decrypt_lines`) compares DRAM with the
+recorded ciphertext and returns the recorded plaintext, so it hashes
+nothing.  The compare catches every change a MAC check would (a flipped
+bit, a replayed older ciphertext, a line copied from another address)
+and reads back a tamper undone byte for byte, as the MAC does.  A line
+with no record reads as never written: it must be all zeros.  Line MACs
+have no other reader than :meth:`Mee.root_mac`, which computes each from
+the recorded ciphertext (inline HMAC from the RFC 2104 pad states of
+:func:`~repro.crypto.kdf.hmac_pads`) and keeps it until the line's next
+writeback.  :meth:`Mee.forget_page` drops both.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac
 
 from repro.crypto.kdf import hmac_pads
 from repro.errors import IntegrityViolation
 from repro.sgx.constants import CACHELINE_SIZE, MachineConfig, PAGE_SIZE
+
+#: The record of a line no writeback has touched: version 0, and zeros
+#: in DRAM and in the plaintext (fresh EPC page contents).
+_UNWRITTEN = (0, bytes(CACHELINE_SIZE), bytes(CACHELINE_SIZE))
 
 
 class Mee:
@@ -72,52 +74,44 @@ class Mee:
         # copies them instead of re-absorbing a key.
         self._stream_base = hashlib.sha256(self.key)
         self._mac_inner, self._mac_outer = hmac_pads(self._mac_key)
-        # line physical address -> MAC of current ciphertext (on-chip state
-        # in the model; real HW stores MACs in PRM metadata + counters).
-        self._line_macs: dict[int, bytes] = {}
-        # line -> monotonically bumped version (anti-replay counter).
-        self._versions: dict[int, int] = {}
-        # line -> its 64 B keystream for the current version, recorded
-        # by the writeback that set the version.
-        self._streams: dict[int, bytes] = {}
+        # line physical address -> (version, ciphertext, plaintext) of its
+        # last writeback: the anti-replay counter and what DRAM must hold
+        # (on-chip state in the model; real HW keeps counters and MACs).
+        self._lines: dict[int, tuple[int, bytes, bytes]] = {}
+        # line -> MAC of its recorded ciphertext, computed by root_mac()
+        # and dropped by the line's next writeback.
+        self._macs: dict[int, bytes] = {}
 
     # -- span operations ------------------------------------------------------
     def encrypt_lines(self, first_line_addr: int, plaintext: bytes) -> bytes:
         """Encrypt whole lines starting at ``first_line_addr`` on LLC→DRAM
-        writeback; bumps each line's version and records its MAC."""
+        writeback; bumps each line's version and records the line."""
         size = len(plaintext)
         if size % CACHELINE_SIZE:
             raise ValueError("MEE operates on whole cachelines")
-        versions = self._versions
-        streams = self._streams
+        lines = self._lines
         stream_copy = self._stream_base.copy
         sha256 = hashlib.sha256
+        addrs = range(first_line_addr, first_line_addr + size, CACHELINE_SIZE)
+        versions = []
         stream = []
-        for addr in range(first_line_addr, first_line_addr + size,
-                          CACHELINE_SIZE):
-            version = versions.get(addr, 0) + 1
-            versions[addr] = version
+        for addr in addrs:
+            version = lines.get(addr, _UNWRITTEN)[0] + 1
+            versions.append(version)
             h = stream_copy()
             h.update(addr.to_bytes(8, "little")
                      + version.to_bytes(8, "little"))
             block = h.digest()
-            line_stream = block + sha256(block).digest()
-            streams[addr] = line_stream
-            stream.append(line_stream)
+            stream.append(block + sha256(block).digest())
         ciphertext = (int.from_bytes(plaintext, "little")
                       ^ int.from_bytes(b"".join(stream), "little")
                       ).to_bytes(size, "little")
-        macs = self._line_macs
-        inner_copy = self._mac_inner.copy
-        outer_copy = self._mac_outer.copy
-        for off in range(0, size, CACHELINE_SIZE):
-            addr = first_line_addr + off
-            i = inner_copy()
-            i.update(addr.to_bytes(8, "little")
-                     + ciphertext[off:off + CACHELINE_SIZE])
-            o = outer_copy()
-            o.update(i.digest())
-            macs[addr] = o.digest()
+        drop_mac = self._macs.pop
+        for off, addr, version in zip(range(0, size, CACHELINE_SIZE), addrs,
+                                      versions):
+            end = off + CACHELINE_SIZE
+            lines[addr] = (version, ciphertext[off:end], plaintext[off:end])
+            drop_mac(addr, None)
         return ciphertext
 
     def decrypt_lines(self, first_line_addr: int, ciphertext: bytes) -> bytes:
@@ -128,51 +122,44 @@ class Mee:
         size = len(ciphertext)
         if size % CACHELINE_SIZE:
             raise ValueError("MEE operates on whole cachelines")
-        macs = self._line_macs
-        streams = self._streams
-        inner_copy = self._mac_inner.copy
-        outer_copy = self._mac_outer.copy
-        stream = []
-        for off in range(0, size, CACHELINE_SIZE):
-            addr = first_line_addr + off
-            line = ciphertext[off:off + CACHELINE_SIZE]
-            expected = macs.get(addr)
-            if expected is None:
-                # Never written through the MEE: a fill of an untouched
-                # line returns zeros (fresh EPC page contents).  The line
-                # is all zeros, so it is its own keystream.
-                if any(line):
+        get = self._lines.get
+        records = [get(addr, _UNWRITTEN) for addr in range(
+            first_line_addr, first_line_addr + size, CACHELINE_SIZE)]
+        if b"".join([record[1] for record in records]) != ciphertext:
+            for off, record in zip(range(0, size, CACHELINE_SIZE), records):
+                if ciphertext[off:off + CACHELINE_SIZE] == record[1]:
+                    continue
+                addr = first_line_addr + off
+                if record is _UNWRITTEN:
                     raise IntegrityViolation(
                         f"DRAM tampering: line {addr:#x} modified "
                         f"before first MEE write")
-                stream.append(line)
-                continue
-            addr_bytes = addr.to_bytes(8, "little")
-            i = inner_copy()
-            i.update(addr_bytes + line)
-            o = outer_copy()
-            o.update(i.digest())
-            if not hmac.compare_digest(expected, o.digest()):
                 raise IntegrityViolation(
                     f"DRAM tampering detected on line {addr:#x}")
-            stream.append(streams[addr])
-        return (int.from_bytes(ciphertext, "little")
-                ^ int.from_bytes(b"".join(stream), "little")
-                ).to_bytes(size, "little")
+        return b"".join([record[2] for record in records])
 
     def root_mac(self) -> bytes:
         """MAC over all line MACs — the on-chip integrity-tree root."""
+        lines = self._lines
+        macs = self._macs
         inner = self._mac_inner.copy()
-        for addr in sorted(self._line_macs):
-            inner.update(addr.to_bytes(8, "little"))
-            inner.update(self._line_macs[addr])
+        for addr in sorted(lines):
+            addr_bytes = addr.to_bytes(8, "little")
+            mac = macs.get(addr)
+            if mac is None:
+                i = self._mac_inner.copy()
+                i.update(addr_bytes + lines[addr][1])
+                o = self._mac_outer.copy()
+                o.update(i.digest())
+                mac = macs[addr] = o.digest()
+            inner.update(addr_bytes)
+            inner.update(mac)
         outer = self._mac_outer.copy()
         outer.update(inner.digest())
         return outer.digest()
 
     def forget_page(self, page_addr: int) -> None:
         """Drop per-line state for a reclaimed EPC page (EREMOVE/EWB)."""
-        for off in range(0, PAGE_SIZE, CACHELINE_SIZE):
-            self._line_macs.pop(page_addr + off, None)
-            self._versions.pop(page_addr + off, None)
-            self._streams.pop(page_addr + off, None)
+        for addr in range(page_addr, page_addr + PAGE_SIZE, CACHELINE_SIZE):
+            self._lines.pop(addr, None)
+            self._macs.pop(addr, None)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.minidb import SqlError
+from repro.apps.minisvm import SvmError
 from repro.apps.minissl.client import SslClient
 from repro.apps.ports import dbservice, echo, mlservice
 from repro.apps.ports.dbservice import (MonolithicDbService,
@@ -110,6 +111,57 @@ def _rogue_db_execute(ctx, sql):
     return f"ROWS\n{cell}".encode()
 
 
+class TestLibraryBound:
+    """A library keeps its most recent matrices and its most recently
+    used models, at most ``_LIBRARY_KEEP`` of each; an unknown or
+    evicted model id is a typed :class:`SvmError` through the ecall."""
+
+    X = np.array([[1.0, 1.0], [1.2, 0.8], [-1.0, -1.0], [-0.8, -1.2]])
+    Y = np.array([1, 1, 2, 2])
+    KEEP = 4
+
+    @pytest.fixture(autouse=True)
+    def small_bound(self, monkeypatch):
+        monkeypatch.setattr(mlservice, "_LIBRARY_KEEP", self.KEEP)
+
+    @pytest.mark.parametrize("layout", [NestedMlService,
+                                        MonolithicMlService])
+    def test_state_stays_bounded(self, layout):
+        service = layout(fresh_host(), private_columns=0)
+        client = service.add_client(key_for(b"a"))
+        ids = []
+        for i in range(3 * self.KEEP):
+            ids.append(client.train(self.X + i, self.Y))
+            assert client.predict(ids[-1], self.X + i).tolist() \
+                == self.Y.tolist()
+        observed = service.library_observed()
+        assert len(observed) == self.KEEP
+        # The most recent matrices, oldest first: the last two ops'
+        # train and predict inputs.
+        for seen, i in zip(observed, (10, 10, 11, 11)):
+            assert np.array_equal(seen, self.X + i)
+        handle = service.library if layout is NestedMlService \
+            else client.handle
+        assert len(mlservice._library_for(handle).models._models) \
+            == self.KEEP
+        with pytest.raises(SvmError, match="evicted"):
+            client.predict(ids[0], self.X)
+        with pytest.raises(SvmError, match="never trained"):
+            client.predict(999, self.X)
+
+    def test_models_are_evicted_least_recently_used_first(self):
+        service = NestedMlService(fresh_host(), private_columns=0)
+        client = service.add_client(key_for(b"a"))
+        ids = [client.train(self.X, self.Y) for _ in range(self.KEEP)]
+        client.predict(ids[0], self.X)        # ids[1] is now the oldest
+        ids.append(client.train(self.X, self.Y))
+        client.predict(ids[0], self.X)
+        with pytest.raises(SvmError):
+            client.predict(ids[1], self.X)
+        for model_id in ids[2:]:
+            client.predict(model_id, self.X)
+
+
 class TestDbService:
     def test_tenant_crud(self):
         service = NestedDbService(fresh_host())
@@ -187,6 +239,30 @@ class TestMeasuredDbImages:
         assert tenant.handle.image.sigstruct.expected_mrenclave.hex() \
             == ("a9b6d4054d2e2d32e33f7d7c22bc499f"
                 "3421a1a6c856426a9e7692564d0b870b")
+
+
+class TestMeasuredMlImages:
+    """MRENCLAVE of the ML images, pinned.  The builder measures each
+    entry's source, so an edit to ``_svc_train``, ``_svc_predict`` or a
+    client entry moves these (and the svm and serving bench digests):
+    it must fail here first, as a deliberate re-pin."""
+
+    def test_ml_lib_and_nested_client_mrenclave(self):
+        service = NestedMlService(fresh_host())
+        client = service.add_client(key_for(b"a"))
+        assert service.library.image.sigstruct.expected_mrenclave.hex() \
+            == ("f7711241d331e498ed0096d9755560647abef016d16901dbc0b6139"
+                "7e53fdbde")
+        assert client.handle.image.sigstruct.expected_mrenclave.hex() \
+            == ("744c28b512a6bfd0992e23c1941710fad388bc1932f94cba0d1d9d2"
+                "945c639d2")
+
+    def test_ml_monolithic_client_mrenclave(self):
+        client = MonolithicMlService(fresh_host()).add_client(
+            key_for(b"a"))
+        assert client.handle.image.sigstruct.expected_mrenclave.hex() \
+            == ("6b6340ce64c8497eeaee64d6d7612b20730621c558c2bc6f58f9ca6"
+                "2b45c4d44")
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 from repro.core.access import NestedValidator
-from repro.errors import EvictionConflict, SgxFault
+from repro.errors import EvictionConflict, IntegrityViolation, SgxFault
 from repro.sgx import eviction
 from repro.sgx.constants import (PAGE_SIZE, PERM_RW, PT_REG, PT_SECS,
                                  SmallMachineConfig, ST_INITIALIZED)
@@ -303,9 +303,11 @@ class TestPageStreamHandoff:
 
 
 def test_unload_drops_per_page_state():
-    """EREMOVE (through the driver's unload) leaves no MEE line state
-    for the enclave's frames, and the keystreams kept for its evicted
-    pages go with their blobs."""
+    """EREMOVE (through the driver's unload) leaves no MEE line record
+    for the enclave's frames: each of their lines reads as never
+    written, so a zero fill passes and the frame's last ciphertext is
+    refused.  The keystreams kept for its evicted pages go with their
+    blobs."""
     from repro.perf.fingerprint import nested_pair
     host, outer, inner = nested_pair()
     machine, driver = host.machine, host.kernel.driver
@@ -317,10 +319,16 @@ def test_unload_drops_per_page_state():
     for handle in (inner, outer):
         frames = set(machine.epcm.pages_of(handle.secs.eid))
         frames.add(handle.secs.eid)
+        dram = {frame: machine.dram_ciphertext(frame, PAGE_SIZE)
+                for frame in frames}
         host.unload(handle)
-        for table in (mee._line_macs, mee._versions, mee._streams):
-            assert not [addr for addr in table
-                        if addr & ~(PAGE_SIZE - 1) in frames]
+        for frame, cipher in dram.items():
+            assert mee.decrypt_lines(frame, bytes(PAGE_SIZE)) \
+                == bytes(PAGE_SIZE)
+            if any(cipher):
+                with pytest.raises(IntegrityViolation,
+                                   match="before first MEE write"):
+                    mee.decrypt_lines(frame, cipher)
     assert not any(va.streams for va in driver._vas.values())
 
 

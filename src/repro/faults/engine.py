@@ -102,7 +102,7 @@ class FaultEngine:
             # Bit-flip detection needs byte-accurate MEE ciphertext in
             # simulated DRAM.  Timing-invariant to force on: memside
             # charges happen before the plaintext/ciphertext branch.
-            self.machine._mee_bytes = True
+            self.machine.encrypt_prm_bytes()
 
     def attach_kernel(self, kernel: "Kernel") -> None:
         """Called from Kernel.__init__; sets the plan's IPC policy."""

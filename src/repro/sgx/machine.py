@@ -19,8 +19,12 @@ PRM pass through the MEE (decrypt on fill, encrypt on writeback) and cost
 DRAM + MEE time; both accessors charge through :meth:`Machine._charge_lines`
 and move bytes through :class:`~repro.sgx.memory.PhysicalMemory` (or the
 PRM plaintext helpers).  When ``config.mee_encrypt_bytes`` is set, the bytes in
-simulated DRAM for PRM lines are genuine ciphertext — physical-attack tests
-read :attr:`phys` directly and verify they cannot see plaintext.
+simulated DRAM for PRM lines hold genuine ciphertext whenever anything
+outside the package reads them: a writeback only records the line with
+the MEE, and :class:`~repro.sgx.memory.PhysicalMemory` has the MEE encrypt
+a frame's recorded lines into it before any raw access observes the
+frame.  Physical-attack tests read :attr:`phys` directly and verify they
+cannot see plaintext.
 
 ISA leaves ("microcode") use the same memory-side helpers but bypass the
 core's TLB/validation pipeline, exactly as microcode does on real parts.
@@ -65,6 +69,8 @@ class Machine:
         self.epc_alloc = EpcAllocator(self.config)
         self.epcm = Epcm(self.config)
         self.mee = Mee(self.config)
+        # Raw DRAM settles the MEE's stale lines before it is observed.
+        self.phys.watch(self.mee.stale, self.mee.settle)
         self.llc = LlcModel(self.config.llc_bytes)
         self.clock = SimClock()
         self.counters = Counters()
@@ -113,6 +119,14 @@ class Machine:
         an untrusted-observable artifact (flow rule FLOW001).
         """
         self.transitions.record(kind, core_id, eid, tcs, depth, extra)
+
+    def encrypt_prm_bytes(self) -> None:
+        """Keep byte-accurate MEE ciphertext in DRAM from now on, as if
+        built with ``config.mee_encrypt_bytes``.  Every core's hot-path
+        copy of the flag follows, so TLB-hit serves take the MEE too."""
+        self._mee_bytes = True
+        for core in self.cores:
+            core._mee_bytes = True
 
     # -- registries -----------------------------------------------------------
     def enclave(self, eid: int) -> Secs:
@@ -178,29 +192,34 @@ class Machine:
             return
         self.phys.write(paddr, data)
 
-    # PRM plaintext helpers: DRAM holds ciphertext; the package-internal
-    # view is plaintext.  Each access moves its line-aligned span through
-    # the MEE in one call and touches DRAM once.
+    # PRM plaintext helpers: DRAM holds ciphertext whenever anything
+    # outside the package reads it; the package-internal view is
+    # plaintext.  A writeback only records its line-aligned span with the
+    # MEE, and a fill reads DRAM once unless every line of it is stale.
+    def _fill(self, first: int, size: int) -> bytes:
+        """Plaintext of the line-aligned span ``[first, first+size)``."""
+        mee = self.mee
+        plain = mee.stale_plaintext(first, size)
+        if plain is None:
+            plain = mee.decrypt_lines(first, self.phys.read(first, size))
+        return plain
+
     def _read_prm_plaintext(self, paddr: int, size: int) -> bytes:
         if size <= 0:
             return b""
         first = paddr & -CACHELINE_SIZE
         end = (paddr + size + CACHELINE_SIZE - 1) & -CACHELINE_SIZE
-        plain = self.mee.decrypt_lines(first, self.phys.read(first,
-                                                             end - first))
         off = paddr - first
-        return plain[off:off + size]
+        return self._fill(first, end - first)[off:off + size]
 
     def _write_prm_plaintext(self, paddr: int, data: bytes) -> None:
         """Read-modify-write at cacheline granularity: only a partial
-        head or tail line is read back, and both are verified before
-        any line is re-encrypted or written."""
+        head or tail line is filled, and both are verified before any
+        line is written back."""
         size = len(data)
         if not size:
             return
         line = CACHELINE_SIZE
-        mee = self.mee
-        phys = self.phys
         first = paddr & -line
         head_off = paddr - first
         end = paddr + size
@@ -208,13 +227,13 @@ class Machine:
         last = end - tail_off
         head = tail = b""
         if head_off:
-            plain = mee.decrypt_lines(first, phys.read(first, line))
+            plain = self._fill(first, line)
             head = plain[:head_off]
         if tail_off:
             if not head_off or last != first:
-                plain = mee.decrypt_lines(last, phys.read(last, line))
+                plain = self._fill(last, line)
             tail = plain[tail_off:]
-        phys.write(first, mee.encrypt_lines(first, head + data + tail))
+        self.mee.writeback(first, head + data + tail)
 
     # -- EPC helpers for microcode (no TLB, no validation) ---------------------
     def epc_read(self, paddr: int, size: int) -> bytes:

@@ -8,10 +8,14 @@ EPC are handed out by :class:`EpcAllocator` (driven by the untrusted OS's
 SGX driver, exactly as on real hardware — the OS picks *which* free EPC
 frame backs a page, the hardware only validates).
 
-Physical DRAM contents for EPC pages hold **ciphertext** when the MEE is
-enabled: the CPU-side accessors in :mod:`repro.sgx.machine` decrypt through
-the MEE on the way in and encrypt on the way out, so a physical attacker
-(or a test) reading `PhysicalMemory` directly sees only encrypted bytes.
+When the MEE is enabled, physical DRAM contents for EPC pages hold
+**ciphertext** whenever anything outside the package reads them: the
+CPU-side accessors in :mod:`repro.sgx.machine` decrypt through the MEE on
+the way in and record plaintext with the MEE on the way out, and the
+MEE's stale lines are encrypted into their frame
+(:meth:`PhysicalMemory.watch`) before any raw accessor here touches that
+frame.  So a physical attacker (or a test) reading `PhysicalMemory`
+directly sees only encrypted bytes.
 """
 
 from __future__ import annotations
@@ -28,6 +32,18 @@ class PhysicalMemory:
     def __init__(self, config: MachineConfig) -> None:
         self.config = config
         self._frames: dict[int, bytearray] = {}
+        # pfn -> lines whose bytes the frame does not hold yet, and what
+        # writes them in; see watch().  Empty unless a machine wires it.
+        self._stale: dict[int, int] = {}
+        self._settle = None
+
+    def watch(self, stale: dict, settle) -> None:
+        """Settle before observing: every raw accessor below first calls
+        ``settle(pfn, frame)`` for each frame it touches whose ``pfn`` is
+        a key of ``stale`` (the MEE's lines written back but not yet
+        encrypted into DRAM), creating the frame if needed."""
+        self._stale = stale
+        self._settle = settle
 
     # -- frame helpers ------------------------------------------------------
     def _frame(self, pfn: int) -> bytearray:
@@ -37,21 +53,33 @@ class PhysicalMemory:
             self._frames[pfn] = frame
         return frame
 
+    def _observe(self, pfn: int) -> None:
+        """Settle frame ``pfn``'s stale lines (see :meth:`watch`)."""
+        self._settle(pfn, self._frame(pfn))
+
     def frame_exists(self, pfn: int) -> bool:
+        if pfn in self._stale:
+            self._observe(pfn)
         return pfn in self._frames
 
     def drop_frame(self, pfn: int) -> None:
         """Forget a frame's backing store (used after EREMOVE/EWB)."""
+        if pfn in self._stale:
+            self._observe(pfn)
         self._frames.pop(pfn, None)
 
     # -- raw byte access (no protection: this *is* the DRAM) ----------------
     def read(self, paddr: int, size: int) -> bytes:
         self._check_range(paddr, size)
         off = paddr & (PAGE_SIZE - 1)
+        stale = self._stale
         if size <= PAGE_SIZE - off:
             # Fast path: within one frame (every cacheline access and
             # every core-issued chunk lands here).
-            frame = self._frames.get(paddr >> PAGE_SHIFT)
+            pfn = paddr >> PAGE_SHIFT
+            if pfn in stale:
+                self._observe(pfn)
+            frame = self._frames.get(pfn)
             if frame is None:
                 return bytes(size)
             return bytes(frame[off:off + size])
@@ -59,6 +87,8 @@ class PhysicalMemory:
         while size > 0:
             pfn, off = paddr >> PAGE_SHIFT, paddr & (PAGE_SIZE - 1)
             chunk = min(size, PAGE_SIZE - off)
+            if pfn in stale:
+                self._observe(pfn)
             frame = self._frames.get(pfn)
             if frame is None:
                 out += bytes(chunk)
@@ -71,13 +101,19 @@ class PhysicalMemory:
     def write(self, paddr: int, data: bytes) -> None:
         self._check_range(paddr, len(data))
         off = paddr & (PAGE_SIZE - 1)
+        stale = self._stale
         if 0 < len(data) <= PAGE_SIZE - off:
-            self._frame(paddr >> PAGE_SHIFT)[off:off + len(data)] = data
+            pfn = paddr >> PAGE_SHIFT
+            if pfn in stale:
+                self._observe(pfn)
+            self._frame(pfn)[off:off + len(data)] = data
             return
         pos = 0
         while pos < len(data):
             pfn, off = paddr >> PAGE_SHIFT, paddr & (PAGE_SIZE - 1)
             chunk = min(len(data) - pos, PAGE_SIZE - off)
+            if pfn in stale:
+                self._observe(pfn)
             self._frame(pfn)[off:off + chunk] = data[pos:pos + chunk]
             paddr += chunk
             pos += chunk
@@ -85,8 +121,10 @@ class PhysicalMemory:
     def digest(self) -> bytes:
         """SHA-256 over every materialised frame, in pfn order — exactly
         the bytes a physical DRAM attacker could observe (ciphertext for
-        MEE-protected lines).  Used by the determinism-fingerprint
-        harness (:mod:`repro.perf.fingerprint`)."""
+        MEE-protected lines, stale lines settled first).  Used by the
+        determinism-fingerprint harness (:mod:`repro.perf.fingerprint`)."""
+        for pfn in sorted(self._stale):
+            self._observe(pfn)
         h = hashlib.sha256()
         for pfn in sorted(self._frames):
             h.update(pfn.to_bytes(8, "little"))
@@ -96,6 +134,8 @@ class PhysicalMemory:
     def zero_page(self, paddr: int) -> None:
         if paddr & (PAGE_SIZE - 1):
             raise ValueError("zero_page requires a page-aligned address")
+        if paddr >> PAGE_SHIFT in self._stale:
+            self._observe(paddr >> PAGE_SHIFT)
         self._frames[paddr >> PAGE_SHIFT] = bytearray(PAGE_SIZE)
 
     def _check_range(self, paddr: int, size: int) -> None:

@@ -45,24 +45,34 @@ class TestCallGraph:
     def test_pinned_stats(self, repo_result):
         """Drift tripwire: adding/removing functions or changing the
         resolver shows up here first.  Update deliberately."""
-        # Last re-pin, by what moved:
-        # - functions +3: mlservice._ModelTable (__init__,
-        #   __setitem__, __getitem__), the bounded model table.
-        # - call_edges +1: _LibraryState.__init__ -> _ModelTable.__init__.
-        # - weak_edges +1, matched by method name: Mee.decrypt_lines
-        #   calls no .get, .digest, .to_bytes or .from_bytes any more
-        #   (-7); Mee.root_mac's .get of the MAC cache matches
-        #   _GuardedEnclaves.get and Counters.get (+2); the six
-        #   super().__init__ calls that match every class-level
-        #   __init__ also match _ModelTable's (+6).
-        # - secret_summaries +1: _ModelTable.__getitem__ returns its
-        #   parameters' taint.
+        # Last re-pin, by what moved (the record-only MEE writeback):
+        # - functions +8: Mee.writeback, Mee.stale_plaintext,
+        #   Mee._ciphertext, Mee.settle, mee._line_mask,
+        #   PhysicalMemory.watch, PhysicalMemory._observe, Machine._fill
+        #   and Machine.encrypt_prm_bytes (+9); Mee.encrypt_lines (-1).
+        # - call_edges +13: the six raw accessors (read, write, digest,
+        #   zero_page, drop_frame, frame_exists) -> _observe, and
+        #   _observe -> _frame; Mee.root_mac and Mee.settle ->
+        #   _ciphertext; Mee.writeback and Mee.stale_plaintext ->
+        #   _line_mask; Machine._read_prm_plaintext and
+        #   _write_prm_plaintext -> Machine._fill.
+        # - weak_edges +0, matched by method name (19 out, 19 in): the
+        #   PRM helpers' 12 (.read, .write, decrypt_lines,
+        #   encrypt_lines) and encrypt_lines' 7 go; Machine._fill's 5,
+        #   _write_prm_plaintext -> Mee.writeback, Mee._ciphertext's 6
+        #   (.from_bytes, .to_bytes, .copy, .digest), the .get of
+        #   Mee.writeback and Mee.stale_plaintext (2 each), Mee.settle's
+        #   .pop, FaultEngine.attach -> Machine.encrypt_prm_bytes and
+        #   Machine.__init__ -> PhysicalMemory.watch come.
+        # - secret_summaries +3: Machine._fill, Mee._ciphertext,
+        #   Mee.stale_plaintext and _line_mask return their parameters'
+        #   taint (+4); Mee.encrypt_lines is gone (-1).
         assert repo_result.stats == {
             "modules": 139,
-            "functions": 968,
-            "call_edges": 925,
+            "functions": 976,
+            "call_edges": 938,
             "weak_edges": 2289,
-            "secret_summaries": 486,
+            "secret_summaries": 489,
             "always_charging": 65,
         }
 

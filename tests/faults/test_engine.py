@@ -113,6 +113,63 @@ class TestMaliciousDetection:
                           validator_cls=NestedValidator)
         attach_engine(machine, plan.to_json())
         assert machine._mee_bytes
+        assert all(core._mee_bytes for core in machine.cores)
+
+    @staticmethod
+    def _ring_under(monkeypatch, plan):
+        """A nested ring on a machine built without byte-accurate MEE
+        (as every performance experiment's is), under ``plan``."""
+        from repro.apps.ports.fastcomm import NestedChannelDeployment
+        from repro.experiments.common import nested_host
+        monkeypatch.setenv("REPRO_FAULT_PLAN", plan.to_json())
+        host = nested_host()
+        return host.machine, NestedChannelDeployment(
+            host, footprint_bytes=1 << 16)
+
+    def test_unfired_bitflip_plan_leaves_a_ring_error_free(self,
+                                                           monkeypatch):
+        """Every access, TLB-hit serves included, goes through the MEE:
+        the transfer raises nothing, and every non-zero PRM line in DRAM
+        is a written line's ciphertext, never its plaintext."""
+        plan = FaultPlan(seed=0, faults=(FaultSpec(
+            kind="bitflip", at=10 ** 9, flip_mask=0x01),))
+        machine, deployment = self._ring_under(monkeypatch, plan)
+        deployment.transfer(64, 16 << 10)
+        assert machine.fault_engine.injected == []
+        phys, mee = machine.phys, machine.mee
+        phys.digest()       # settle every stale line
+        checked = 0
+        for pfn in sorted(phys._frames):
+            base = pfn * PAGE_SIZE
+            if not phys.in_prm(base):
+                continue
+            for line in range(base, base + PAGE_SIZE, 64):
+                raw = phys.read(line, 64)
+                if any(raw):
+                    assert mee.decrypt_lines(line, raw) != raw
+                    checked += 1
+        assert checked > 100
+
+    def test_fired_bitflip_names_the_flipped_line(self, monkeypatch):
+        from repro.os import malicious
+        flipped = []
+        tamper = malicious.dram_tamper
+
+        def recording_tamper(machine, paddr, flip_mask=0x01):
+            flipped.append(paddr)
+            tamper(machine, paddr, flip_mask)
+
+        monkeypatch.setattr(malicious, "dram_tamper", recording_tamper)
+        plan = FaultPlan(seed=0, faults=(FaultSpec(
+            kind="bitflip", at=900, flip_mask=0x04),))
+        machine, deployment = self._ring_under(monkeypatch, plan)
+        with pytest.raises(IntegrityViolation) as caught:
+            deployment.transfer(64, 16 << 10)
+        assert [spec.kind for spec in machine.fault_engine.injected] \
+            == ["bitflip"]
+        (line,) = flipped
+        assert str(caught.value) \
+            == f"DRAM tampering detected on line {line:#x}"
 
 
 class TestWiring:

@@ -64,11 +64,14 @@ class TestPartialLineRmw:
 
 class ReferencePrm:
     """The per-line PRM path the span path replaced, kept as the
-    oracle: one DRAM read, one MEE call and one DRAM write per line."""
+    oracle: one DRAM read and one MEE call per line filled, one MEE call
+    and one DRAM write per line written back.  As on the span path, a
+    write fills its partial head line, then its partial tail line,
+    before it writes any line back."""
 
-    def __init__(self, config) -> None:
-        self.phys = PhysicalMemory(config)
-        self.mee = ReferenceMee()
+    def __init__(self, phys, mee) -> None:
+        self.phys = phys
+        self.mee = mee
 
     def read(self, paddr: int, size: int) -> bytes:
         out = bytearray()
@@ -84,21 +87,23 @@ class ReferencePrm:
         return bytes(out)
 
     def write(self, paddr: int, data: bytes) -> None:
-        pos = 0
-        while pos < len(data):
-            line_addr = paddr - paddr % CACHELINE_SIZE
-            off = paddr - line_addr
-            chunk = min(len(data) - pos, CACHELINE_SIZE - off)
-            if off or chunk < CACHELINE_SIZE:
-                plain = bytearray(self.mee.decrypt_line(
-                    line_addr, self.phys.read(line_addr, CACHELINE_SIZE)))
-            else:
-                plain = bytearray(CACHELINE_SIZE)
-            plain[off:off + chunk] = data[pos:pos + chunk]
-            self.phys.write(line_addr,
-                            self.mee.encrypt_line(line_addr, bytes(plain)))
-            paddr += chunk
-            pos += chunk
+        if not data:
+            return
+        line = CACHELINE_SIZE
+        first = paddr - paddr % line
+        end = paddr + len(data) + (-(paddr + len(data))) % line
+        kept = {}
+        for line_addr in (first, end - line):
+            if line_addr not in kept and (
+                    line_addr < paddr
+                    or line_addr + line > paddr + len(data)):
+                kept[line_addr] = self.read(line_addr, line)
+        span = bytearray(b"".join(kept.get(line_addr, bytes(line))
+                                  for line_addr in range(first, end, line)))
+        span[paddr - first:paddr - first + len(data)] = data
+        for off in range(0, end - first, line):
+            self.phys.write(first + off, self.mee.encrypt_line(
+                first + off, bytes(span[off:off + line])))
 
 
 #: Span starts: a line index in the first two frames (62-63 end the
@@ -118,7 +123,8 @@ class TestSpanPathMatchesPerLineOracle:
     @settings(max_examples=40, deadline=None)
     def test_random_spans(self, ops, rng):
         machine = Machine(SmallMachineConfig())
-        oracle = ReferencePrm(machine.config)
+        oracle = ReferencePrm(PhysicalMemory(machine.config),
+                              ReferenceMee())
         base = machine.config.epc_base
         for is_write, (line, off, size) in ops:
             paddr = base + line * CACHELINE_SIZE + off
